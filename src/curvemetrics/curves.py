@@ -205,13 +205,26 @@ def immersed(c: SampledCurve) -> bool:
     return bool(np.all(c.edge_lengths() > EPS_IMMERSED * c.scale_hint))
 
 
+def _per_speed(f, speed, floor):
+    """f / speed per sample, zero where speed <= floor."""
+    good = (speed > floor)[..., None]
+    return np.divide(f, speed[..., None], out=np.zeros_like(f), where=good)
+
+
+def unit_tangent(deriv, floor):
+    """Speeds |deriv| and unit tangents of an (..., n) derivative array.
+
+    T is zero at samples whose speed is at or below floor, so callers
+    that need immersion check the speeds themselves.
+    """
+    deriv = np.asarray(deriv, dtype=float)
+    speed = np.linalg.norm(deriv, axis=-1)
+    return speed, _per_speed(deriv, speed, floor)
+
+
 def tangent_frame(c: SampledCurve) -> TangentFrame:
     """Unit tangents by central differences, zero below the immersion threshold."""
-    deriv = c.derivative()
-    speed = np.linalg.norm(deriv, axis=1)
-    T = np.zeros_like(deriv)
-    mask = speed > EPS_IMMERSED * c.scale_hint
-    T[mask] = deriv[mask] / speed[mask][:, None]
+    speed, T = unit_tangent(c.derivative(), EPS_IMMERSED * c.scale_hint)
     return TangentFrame(T=T, speed=speed)
 
 
@@ -234,18 +247,16 @@ def curvature_kernel(points, dtheta, scale_hint):
     """Shared discrete curvature computation.
 
     Returns (H, T, speed) where H = d_s T with the convention that both
-    T and H vanish at samples below the immersion threshold. The same
-    kernel backs curvature(), the curve flows, and the bending energy,
-    so their values agree exactly where they overlap.
+    T and H vanish at samples below the immersion threshold. points is
+    an (..., N, n) array whose periodic sample axis is the second to
+    last, so one (N, n) curve and a whole (N_v, N, n) homotopy grid go
+    in the same way. The same kernel backs curvature(), the curve
+    flows, and the bending energy, so their values agree exactly where
+    they overlap.
     """
-    deriv = periodic_derivative(points, dtheta, axis=0)
-    speed = np.linalg.norm(deriv, axis=1)
-    mask = speed > EPS_IMMERSED * scale_hint
-    T = np.zeros_like(deriv)
-    T[mask] = deriv[mask] / speed[mask][:, None]
-    dT = periodic_derivative(T, dtheta, axis=0)
-    H = np.zeros_like(dT)
-    H[mask] = dT[mask] / speed[mask][:, None]
+    floor = EPS_IMMERSED * scale_hint
+    speed, T = unit_tangent(periodic_derivative(points, dtheta, axis=-2), floor)
+    H = _per_speed(periodic_derivative(T, dtheta, axis=-2), speed, floor)
     return H, T, speed
 
 

@@ -30,6 +30,7 @@ from .curves import (
     curvature_kernel,
     immersed,
     tangent_frame,
+    unit_tangent,
 )
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
 from .homotopy import HomotopyGrid, length_profile
@@ -150,30 +151,18 @@ class EnergyReport:
     resolution: tuple
 
 
-def _grid_unit_tangents(W, speed, scale):
-    T = np.zeros_like(W)
-    good = speed > EPS_IMMERSED * scale
-    T[good] = W[good] / speed[good][:, None]
-    return T
-
-
 def normal_speed_squared(C: HomotopyGrid, order=2):
     """Per-sample m = |pi_N d_v C|^2 and the speeds |d_theta C|."""
-    W = C.d_theta(order)
+    speed, T = unit_tangent(C.d_theta(order), EPS_IMMERSED * C.scale_hint)
     V = C.d_v(order)
-    speed = np.linalg.norm(W, axis=2)
-    T = _grid_unit_tangents(W, speed, C.scale_hint)
     tang = np.sum(V * T, axis=2)
     m = np.maximum(np.sum(V * V, axis=2) - tang * tang, 0.0)
     return m, speed
 
 
 def _curvature_sq_rows(C: HomotopyGrid):
-    out = np.empty((C.n_v, C.n_theta))
-    for j in range(C.n_v):
-        H, _T, _speed = curvature_kernel(C.values[j], C.dtheta, C.scale_hint)
-        out[j] = np.sum(H * H, axis=1)
-    return out
+    H, _T, _speed = curvature_kernel(C.values, C.dtheta, C.scale_hint)
+    return np.sum(H * H, axis=2)
 
 
 def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
@@ -207,7 +196,7 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
         kappa2 = _curvature_sq_rows(C)
         return C.integrate_theta((1.0 + spec.A * kappa2) * m * speed)
     if kind == "conformal":
-        phi = spec.factor.value(length_profile(C).l)
+        phi = spec.factor.value(length_profile(C))
         return phi * C.integrate_theta(m * speed)
     raise InputDataError(f"kind {kind} has no homotopy energy")
 
@@ -288,7 +277,7 @@ def area_swept_bound_check(C: HomotopyGrid) -> bool:
     """(area swept)^2 <= E^N(C) * integral of len(C(., v)) dv, up to slack."""
     swept = area_swept(C)
     en = energy(C, EnergySpec(kind="geom_H0")).total
-    lengths = length_profile(C).l
+    lengths = length_profile(C)
     rhs = en * float(C.integrate_v(lengths))
     return swept * swept <= rhs + 1e-9 * (1.0 + rhs)
 
@@ -338,7 +327,7 @@ def holder_length_check(C: HomotopyGrid):
     with a vanishing bound and vanishing increment count as ratio 0.
     """
     j_energy = energy(C, EnergySpec(kind="J")).total
-    roots = np.sqrt(length_profile(C).l)
+    roots = np.sqrt(length_profile(C))
     vs = C.v_grid()
     ii, jj = np.triu_indices(C.n_v, k=1)
     lhs = np.abs(roots[jj] - roots[ii])

@@ -24,8 +24,15 @@ from .curves import (
     open_derivative,
     periodic_derivative,
     resample_arclength,
+    unit_tangent,
 )
-from .energies import ConformalFactor, EnergySpec, energy, stable_lambda
+from .energies import (
+    ConformalFactor,
+    EnergySpec,
+    energy,
+    normal_speed_squared,
+    stable_lambda,
+)
 from .errors import CFLError, InputDataError, NotImmersedError, NumericalFailureError
 from .homotopy import HomotopyGrid
 
@@ -116,12 +123,11 @@ class VStarField:
 
 
 def _speed_tangent(C: HomotopyGrid, order=2):
-    W = C.d_theta(order)
-    speed = np.linalg.norm(W, axis=2)
     floor = EPS_IMMERSED * C.scale_hint
+    speed, T = unit_tangent(C.d_theta(order), floor)
     if np.any(speed <= floor):
         raise NotImmersedError("the v* calculus needs immersed slices")
-    return speed, W / speed[..., None]
+    return speed, T
 
 
 def d_s(C: HomotopyGrid, f, order=2, speed=None):
@@ -210,25 +216,51 @@ def identity_residuals(C: HomotopyGrid) -> dict:
     }
 
 
-def homotopy_cfl_dt(C: HomotopyGrid, factor: Optional[ConformalFactor] = None) -> float:
-    """Stable explicit step 0.2 min(ds^2, dv^2) / max coefficient."""
-    fields = vstar_calculus(C)
+def _factor_terms(fields: VStarField, factor: ConformalFactor):
+    """phi and phi' on the slice lengths, and the C_ss coefficient.
+
+    coef_s = (1/2)(phi' M - phi m) per grid point; it is nonnegative
+    everywhere when the factor's lambda is stable.
+    """
+    phi = np.atleast_1d(factor.value(fields.lengths))
+    dphi = np.atleast_1d(factor.derivative(fields.lengths))
+    coef_s = 0.5 * ((dphi * fields.big_m)[:, None] - phi[:, None] * fields.m)
+    return phi, dphi, coef_s
+
+
+def _cfl_dt(C: HomotopyGrid, fields: VStarField, factor: ConformalFactor) -> float:
     ds_min = float(np.min(fields.speed)) * C.dtheta
-    if factor is None:
-        coef = max(1.0, 0.5 * float(np.max(fields.m)))
-    else:
-        phi = np.atleast_1d(factor.value(fields.lengths))
-        dphi = np.atleast_1d(factor.derivative(fields.lengths))
-        s_coef = np.abs(
-            0.5 * (dphi * fields.big_m)[:, None] - 0.5 * phi[:, None] * fields.m
-        )
-        coef = max(float(np.max(phi)), float(np.max(s_coef)), 1.0)
+    phi, _dphi, coef_s = _factor_terms(fields, factor)
+    coef = max(float(np.max(phi)), float(np.max(np.abs(coef_s))), 1.0)
     return 0.2 * min(ds_min * ds_min, C.dv * C.dv) / coef
 
 
-def _check_step_output(values, scale):
-    if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > 1e6 * scale:
+def _step(C: HomotopyGrid, fields: VStarField, factor, dt, drop_magnitude) -> HomotopyGrid:
+    dt_max = _cfl_dt(C, fields, factor)
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
+    phi, dphi, coef_s = _factor_terms(fields, factor)
+    rhs = (
+        phi[:, None, None] * fields.c_vstar_vstar
+        + (dphi * fields.l_vstar)[:, None, None] * fields.c_vstar
+        + coef_s[..., None] * fields.c_ss
+    )
+    if drop_magnitude:
+        rhs = rhs / phi[:, None, None]
+    values = C.values.copy()
+    values[1:-1] += dt * rhs[1:-1]
+    if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > 1e6 * C.scale_hint:
         raise NumericalFailureError("flow blew up: field norm exceeded the cap")
+    return HomotopyGrid(values=values, periodic=True)
+
+
+def homotopy_cfl_dt(C: HomotopyGrid, factor: Optional[ConformalFactor] = None) -> float:
+    """Stable explicit step 0.2 min(ds^2, dv^2) / max coefficient.
+
+    The coefficient is the largest of 1, phi and |coef_s|; no factor
+    means the h0 flow, the identity factor.
+    """
+    return _cfl_dt(C, vstar_calculus(C), factor or ConformalFactor.identity())
 
 
 def h0_homotopy_flow_step(C: HomotopyGrid, dt: float) -> HomotopyGrid:
@@ -236,26 +268,20 @@ def h0_homotopy_flow_step(C: HomotopyGrid, dt: float) -> HomotopyGrid:
 
     The v* term diffuses along the homotopy direction; the arclength
     term is backward-parabolic, which is exactly the instability the
-    conformal variant repairs. Endpoint slices stay pinned.
+    conformal variant repairs. Endpoint slices stay pinned. This is the
+    conformal step with the identity factor.
     """
-    dt_max = homotopy_cfl_dt(C)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    fields = vstar_calculus(C)
-    rhs = fields.c_vstar_vstar - 0.5 * fields.m[..., None] * fields.c_ss
-    values = C.values.copy()
-    values[1:-1] += dt * rhs[1:-1]
-    _check_step_output(values, C.scale_hint)
-    return HomotopyGrid(values=values, periodic=True)
+    return _step(C, vstar_calculus(C), ConformalFactor.identity(), dt, False)
+
+
+def _margin(fields: VStarField, factor: ConformalFactor) -> float:
+    _phi, _dphi, coef_s = _factor_terms(fields, factor)
+    return 2.0 * float(np.min(coef_s))
 
 
 def stability_margin(C: HomotopyGrid, factor: ConformalFactor) -> float:
     """min over the grid of phi' M - phi m, nonnegative when lambda is stable."""
-    fields = vstar_calculus(C)
-    phi = np.atleast_1d(factor.value(fields.lengths))
-    dphi = np.atleast_1d(factor.derivative(fields.lengths))
-    margin = (dphi * fields.big_m)[:, None] - phi[:, None] * fields.m
-    return float(np.min(margin))
+    return _margin(vstar_calculus(C), factor)
 
 
 def conformal_homotopy_flow_step(
@@ -273,24 +299,7 @@ def conformal_homotopy_flow_step(
     stabilization; with the identity factor the step reduces to the
     plain flow exactly.
     """
-    dt_max = homotopy_cfl_dt(C, factor)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    fields = vstar_calculus(C)
-    phi = np.atleast_1d(factor.value(fields.lengths))
-    dphi = np.atleast_1d(factor.derivative(fields.lengths))
-    coef_s = 0.5 * ((dphi * fields.big_m)[:, None] - phi[:, None] * fields.m)
-    rhs = (
-        phi[:, None, None] * fields.c_vstar_vstar
-        + (dphi * fields.l_vstar)[:, None, None] * fields.c_vstar
-        + coef_s[..., None] * fields.c_ss
-    )
-    if drop_magnitude:
-        rhs = rhs / phi[:, None, None]
-    values = C.values.copy()
-    values[1:-1] += dt * rhs[1:-1]
-    _check_step_output(values, C.scale_hint)
-    return HomotopyGrid(values=values, periodic=True)
+    return _step(C, vstar_calculus(C), factor, dt, drop_magnitude)
 
 
 @dataclass
@@ -337,7 +346,9 @@ def run_homotopy_flow(
     equal arclength every renormalize_every steps to keep the unit
     speed assumption of the calculus honest. The run stops early when
     the per-step displacement falls below stop_displacement, and
-    reports rather than raises a blow-up.
+    reports rather than raises a blow-up. Each step computes the v*
+    fields once and shares them between the CFL bound, the stability
+    margin and the update; h0 steps with the identity factor.
     """
     if kind not in ("h0", "conformal"):
         raise InputDataError(f"unknown homotopy flow kind {kind!r}")
@@ -348,11 +359,12 @@ def run_homotopy_flow(
     lam_value = float(lam) if lam is not None else (
         factor.lam if factor is not None else 0.0
     )
-    spec = (
-        EnergySpec(kind="conformal", factor=factor)
-        if kind == "conformal"
-        else EnergySpec(kind="geom_H0")
-    )
+    if kind == "conformal":
+        spec = EnergySpec(kind="conformal", factor=factor)
+        step_factor = factor
+    else:
+        spec = EnergySpec(kind="geom_H0")
+        step_factor = ConformalFactor.identity()
 
     energies = [energy(C, spec).total]
     margins = [] if kind == "conformal" else None
@@ -363,17 +375,14 @@ def run_homotopy_flow(
     k = 0
     step_dt = dt
     for k in range(1, steps + 1):
-        current_dt = homotopy_cfl_dt(C, factor if kind == "conformal" else None)
+        fields = vstar_calculus(C)
+        current_dt = _cfl_dt(C, fields, step_factor)
         if dt is not None:
             current_dt = min(dt, current_dt)
         try:
-            if kind == "conformal":
-                margins.append(stability_margin(C, factor))
-                new = conformal_homotopy_flow_step(
-                    C, factor, current_dt, drop_magnitude=drop_magnitude
-                )
-            else:
-                new = h0_homotopy_flow_step(C, current_dt)
+            if margins is not None:
+                margins.append(_margin(fields, factor))
+            new = _step(C, fields, step_factor, current_dt, drop_magnitude)
         except NumericalFailureError:
             blew_up = True
             break
@@ -405,44 +414,28 @@ def _conformal_energy_o4(C: HomotopyGrid, factor: ConformalFactor) -> float:
     """Order-4 discretization of the conformal normal energy.
 
     The derivative check needs the discrete energy and the discrete
-    gradient to share truncation terms beyond second order, so this
-    intentionally does not reuse the order-2 energy module quadrature.
+    gradient to share truncation terms beyond second order, so both
+    use order-4 stencils rather than the order-2 energy quadrature.
     """
-    W = C.d_theta(order=4)
-    V = C.d_v(order=4)
-    speed = np.linalg.norm(W, axis=2)
-    T = W / speed[..., None]
-    tang = np.sum(V * T, axis=2)
-    m = np.sum(V * V, axis=2) - tang * tang
-    per_slice = np.sum(m * speed, axis=1) * C.dtheta
-    lengths = np.sum(speed, axis=1) * C.dtheta
-    phi = np.atleast_1d(factor.value(lengths))
-    return float(np.trapezoid(phi * per_slice, dx=C.dv))
+    m, speed = normal_speed_squared(C, order=4)
+    phi = np.atleast_1d(factor.value(C.integrate_theta(speed)))
+    return float(np.trapezoid(phi * C.integrate_theta(m * speed), dx=C.dv))
 
 
 def _conformal_gradient_o4(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarray:
     """Gradient field G with dE/dt = -integral of C_t . G ds dv, order 4."""
-    order = 4
-    speed, T = _speed_tangent(C, order)
-    c_v = C.d_v(order)
-    tang = np.sum(c_v * T, axis=2)
-    c_vstar = c_v - tang[..., None] * T
-    c_ss = periodic_derivative(T, C.dtheta, axis=1, order=order) / speed[..., None]
-    c_vstar_vstar = d_vstar(C, c_vstar, order=order, speed=speed, tangential=tang)
-    m = np.sum(c_vstar * c_vstar, axis=2)
-    big_m = np.sum(m * speed, axis=1) * C.dtheta
-    lengths = np.sum(speed, axis=1) * C.dtheta
-    l_vstar = np.sum(-np.sum(c_vstar * c_ss, axis=2) * speed, axis=1) * C.dtheta
-    phi = np.atleast_1d(factor.value(lengths))[:, None, None]
-    dphi = np.atleast_1d(factor.derivative(lengths))[:, None, None]
-    vv_dot_s = np.sum(c_vstar_vstar * T, axis=2)[..., None]
-    vstar_dot_ss = np.sum(c_vstar * c_ss, axis=2)[..., None]
+    f = vstar_calculus(C, order=4)
+    phi, dphi, _coef_s = _factor_terms(f, factor)
+    phi = phi[:, None, None]
+    dphi = dphi[:, None, None]
+    vv_dot_s = np.sum(f.c_vstar_vstar * f.c_s, axis=2)[..., None]
+    vstar_dot_ss = np.sum(f.c_vstar * f.c_ss, axis=2)[..., None]
     return (
-        2.0 * dphi * l_vstar[:, None, None] * c_vstar
-        + 2.0 * phi * c_vstar_vstar
-        - 2.0 * phi * vv_dot_s * T
-        - 2.0 * phi * vstar_dot_ss * c_vstar
-        + (phi * m[..., None] + dphi * big_m[:, None, None]) * c_ss
+        2.0 * dphi * f.l_vstar[:, None, None] * f.c_vstar
+        + 2.0 * phi * f.c_vstar_vstar
+        - 2.0 * phi * vv_dot_s * f.c_s
+        - 2.0 * phi * vstar_dot_ss * f.c_vstar
+        + (phi * f.m[..., None] + dphi * f.big_m[:, None, None]) * f.c_ss
     )
 
 

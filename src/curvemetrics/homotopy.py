@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import (
+    EPS_IMMERSED,
     SampledCurve,
     open_derivative,
     periodic_derivative,
     resample_arclength,
     theta_grid,
+    unit_tangent,
 )
 from .errors import GridTooCoarseError, InputDataError, NotImmersedError
-
-# Same relative immersion threshold as for single curves.
-from .curves import EPS_IMMERSED
 
 
 @dataclass
@@ -111,13 +110,6 @@ class HomotopyGrid:
         return np.trapezoid(per_slice, dx=self.dv, axis=0)
 
 
-@dataclass
-class LengthProfile:
-    """Per-slice arclengths l_j = len(C(., v_j))."""
-
-    l: np.ndarray
-
-
 def sample_homotopy(fn, n_theta, n_v, periodic=True) -> HomotopyGrid:
     """Sample fn(thetas, v) row by row into a homotopy grid.
 
@@ -143,10 +135,9 @@ def linear_homotopy(c0: SampledCurve, c1: SampledCurve, n_v: int) -> HomotopyGri
     return HomotopyGrid(values=values, periodic=True)
 
 
-def length_profile(C: HomotopyGrid) -> LengthProfile:
-    """Arclength of every slice."""
-    speed = np.linalg.norm(C.d_theta(), axis=2)
-    return LengthProfile(l=C.integrate_theta(speed))
+def length_profile(C: HomotopyGrid) -> np.ndarray:
+    """Arclength l_j = len(C(., v_j)) of every slice, an (N_v,) array."""
+    return C.integrate_theta(slice_speeds(C))
 
 
 def slice_speeds(C: HomotopyGrid):
@@ -227,24 +218,21 @@ class HorizontalResult:
     residual: float
 
 
-def _tangential_rate(points, dtheta, d_v_row, scale):
-    """Row field -<d_v C, T> / |dC/dtheta| used by the horizontal ODE."""
-    deriv = periodic_derivative(points, dtheta, axis=0)
-    speed = np.linalg.norm(deriv, axis=1)
-    if np.any(speed <= EPS_IMMERSED * scale):
+def _tangential_rate(points, dtheta, d_v, scale):
+    """Field -<d_v C, T> / |dC/dtheta| used by the horizontal ODE.
+
+    points and d_v are (N_rows, N_theta, n) stacks of slices.
+    """
+    floor = EPS_IMMERSED * scale
+    speed, T = unit_tangent(periodic_derivative(points, dtheta, axis=1), floor)
+    if np.any(speed <= floor):
         raise NotImmersedError("horizontal reparameterization met a degenerate slice")
-    T = deriv / speed[:, None]
-    return -np.sum(d_v_row * T, axis=1) / speed
+    return -np.sum(d_v * T, axis=2) / speed
 
 
 def max_tangential_speed(C: HomotopyGrid) -> float:
     """max over the grid of |<d_v C, T>|, the tangential motion magnitude."""
-    deriv = C.d_theta()
-    speed = np.linalg.norm(deriv, axis=2)
-    floor = EPS_IMMERSED * C.scale_hint
-    T = np.zeros_like(deriv)
-    good = speed > floor
-    T[good] = deriv[good] / speed[good][:, None]
+    _speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
     return float(np.max(np.abs(np.sum(C.d_v() * T, axis=2))))
 
 
@@ -264,23 +252,20 @@ def reparam_horizontal(C: HomotopyGrid) -> HorizontalResult:
     dtheta = C.dtheta
     dv = C.dv
     thetas = theta_grid(C.n_theta)
-    d_v = C.d_v()
+    values = C.values
 
-    rate_rows = [
-        _tangential_rate(C.values[j], dtheta, d_v[j], scale) for j in range(C.n_v)
-    ]
+    rate_rows = _tangential_rate(values, dtheta, C.d_v(), scale)
+    mid_points = 0.5 * (values[:-1] + values[1:])
+    mid_dv = (values[1:] - values[:-1]) / dv
+    rate_mids = _tangential_rate(mid_points, dtheta, mid_dv, scale)
 
     phi = np.empty((C.n_v, C.n_theta))
     phi[0] = thetas
     for j in range(C.n_v - 1):
-        mid_points = 0.5 * (C.values[j] + C.values[j + 1])
-        mid_dv = (C.values[j + 1] - C.values[j]) / dv
-        rate_mid = _tangential_rate(mid_points, dtheta, mid_dv, scale)
-
         p = phi[j]
         k1 = periodic_interp(rate_rows[j], p, dtheta)
-        k2 = periodic_interp(rate_mid, p + 0.5 * dv * k1, dtheta)
-        k3 = periodic_interp(rate_mid, p + 0.5 * dv * k2, dtheta)
+        k2 = periodic_interp(rate_mids[j], p + 0.5 * dv * k1, dtheta)
+        k3 = periodic_interp(rate_mids[j], p + 0.5 * dv * k2, dtheta)
         k4 = periodic_interp(rate_rows[j + 1], p + dv * k3, dtheta)
         phi[j + 1] = p + (dv / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
@@ -323,9 +308,7 @@ def optimal_unwind_shift(C: HomotopyGrid):
     if not C.periodic:
         raise InputDataError("shift unwinding needs periodic slices")
     _require_immersed_slices(C, "optimal unwinding shift")
-    deriv = C.d_theta()
-    speed = np.linalg.norm(deriv, axis=2)
-    T = deriv / speed[..., None]
+    speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
     tangential = np.sum(C.d_v() * T, axis=2)
     numer = C.integrate_theta(tangential * speed)
     denom = C.integrate_theta(speed * speed)

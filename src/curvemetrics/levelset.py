@@ -612,13 +612,14 @@ def extracted_homotopy(L: LevelSetGrid, n_theta: int = 128) -> HomotopyGrid:
     the nearest neighbor of the previous slice, so v-derivatives of the
     result measure real motion rather than parameterization drift.
     """
-    extraction = extract_slices(L)
+    return _loops_homotopy(_largest_loops(extract_slices(L)), n_theta)
+
+
+def _loops_homotopy(loops, n_theta: int) -> HomotopyGrid:
+    """The homotopy through one closed polyline per slice (see extracted_homotopy)."""
     rows = []
     prev_base = None
-    for j, loops in enumerate(extraction.contours):
-        if not loops:
-            raise LevelSetError(f"slice {j} has no closed contour to extract")
-        poly = loops[int(np.argmax([_loop_length(p) for p in loops]))]
+    for poly in loops:
         area = 0.5 * float(
             np.sum(
                 poly[:, 0] * np.roll(poly[:, 1], -1)
@@ -637,8 +638,7 @@ def extracted_homotopy(L: LevelSetGrid, n_theta: int = 128) -> HomotopyGrid:
     return HomotopyGrid(values=np.stack(rows, axis=0), periodic=True)
 
 
-def _extracted_energies(L: LevelSetGrid, n_theta: int, factor: ConformalFactor):
-    grid = extracted_homotopy(L, n_theta)
+def _homotopy_energies(grid: HomotopyGrid, factor: ConformalFactor):
     e_geom = energy(grid, EnergySpec(kind="geom_H0")).total
     e_conf = energy(grid, EnergySpec(kind="conformal", factor=factor)).total
     return e_geom, e_conf
@@ -709,41 +709,55 @@ def run_geodesic(
     factor = ConformalFactor.exp_length(float(lam))
     measure_every = reinit_every if reinit_every else 10
 
-    e_geom, e_conf = _extracted_energies(L, n_theta, factor)
+    # Every run ends on a measurement step, so extraction and loops hold
+    # the final state when the loop exits; homotopy does too when that
+    # step also took a snapshot.
+    extraction = extract_slices(L)
+    loops = _largest_loops(extraction)
+    homotopy = _loops_homotopy(loops, n_theta)
+    e_geom, e_conf = _homotopy_energies(homotopy, factor)
     energies = [e_geom]
     conformals = [e_conf]
     residual = np.inf
     converged = False
+    snapshot_is_final = True
     step = 0
     if stationary:
         converged = True
         residual = 0.0
     else:
-        prev_loops = _largest_loops(extract_slices(L))
+        prev_loops = loops
         prev_t = L.t
         for step in range(1, max_steps + 1):
             L = evolve_step(L, dt)
             if reinit_every and step % reinit_every == 0:
                 L = reinitialize(L)
-            if snapshot_every and step % snapshot_every == 0:
-                e_geom, e_conf = _extracted_energies(L, n_theta, factor)
+            snapshot = bool(snapshot_every) and step % snapshot_every == 0
+            measure = step % measure_every == 0 or step == max_steps
+            snapshot_is_final = snapshot
+            if snapshot or measure:
+                extraction = extract_slices(L)
+                loops = _largest_loops(extraction)
+            if snapshot:
+                homotopy = _loops_homotopy(loops, n_theta)
+                e_geom, e_conf = _homotopy_energies(homotopy, factor)
                 energies.append(e_geom)
                 conformals.append(e_conf)
-            if step % measure_every == 0 or step == max_steps:
-                loops = _largest_loops(extract_slices(L))
+            if measure:
                 residual = _loop_displacement(loops, prev_loops) / (L.t - prev_t)
                 prev_loops = loops
                 prev_t = L.t
                 if residual < tol:
                     converged = True
                     break
-    homotopy = extracted_homotopy(L, n_theta)
-    e_geom, e_conf = _extracted_energies(L, n_theta, factor)
-    energies.append(e_geom)
-    conformals.append(e_conf)
+    if not snapshot_is_final:
+        homotopy = _loops_homotopy(loops, n_theta)
+        e_geom, e_conf = _homotopy_energies(homotopy, factor)
+        energies.append(e_geom)
+        conformals.append(e_conf)
     return GeodesicResult(
         grid=L,
-        contours=extract_slices(L),
+        contours=extraction,
         homotopy=homotopy,
         energy_trace=np.array(energies),
         conformal_trace=np.array(conformals),

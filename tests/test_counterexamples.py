@@ -179,7 +179,7 @@ def test_pulley_inextensible_and_sliding():
     res = pulley(2, n_theta=1024)
     assert res.grid.values.shape == (17, 1024, 2)
     # The channel is inextensible and rescaled to length 2 pi.
-    np.testing.assert_allclose(length_profile(res.grid).l, 2.0 * np.pi, rtol=2e-2)
+    np.testing.assert_allclose(length_profile(res.grid), 2.0 * np.pi, rtol=2e-2)
     assert res.scale == pytest.approx(2.0 * np.pi / res.length)
     assert res.max_normal_speed == pytest.approx(0.5 * res.scale)
     # Material already outruns the normal motion at h = 2; the growth
@@ -214,7 +214,7 @@ def test_conformal_stretch_energies():
     plain = energy(strip, EnergySpec(kind="geom_H0")).total
     assert plain == pytest.approx(plain_expected, rel=2e-3)
     assert plain < 1.0
-    np.testing.assert_allclose(length_profile(strip).l, length_expected, rtol=2e-3)
+    np.testing.assert_allclose(length_profile(strip), length_expected, rtol=2e-3)
     conf = energy(
         strip, EnergySpec(kind="conformal", factor=ConformalFactor.length())
     ).total

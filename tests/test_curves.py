@@ -18,11 +18,12 @@ from curvemetrics.curves import (
     resample_arclength,
     tangent_frame,
     theta_grid,
+    unit_tangent,
     unlift_direction,
 )
 from curvemetrics.errors import InputDataError, NotImmersedError
 
-from helpers import ellipse, figure_eight, unit_circle
+from helpers import ellipse, figure_eight, smooth_random_grid, unit_circle, v4_cone
 
 
 def test_theta_grid_spacing_and_no_endpoint():
@@ -173,6 +174,38 @@ def test_curvature_kernel_degenerate_samples_vanish():
     assert np.all(H == 0.0)
     assert np.all(T == 0.0)
     assert np.all(speed == 0.0)
+
+
+def test_unit_tangent_zeroes_degenerate_samples():
+    # Speeds 5, 0, 1e-12 (below the floor), 0.5 (at it) and 2.
+    deriv = np.array([[3.0, 4.0], [0.0, 0.0], [1e-12, 0.0], [0.5, 0.0], [0.0, -2.0]])
+    speed, T = unit_tangent(deriv, floor=0.5)
+    np.testing.assert_array_equal(speed, [5.0, 0.0, 1e-12, 0.5, 2.0])
+    np.testing.assert_array_equal(
+        T, [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+    )
+    grid = np.stack([deriv, 4.0 * deriv, np.zeros_like(deriv)])
+    speed3, T3 = unit_tangent(grid, floor=0.5)
+    assert speed3.shape == (3, 5) and T3.shape == (3, 5, 2)
+    np.testing.assert_array_equal(T3[0], T)
+    # Scaled by 4 the sample at the floor (now speed 2) becomes a unit tangent.
+    np.testing.assert_array_equal(T3[1, 3], [1.0, 0.0])
+    np.testing.assert_array_equal(T3[1, 2], [0.0, 0.0])
+    assert np.all(T3[2] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["cone", "random"])
+def test_curvature_kernel_grid_matches_per_slice(name):
+    grid = v4_cone(n_theta=64, n_v=9) if name == "cone" else smooth_random_grid(seed=4)
+    H, T, speed = curvature_kernel(grid.values, grid.dtheta, grid.scale_hint)
+    for j in range(grid.n_v):
+        Hj, Tj, sj = curvature_kernel(grid.values[j], grid.dtheta, grid.scale_hint)
+        assert np.array_equal(H[j], Hj)
+        assert np.array_equal(T[j], Tj)
+        assert np.array_equal(speed[j], sj)
+    if name == "cone":
+        # The first slice is a point, so all its samples are zeroed.
+        assert np.all(T[0] == 0.0) and np.all(H[0] == 0.0)
 
 
 def test_planar_normal_is_left_of_tangent():

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from curvemetrics import flows
 from curvemetrics.curves import SampledCurve, theta_grid
-from curvemetrics.energies import ConformalFactor, stable_lambda
+from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
 from curvemetrics.errors import CFLError, InputDataError, NotImmersedError
 from curvemetrics.flows import (
     commutator_check,
@@ -183,6 +184,57 @@ def test_run_conformal_flow_reports_state():
     assert state.energy_trace.size == 13
     np.testing.assert_array_equal(state.grid.values[0], C.values[0])
     np.testing.assert_array_equal(state.grid.values[-1], C.values[-1])
+
+
+@pytest.mark.parametrize("kind", ["h0", "conformal"])
+def test_run_flow_matches_the_public_step_loop(kind):
+    C = translating_circle(n_theta=128, n_v=17)
+    state = run_homotopy_flow(C, kind=kind, steps=5, renormalize_every=0)
+    if kind == "conformal":
+        factor = ConformalFactor.exp_length(stable_lambda(C))
+        spec = EnergySpec(kind="conformal", factor=factor)
+    else:
+        factor = None
+        spec = EnergySpec(kind="geom_H0")
+    G = C
+    margins = []
+    energies = [energy(G, spec).total]
+    for _ in range(5):
+        dt = homotopy_cfl_dt(G, factor)
+        if factor is None:
+            G = h0_homotopy_flow_step(G, dt)
+        else:
+            margins.append(stability_margin(G, factor))
+            G = conformal_homotopy_flow_step(G, factor, dt)
+        energies.append(energy(G, spec).total)
+    assert np.array_equal(state.grid.values, G.values)
+    assert np.array_equal(state.energy_trace, energies)
+    assert state.dt == dt
+    if factor is None:
+        assert state.margin_trace is None
+    else:
+        assert np.array_equal(state.margin_trace, margins)
+
+
+@pytest.mark.parametrize("kind", ["h0", "conformal"])
+def test_run_flow_builds_vstar_fields_once_per_step(kind, monkeypatch):
+    orders = []
+    original = flows.vstar_calculus
+
+    def counting(C, order=2):
+        orders.append(order)
+        return original(C, order)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the flow loop must reuse its v* fields")
+
+    monkeypatch.setattr(flows, "vstar_calculus", counting)
+    monkeypatch.setattr(flows, "homotopy_cfl_dt", forbidden)
+    monkeypatch.setattr(flows, "stability_margin", forbidden)
+    C = translating_circle(n_theta=64, n_v=9)
+    state = run_homotopy_flow(C, kind=kind, steps=4, renormalize_every=2)
+    assert state.steps == 4
+    assert orders == [2, 2, 2, 2]
 
 
 def test_run_h0_flow_and_validation():

@@ -108,7 +108,7 @@ def test_d_v_exact_on_linear_homotopy():
 
 def test_length_profile_translating_circle():
     C = translating_circle(n_theta=256, n_v=8)
-    profile = length_profile(C).l
+    profile = length_profile(C)
     # Central differences shorten the circle by the usual sin(h)/h factor.
     np.testing.assert_allclose(profile, 2.0 * np.pi, rtol=2e-4)
     assert np.ptp(profile) < 1e-12
@@ -162,7 +162,7 @@ def test_reparam_arclength_uniformizes_speed():
     assert np.all(cv_after < cv_before / 10.0)
     # The gauge is fixed by keeping the first sample of every slice.
     np.testing.assert_allclose(out.values[:, 0], C.values[:, 0], atol=1e-12)
-    np.testing.assert_allclose(length_profile(out).l, length_profile(C).l, rtol=1e-3)
+    np.testing.assert_allclose(length_profile(out), length_profile(C), rtol=1e-3)
 
 
 def test_reparam_arclength_rejects_degenerate_slice():
@@ -220,7 +220,7 @@ def test_shift_unwind_integer_steps_roll_the_samples():
 def test_shift_unwind_preserves_slice_lengths(rate):
     C = translating_circle(n_theta=128, n_v=9)
     out = shift_unwind(C, rate * C.v_grid())
-    np.testing.assert_allclose(length_profile(out).l, length_profile(C).l, rtol=1e-6)
+    np.testing.assert_allclose(length_profile(out), length_profile(C), rtol=1e-6)
 
 
 def test_optimal_unwind_shift_on_already_unwound_grid():

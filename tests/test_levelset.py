@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from curvemetrics.curves import SampledCurve, theta_grid
-from curvemetrics.energies import stable_lambda
+from curvemetrics import levelset
+from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
 from curvemetrics.errors import CFLError, InputDataError, LevelSetError
 from curvemetrics.homotopy import linear_homotopy
 from curvemetrics.levelset import (
@@ -316,6 +317,45 @@ def test_run_geodesic_identical_endpoints():
     spread = np.max(np.abs(result.homotopy.values - result.homotopy.values[0]))
     assert spread < 1e-12
     assert result.energy_trace[0] == result.energy_trace[-1]
+    # No step ran, so the initial extraction is the only trace entry.
+    assert result.energy_trace.size == 1 and result.conformal_trace.size == 1
+
+
+@pytest.mark.parametrize(
+    "max_steps, extracts, snapshots",
+    [
+        # Steps 10 and 20 snapshot and measure on one extraction each;
+        # the last snapshot is the final state, so it is not repeated.
+        (20, 3, 3),
+        # Step 25 only measures; its extraction gives the final entry.
+        (25, 4, 4),
+    ],
+)
+def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, monkeypatch):
+    calls = []
+    original = levelset.extract_slices
+
+    def counting(L):
+        calls.append(L.t)
+        return original(L)
+
+    monkeypatch.setattr(levelset, "extract_slices", counting)
+    c0, c1 = circle_pair()
+    result = run_geodesic(
+        c0, c1, nx=32, ny=32, nv=5, max_steps=max_steps, tol=1e-12,
+        reinit_every=10, snapshot_every=10,
+    )
+    assert result.steps == max_steps and not result.converged
+    assert len(calls) == extracts
+    assert len(set(calls)) == extracts
+    assert result.energy_trace.size == snapshots
+    assert result.conformal_trace.size == snapshots
+    monkeypatch.undo()
+    final = extracted_homotopy(result.grid)
+    assert np.array_equal(result.homotopy.values, final.values)
+    conf = EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(result.lam))
+    assert result.conformal_trace[-1] == energy(final, conf).total
+    assert result.energy_trace[-1] == energy(final, EnergySpec(kind="geom_H0")).total
 
 
 def test_run_geodesic_translated_circles():
