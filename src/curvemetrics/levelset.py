@@ -120,32 +120,55 @@ def _check_embedded(points, label):
 
 def _point_in_polygon(px, py, poly):
     """Even-odd rule for arrays of query points against one closed polygon."""
-    a = poly
-    b = np.roll(poly, -1, axis=0)
-    inside = np.zeros(px.shape, dtype=bool)
-    for (ax, ay), (bx, by) in zip(a, b):
-        cond = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = ax + (py - ay) * (bx - ax) / (by - ay)
-        inside ^= cond & (px < x_int)
-    return inside
+    ax, ay = poly[:, 0], poly[:, 1]
+    bx, by = np.roll(ax, -1), np.roll(ay, -1)
+    x = px.ravel()
+    y = py.ravel()
+    # Only the (point, edge) pairs whose edge spans the point's y need a
+    # crossing abscissa; every other pair cannot toggle the parity.
+    i, e = np.nonzero((ay > y[:, None]) != (by > y[:, None]))
+    x_int = ax[e] + (y[i] - ay[e]) * (bx - ax)[e] / (by - ay)[e]
+    crossings = np.bincount(i[x[i] < x_int], minlength=x.size)
+    return (crossings % 2 == 1).reshape(px.shape)
 
 
-def _distance_to_polyline(px, py, poly, closed=True):
-    """Distance from query points to a polyline, exact per segment."""
-    pts = np.stack([px.ravel(), py.ravel()], axis=1)
-    if closed:
-        a = poly
-        d = np.roll(poly, -1, axis=0) - a
-    else:
-        a = poly[:-1]
-        d = poly[1:] - a
-    len_sq = np.maximum(np.sum(d * d, axis=1), 1e-300)
-    rel = pts[:, None, :] - a[None, :, :]
-    tpar = np.clip(np.sum(rel * d[None, :, :], axis=2) / len_sq[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + tpar[..., None] * d[None, :, :]
-    dist = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
-    return dist.reshape(px.shape)
+def _distance_to_segments(px, py, a, b):
+    """Distance from query points to the nearest segment a[k] -> b[k], exact.
+
+    Works on (N, S) arrays per coordinate, in place where it can, and
+    takes one square root per point: sqrt is monotone, so sqrt(min)
+    equals min(sqrt) bit for bit.
+    """
+    x = px.reshape(-1, 1)
+    y = py.reshape(-1, 1)
+    ax, ay = a[:, 0], a[:, 1]
+    dx = b[:, 0] - ax
+    dy = b[:, 1] - ay
+    len_sq = np.maximum(dx * dx + dy * dy, 1e-300)
+    # tpar = clip(((x - ax) dx + (y - ay) dy) / len_sq, 0, 1)
+    tpar = x - ax
+    tpar *= dx
+    ey = y - ay
+    ey *= dy
+    tpar += ey
+    tpar /= len_sq
+    np.clip(tpar, 0.0, 1.0, out=tpar)
+    # (ex, ey) = (x, y) - (a + tpar d)
+    ex = tpar * dx
+    ex += ax
+    np.subtract(x, ex, out=ex)
+    np.multiply(tpar, dy, out=ey)
+    ey += ay
+    np.subtract(y, ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return np.sqrt(ex.min(axis=1)).reshape(px.shape)
+
+
+def _distance_to_polyline(px, py, poly):
+    """Distance from query points to a closed polyline, exact per segment."""
+    return _distance_to_segments(px, py, poly, np.roll(poly, -1, axis=0))
 
 
 def _signed_distance_slice(xs, ys, poly):
@@ -214,7 +237,50 @@ _EDGE_TABLE = {
     13: [("b", "r")],
     14: [("b", "l")],
 }
-# Cases 5 and 10 are the saddles, resolved by the cell-center sign.
+# Cases 5 and 10 are the saddles, resolved by the cell-center sign:
+# (case, center < 0) -> side pairs.
+_SADDLE_TABLE = {
+    (5, True): [("l", "t"), ("b", "r")],
+    (5, False): [("l", "b"), ("r", "t")],
+    (10, True): [("b", "l"), ("t", "r")],
+    (10, False): [("b", "r"), ("t", "l")],
+}
+
+_SIDES = "btlr"
+# Unit-cell position of each side's midpoint and of its two end corners,
+# the corners keyed by their bit in the case number.
+_SIDE_MID = {"b": (0.5, 0.0), "t": (0.5, 1.0), "l": (0.0, 0.5), "r": (1.0, 0.5)}
+_SIDE_CORNERS = {
+    "b": {1: (0.0, 0.0), 2: (1.0, 0.0)},
+    "t": {8: (0.0, 1.0), 4: (1.0, 1.0)},
+    "l": {1: (0.0, 0.0), 8: (0.0, 1.0)},
+    "r": {2: (1.0, 0.0), 4: (1.0, 1.0)},
+}
+
+
+def _cell_sides():
+    """Both case tables as one array over code = case + 16 * (center < 0).
+
+    Entry [code, k] holds the two sides of segment k of a cell, as
+    indices into _SIDES, or -1 where the cell has one segment. The pairs
+    are ordered so that the negative side of psi lies on the left, the
+    orientation of the extracted loops: of the two corners of the first
+    side exactly one is negative, and it must lie left of the segment.
+    """
+    codes = dict(_EDGE_TABLE)
+    codes.update({c + 16 * neg: p for (c, neg), p in _SADDLE_TABLE.items()})
+    table = np.full((32, 2, 2), -1, dtype=np.int64)
+    for code, pairs in codes.items():
+        for k, (s1, s2) in enumerate(pairs):
+            ((cx, cy),) = [xy for bit, xy in _SIDE_CORNERS[s1].items() if code & bit]
+            (x1, y1), (x2, y2) = _SIDE_MID[s1], _SIDE_MID[s2]
+            if (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1) < 0.0:
+                s1, s2 = s2, s1
+            table[code, k] = _SIDES.index(s1), _SIDES.index(s2)
+    return table
+
+
+_CELL_SIDES = _cell_sides()
 
 
 def _edge_point(kind, iy, ix, psi2d, xs, ys):
@@ -240,15 +306,28 @@ def _cell_edge_id(side, iy, ix):
     return ("v", iy, ix + 1)
 
 
+def _cell_cases(psi):
+    """Marching-squares case of every cell over the last two axes."""
+    neg = psi < 0.0
+    return (
+        neg[..., :-1, :-1].astype(np.int8)
+        + 2 * neg[..., :-1, 1:].astype(np.int8)
+        + 4 * neg[..., 1:, 1:].astype(np.int8)
+        + 8 * neg[..., 1:, :-1].astype(np.int8)
+    )
+
+
+def _cell_centers(psi):
+    """Mean of the four corners of every cell over the last two axes."""
+    return 0.25 * (
+        psi[..., :-1, :-1] + psi[..., :-1, 1:] + psi[..., 1:, :-1] + psi[..., 1:, 1:]
+    )
+
+
 def _march_slice(psi2d, xs, ys):
     """Hand-rolled marching squares: closed loops plus open fragments."""
-    neg = psi2d < 0.0
-    case = (
-        neg[:-1, :-1].astype(np.int8)
-        + 2 * neg[:-1, 1:].astype(np.int8)
-        + 4 * neg[1:, 1:].astype(np.int8)
-        + 8 * neg[1:, :-1].astype(np.int8)
-    )
+    case = _cell_cases(psi2d)
+    center = _cell_centers(psi2d)
     cells = np.argwhere((case != 0) & (case != 15))
 
     adjacency = {}
@@ -260,24 +339,7 @@ def _march_slice(psi2d, xs, ys):
     for iy, ix in cells:
         c = case[iy, ix]
         if c in (5, 10):
-            center = 0.25 * (
-                psi2d[iy, ix]
-                + psi2d[iy, ix + 1]
-                + psi2d[iy + 1, ix]
-                + psi2d[iy + 1, ix + 1]
-            )
-            if c == 5:
-                pairs = (
-                    [("l", "t"), ("b", "r")]
-                    if center < 0.0
-                    else [("l", "b"), ("r", "t")]
-                )
-            else:
-                pairs = (
-                    [("b", "l"), ("t", "r")]
-                    if center < 0.0
-                    else [("b", "r"), ("t", "l")]
-                )
+            pairs = _SADDLE_TABLE[c, bool(center[iy, ix] < 0.0)]
         else:
             pairs = _EDGE_TABLE[c]
         for s1, s2 in pairs:
@@ -329,8 +391,54 @@ def _march_slice(psi2d, xs, ys):
     return oriented, fragments
 
 
-def _bilinear(field, xs, ys, pts):
-    """Sample a 2D field at points by bilinear interpolation."""
+def _side_points(psi, xs, ys, sl, iy, ix, side):
+    """Zero crossings on sides (indices into _SIDES) of cells, as _edge_point.
+
+    The crossing edge runs from node (ey, ex) to its right neighbour for
+    a bottom or top side, and to its upper neighbour for a left or right
+    side.
+    """
+    horiz = side < 2
+    ey = iy + (side == 1)
+    ex = ix + (side == 3)
+    ey2 = ey + ~horiz
+    ex2 = ex + horiz
+    a = psi[sl, ey, ex]
+    t = a / (a - psi[sl, ey2, ex2])
+    x = np.where(horiz, xs[ex] + t * (xs[ex2] - xs[ex]), xs[ex])
+    y = np.where(horiz, ys[ey], ys[ey] + t * (ys[ey2] - ys[ey]))
+    return np.stack([x, y], axis=1)
+
+
+def _zero_segments(psi, xs, ys):
+    """Every zero-crossing segment of every slice at once, unchained.
+
+    Returns (sl, p, q): the slice index of each segment and its end
+    points, with the negative side of psi on the left of p -> q. The
+    case tables, the cell-center saddle rule and the crossing arithmetic
+    are those of _march_slice, so the segments of a slice are exactly
+    the edges of its marched polylines.
+    """
+    case = _cell_cases(psi)
+    saddle = (case == 5) | (case == 10)
+    code = np.where(saddle & (_cell_centers(psi) < 0.0), case + 16, case)
+    sl, iy, ix = np.nonzero((case != 0) & (case != 15))
+    sides = _CELL_SIDES[code[sl, iy, ix]]
+    second = np.flatnonzero(sides[:, 1, 0] >= 0)
+    cell = np.concatenate([np.arange(len(sl)), second])
+    pairs = np.concatenate([sides[:, 0], sides[second, 1]])
+    sl, iy, ix = sl[cell], iy[cell], ix[cell]
+    p = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 0])
+    q = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 1])
+    return sl, p, q
+
+
+def _bilinear(field, xs, ys, pts, *lead):
+    """Sample a field at points by bilinear interpolation.
+
+    field is 2D, or lead holds one index array per leading axis that
+    picks the 2D slice each point is sampled in.
+    """
     dx = xs[1] - xs[0]
     dy = ys[1] - ys[0]
     fx = np.clip((pts[:, 0] - xs[0]) / dx, 0.0, len(xs) - 1.001)
@@ -340,10 +448,10 @@ def _bilinear(field, xs, ys, pts):
     tx = fx - ix
     ty = fy - iy
     return (
-        field[iy, ix] * (1 - tx) * (1 - ty)
-        + field[iy, ix + 1] * tx * (1 - ty)
-        + field[iy + 1, ix] * (1 - tx) * ty
-        + field[iy + 1, ix + 1] * tx * ty
+        field[lead + (iy, ix)] * (1 - tx) * (1 - ty)
+        + field[lead + (iy, ix + 1)] * tx * (1 - ty)
+        + field[lead + (iy + 1, ix)] * (1 - tx) * ty
+        + field[lead + (iy + 1, ix + 1)] * tx * ty
     )
 
 
@@ -377,17 +485,6 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
 
 def _loop_length(poly):
     return float(np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)))
-
-
-def _contour_integral(field, xs, ys, loops):
-    """Integral of a sampled field along closed polylines (midpoint rule)."""
-    total = 0.0
-    for poly in loops:
-        nxt = np.roll(poly, -1, axis=0)
-        mids = 0.5 * (poly + nxt)
-        seg = np.linalg.norm(nxt - poly, axis=1)
-        total += float(np.sum(_bilinear(field, xs, ys, mids) * seg))
-    return total
 
 
 class _EvolutionFields:
@@ -426,23 +523,34 @@ class _EvolutionFields:
         self.interior_band[0] = False
         self.interior_band[-1] = False
 
+        # Lengths and the midpoint-rule S(v) are sums over the zero
+        # segments, so no slice needs its polylines chained.
         nv = psi.shape[0]
-        lengths = np.empty(nv)
-        S = np.empty(nv)
-        self.loops = []
+        sl, p, q = _zero_segments(psi, L.xs, L.ys)
+        counts = np.bincount(sl, minlength=nv)
+        neg = psi < 0.0
+        leaves_box = (
+            np.any(neg[:, [0, -1], 1:] != neg[:, [0, -1], :-1], axis=(1, 2))
+            | np.any(neg[:, 1:, [0, -1]] != neg[:, :-1, [0, -1]], axis=(1, 2))
+        )
         for j in range(nv):
-            loops, _frags = _march_slice(psi[j], L.xs, L.ys)
-            if not loops:
+            if counts[j] == 0:
                 raise LevelSetError(
                     f"slice {j} has an empty zero set; the curve vanished"
                 )
-            self.loops.append(loops)
-            lengths[j] = sum(_loop_length(p) for p in loops)
-            S[j] = _contour_integral(self.m[j], L.xs, L.ys, loops)
-        self.lengths = lengths
-        self.S = S
+            if leaves_box[j]:
+                raise LevelSetError(
+                    f"slice {j}: the zero set crosses the box boundary; "
+                    "the box is too small for this homotopy"
+                )
+        seg = np.linalg.norm(q - p, axis=1)
+        mids = 0.5 * (p + q)
+        self.lengths = np.bincount(sl, weights=seg, minlength=nv)
+        self.S = np.bincount(
+            sl, weights=_bilinear(self.m, L.xs, L.ys, mids, sl) * seg, minlength=nv
+        )
         L_v = np.zeros(nv)
-        L_v[1:-1] = (lengths[2:] - lengths[:-2]) / (2.0 * dv)
+        L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * dv)
         self.L_v = L_v
         self.lam = lam
         self.L = L
@@ -557,29 +665,24 @@ def evolve_step(
 def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     """Restore interior slices to exact signed distances to their zero sets.
 
-    The zero set is extracted first and distances are measured straight
-    to those polylines, so the interface moves by less than half a cell.
+    The zero set is marched first and distances are measured straight
+    to its segments, so the interface moves by less than half a cell.
+    The nearest segment does not depend on how segments chain into
+    polylines, so none are chained.
     Pinned endpoint slices are left untouched. Raises when a slice has
     lost its zero set entirely.
     """
     psi = L.psi.copy()
     gx, gy = np.meshgrid(L.xs, L.ys)
+    sl, p, q = _zero_segments(L.psi, L.xs, L.ys)
     for j in range(1, L.psi.shape[0] - 1):
-        loops, frags = _march_slice(L.psi[j], L.xs, L.ys)
-        if not loops and not any(len(f) >= 2 for f in frags):
+        mine = sl == j
+        if not mine.any():
             raise LevelSetError(
                 f"slice {j} has an empty zero set; the curve vanished"
             )
-        dist = np.full(gx.shape, np.inf)
-        for poly in loops:
-            dist = np.minimum(dist, _distance_to_polyline(gx, gy, poly))
-        for frag in frags:
-            if len(frag) >= 2:
-                dist = np.minimum(
-                    dist, _distance_to_polyline(gx, gy, frag, closed=False)
-                )
-        sign = np.where(L.psi[j] < 0.0, -1.0, 1.0)
-        psi[j] = sign * dist
+        dist = _distance_to_segments(gx, gy, p[mine], q[mine])
+        psi[j] = np.where(L.psi[j] < 0.0, -dist, dist)
     return replace(L, psi=psi)
 
 
@@ -728,28 +831,31 @@ def run_geodesic(
     else:
         prev_loops = loops
         prev_t = L.t
-        for step in range(1, max_steps + 1):
-            L = evolve_step(L, dt)
-            if reinit_every and step % reinit_every == 0:
-                L = reinitialize(L)
-            snapshot = bool(snapshot_every) and step % snapshot_every == 0
-            measure = step % measure_every == 0 or step == max_steps
-            snapshot_is_final = snapshot
-            if snapshot or measure:
-                extraction = extract_slices(L)
-                loops = _largest_loops(extraction)
-            if snapshot:
-                homotopy = _loops_homotopy(loops, n_theta)
-                e_geom, e_conf = _homotopy_energies(homotopy, factor)
-                energies.append(e_geom)
-                conformals.append(e_conf)
-            if measure:
-                residual = _loop_displacement(loops, prev_loops) / (L.t - prev_t)
-                prev_loops = loops
-                prev_t = L.t
-                if residual < tol:
-                    converged = True
-                    break
+        try:
+            for step in range(1, max_steps + 1):
+                L = evolve_step(L, dt)
+                if reinit_every and step % reinit_every == 0:
+                    L = reinitialize(L)
+                snapshot = bool(snapshot_every) and step % snapshot_every == 0
+                measure = step % measure_every == 0 or step == max_steps
+                snapshot_is_final = snapshot
+                if snapshot or measure:
+                    extraction = extract_slices(L)
+                    loops = _largest_loops(extraction)
+                if snapshot:
+                    homotopy = _loops_homotopy(loops, n_theta)
+                    e_geom, e_conf = _homotopy_energies(homotopy, factor)
+                    energies.append(e_geom)
+                    conformals.append(e_conf)
+                if measure:
+                    residual = _loop_displacement(loops, prev_loops) / (L.t - prev_t)
+                    prev_loops = loops
+                    prev_t = L.t
+                    if residual < tol:
+                        converged = True
+                        break
+        except LevelSetError as e:
+            raise LevelSetError(f"step {step}, t = {L.t:.6g}: {e}") from e
     if not snapshot_is_final:
         homotopy = _loops_homotopy(loops, n_theta)
         e_geom, e_conf = _homotopy_energies(homotopy, factor)

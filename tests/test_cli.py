@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from curvemetrics import curveio
+from curvemetrics import curveio, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
 from curvemetrics.energies import EnergySpec, inner_product
+from curvemetrics.errors import LevelSetError
 
 from helpers import translating_circle, unit_circle
 
@@ -153,6 +154,21 @@ def test_geodesic_subcommand_writes_artifacts(tmp_path, capsys):
     summary = parse_kv(" ".join((out / "summary.txt").read_text().splitlines()))
     assert summary["converged"] == "False"
     assert float(summary["energy_initial"]) > 0.0
+
+
+def test_geodesic_level_set_failure_exits_4_with_its_step(tmp_path, capsys, monkeypatch):
+    def vanished(L):
+        raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+
+    monkeypatch.setattr(levelset, "reinitialize", vanished)
+    c0 = write_circle(tmp_path, "c0.json")
+    c1 = write_circle(tmp_path, "c1.json", center=(0.5, 0.0))
+    code = main(
+        ["geodesic", "--c0", c0, "--c1", c1, "--nx", "32", "--ny", "32",
+         "--nv", "5", "--steps", "20", "--out", str(tmp_path / "geo")]
+    )
+    assert code == 4
+    assert capsys.readouterr().err.startswith("LevelSetError: step 10, t = ")
 
 
 def test_counterexample_winding_table(tmp_path, capsys):

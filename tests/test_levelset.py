@@ -1,5 +1,7 @@
 """Tests for the level-set embedding, evolution, and geodesic driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from curvemetrics.levelset import (
     reinitialize,
     run_geodesic,
 )
-from curvemetrics.levelset import _distance_to_polyline
+from curvemetrics.levelset import (
+    _EvolutionFields,
+    _bilinear,
+    _distance_to_polyline,
+    _march_slice,
+    _point_in_polygon,
+)
 
 from helpers import figure_eight, unit_circle
 
@@ -234,6 +242,161 @@ def test_levelset_lambda_translated_circles():
     np.testing.assert_allclose(info["lengths"], circumference, rtol=1e-2)
 
 
+def scaled_slices(field, xs, ys):
+    """Three slices with the zero set of field; psi_v is nonzero off it."""
+    psi = np.stack([(1.0 + 0.25 * j) * field for j in range(3)])
+    return LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3))
+
+
+def saddle_field():
+    """Positive background with diagonal pairs of negative nodes.
+
+    Each pair makes one saddle cell: case 5 (lower-left and upper-right
+    negative) or case 10 (lower-right and upper-left negative), with a
+    negative cell center where the nodes are -3 and a positive one where
+    they are -0.5.
+    """
+    xs = np.linspace(0.0, 2.3, 24)
+    ys = np.linspace(0.0, 2.3, 24)
+    field = np.ones((24, 24))
+    for (iy, ix), value in [((4, 4), -3.0), ((4, 12), -0.5)]:
+        field[iy, ix] = field[iy + 1, ix + 1] = value
+    for (iy, ix), value in [((12, 4), -3.0), ((12, 12), -0.5)]:
+        field[iy, ix + 1] = field[iy + 1, ix] = value
+    return field, xs, ys
+
+
+def soup_cases():
+    L = exact_circle_grid()
+    xs = np.linspace(-3.0, 3.0, 96)
+    gx, gy = np.meshgrid(xs, xs)
+    r = np.hypot(gx, gy)
+    return [
+        pytest.param(L.psi[0], L.xs, L.ys, id="circle"),
+        pytest.param((r - 1.0) * (r - 2.0), xs, xs, id="nested"),
+        pytest.param(*saddle_field(), id="saddles"),
+    ]
+
+
+def test_saddle_field_has_both_saddle_cases_and_center_signs():
+    field, _, _ = saddle_field()
+    case = levelset._cell_cases(field)
+    center = levelset._cell_centers(field)
+    for c in (5, 10):
+        assert np.any((case == c) & (center < 0.0))
+        assert np.any((case == c) & (center > 0.0))
+
+
+@pytest.mark.parametrize("field, xs, ys", soup_cases())
+def test_zero_segments_match_chained_loops(field, xs, ys):
+    L = scaled_slices(field, xs, ys)
+    fields = _EvolutionFields(L, lam=0.0)
+    sl, p, q = levelset._zero_segments(L.psi, xs, ys)
+    for j in range(3):
+        loops, frags = _march_slice(L.psi[j], xs, ys)
+        assert loops and not frags
+        # The soup is the set of directed edges of the oriented loops.
+        soup = np.hstack([p[sl == j], q[sl == j]])
+        edges = np.vstack([np.hstack([poly, np.roll(poly, -1, axis=0)]) for poly in loops])
+        assert len(soup) == len(edges)
+        assert np.array_equal(np.unique(soup, axis=0), np.unique(edges, axis=0))
+        length = 0.0
+        S = 0.0
+        for poly in loops:
+            nxt = np.roll(poly, -1, axis=0)
+            seg = np.linalg.norm(nxt - poly, axis=1)
+            mids = 0.5 * (poly + nxt)
+            length += float(np.sum(seg))
+            S += float(np.sum(_bilinear(fields.m[j], xs, ys, mids) * seg))
+        assert S > 0.0
+        np.testing.assert_allclose(fields.lengths[j], length, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fields.S[j], S, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("steps", [0, 30])
+def test_reinitialize_is_signed_distance_to_extracted_loops(steps):
+    c0, c1 = circle_pair()
+    L = embed((c0, c1))
+    L = replace(L, lam=levelset_lambda(L))
+    for _ in range(steps):
+        L = evolve_step(L)
+    out = reinitialize(L)
+    extraction = extract_slices(L)
+    assert extraction.flagged == []
+    gx, gy = np.meshgrid(L.xs, L.ys)
+    for j in range(1, L.psi.shape[0] - 1):
+        dist = np.min(
+            [_distance_to_polyline(gx, gy, poly) for poly in extraction.contours[j]],
+            axis=0,
+        )
+        assert np.array_equal(out.psi[j], np.where(L.psi[j] < 0.0, -dist, dist))
+
+
+def three_lobes():
+    theta = theta_grid(256)
+    radius = 1.0 + 0.35 * np.cos(3.0 * theta)
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+
+
+def test_point_in_polygon_matches_edge_loop():
+    poly = three_lobes()
+    # Query rows at every vertex y-level, where the half-open rule
+    # decides which of two edges meeting at a vertex counts.
+    px, py = np.meshgrid(np.linspace(-1.5, 1.5, 61), poly[:, 1])
+    inside = np.zeros(px.shape, dtype=bool)
+    for (ax, ay), (bx, by) in zip(poly, np.roll(poly, -1, axis=0)):
+        cond = (ay > py) != (by > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_int = ax + (py - ay) * (bx - ax) / (by - ay)
+        inside ^= cond & (px < x_int)
+    assert inside.any() and not inside.all()
+    assert np.array_equal(_point_in_polygon(px, py, poly), inside)
+
+
+def test_distance_to_polyline_matches_norm_reference():
+    poly = three_lobes()
+    xs = np.linspace(-1.8, 1.8, 40)
+    gx, gy = np.meshgrid(xs, xs)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    d = np.roll(poly, -1, axis=0) - poly
+    len_sq = np.maximum(np.sum(d * d, axis=1), 1e-300)
+    rel = pts[:, None, :] - poly[None, :, :]
+    tpar = np.clip(np.sum(rel * d[None, :, :], axis=2) / len_sq[None, :], 0.0, 1.0)
+    proj = poly[None, :, :] + tpar[..., None] * d[None, :, :]
+    expected = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
+    assert np.array_equal(_distance_to_polyline(gx, gy, poly), expected.reshape(gx.shape))
+
+
+def test_evolution_raises_when_zero_set_leaves_box():
+    xs = np.linspace(-2.0, 2.0, 48)
+    ys = np.linspace(-2.0, 2.0, 48)
+    gx, gy = np.meshgrid(xs, ys)
+    inner = np.hypot(gx + 0.8, gy) - 0.6
+    # Slice 1 keeps a closed loop but also a circle that pokes out of
+    # the right edge, so part of its zero set is an open fragment.
+    poking = np.minimum(inner, np.hypot(gx - 1.7, gy) - 0.6)
+    psi = np.stack([inner, poking, inner])
+    L = LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3), lam=0.3)
+    with pytest.raises(LevelSetError, match="slice 1: the zero set crosses the box"):
+        evolve_step(L)
+    with pytest.raises(LevelSetError, match="slice 1"):
+        psi_time_derivative(L)
+    extraction = extract_slices(L)
+    assert extraction.flagged == [1]
+    assert len(extraction.contours[1]) == 1 and extraction.open_fragments[1]
+
+
+def test_run_geodesic_names_the_step_of_a_level_set_failure(monkeypatch):
+    def vanished(L):
+        raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+
+    monkeypatch.setattr(levelset, "reinitialize", vanished)
+    c0, c1 = circle_pair()
+    with pytest.raises(LevelSetError, match=r"^step 10, t = \S+: slice 2 has") as info:
+        run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=20, reinit_every=10)
+    assert isinstance(info.value.__cause__, LevelSetError)
+
+
 def test_reinitialize_near_fixed_point_on_sdf():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
@@ -359,8 +522,8 @@ def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, m
 
 
 def test_run_geodesic_translated_circles():
-    # Medium-resolution run, around twenty seconds; the acceptance suite
-    # repeats this at full resolution.
+    # Medium-resolution run, about six seconds on one core; the
+    # acceptance suite repeats this at full resolution.
     c0, c1 = circle_pair()
     result = run_geodesic(c0, c1, nx=48, ny=48, nv=9, max_steps=900, tol=2e-3)
     assert result.converged
