@@ -19,7 +19,6 @@ evaluated without special casing.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -67,22 +66,17 @@ def normalize_kind(kind: str) -> str:
 class ConformalFactor:
     """Positive factor phi applied to the geom_H0 integrand, as a function
     of slice length. exp_lambda_L is the stabilized choice phi = e^(lambda L);
-    custom accepts any positive length functional together with its
-    derivative in L.
+    length is phi = L, the factor of the stretch counterexample.
     """
 
     kind: str = "identity"
     lam: float = 0.0
-    fn: Optional[Callable[[float], float]] = None
-    dfn: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        if self.kind not in ("identity", "exp_lambda_L", "custom"):
+        if self.kind not in ("identity", "exp_lambda_L", "length"):
             raise InputDataError(f"unknown conformal factor kind {self.kind!r}")
         if self.kind == "exp_lambda_L" and self.lam < 0.0:
             raise InputDataError("exp_lambda_L needs lambda >= 0")
-        if self.kind == "custom" and (self.fn is None or self.dfn is None):
-            raise InputDataError("custom conformal factor needs fn and dfn")
 
     @classmethod
     def identity(cls):
@@ -95,7 +89,7 @@ class ConformalFactor:
     @classmethod
     def length(cls):
         """phi(c) = len(c), the hypothesis phi >= len in the stretch example."""
-        return cls(kind="custom", fn=lambda L: L, dfn=lambda L: 1.0)
+        return cls(kind="length")
 
     def value(self, length):
         length = np.asarray(length, dtype=float)
@@ -104,7 +98,7 @@ class ConformalFactor:
         elif self.kind == "exp_lambda_L":
             out = np.exp(self.lam * length)
         else:
-            out = np.asarray(np.vectorize(self.fn)(length), dtype=float)
+            out = length.copy()
         if np.any(out <= 0.0):
             raise InputDataError("conformal factor must stay positive")
         return out if out.ndim else float(out)
@@ -116,7 +110,7 @@ class ConformalFactor:
         elif self.kind == "exp_lambda_L":
             out = self.lam * np.exp(self.lam * length)
         else:
-            out = np.asarray(np.vectorize(self.dfn)(length), dtype=float)
+            out = np.ones_like(length)
         return out if out.ndim else float(out)
 
 

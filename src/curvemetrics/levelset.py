@@ -73,9 +73,11 @@ class LevelSetGrid:
 class SliceContours:
     """Closed zero-level polylines per slice (no duplicate endpoint).
 
-    Orientation puts the negative side of psi on the left. Slices with
-    no closed contour, or with leftover open fragments, are flagged
-    rather than raised so callers can decide.
+    Orientation puts the negative side of psi on the left, as it does
+    for every zero segment. open_fragments holds the polylines that end
+    on the box boundary, end points included. Slices with no closed
+    contour, or with open fragments, are flagged rather than raised so
+    callers can decide.
     """
 
     contours: List[List[np.ndarray]]
@@ -259,51 +261,32 @@ _SIDE_CORNERS = {
 
 
 def _cell_sides():
-    """Both case tables as one array over code = case + 16 * (center < 0).
+    """Both case tables as arrays over code = case + 16 * (center < 0).
 
-    Entry [code, k] holds the two sides of segment k of a cell, as
-    indices into _SIDES, or -1 where the cell has one segment. The pairs
-    are ordered so that the negative side of psi lies on the left, the
-    orientation of the extracted loops: of the two corners of the first
-    side exactly one is negative, and it must lie left of the segment.
+    Entry [code, k] of the first array holds the two sides of segment k
+    of a cell, as indices into _SIDES, or -1 where the cell has one
+    segment. The pairs are ordered so that the negative side of psi lies
+    on the left, the orientation of the extracted loops: of the two
+    corners of the first side exactly one is negative, and it must lie
+    left of the segment. The second array flags the pairs this rule
+    lists the other way round from the case tables.
     """
     codes = dict(_EDGE_TABLE)
     codes.update({c + 16 * neg: p for (c, neg), p in _SADDLE_TABLE.items()})
     table = np.full((32, 2, 2), -1, dtype=np.int64)
+    swapped = np.zeros((32, 2), dtype=np.int64)
     for code, pairs in codes.items():
         for k, (s1, s2) in enumerate(pairs):
             ((cx, cy),) = [xy for bit, xy in _SIDE_CORNERS[s1].items() if code & bit]
             (x1, y1), (x2, y2) = _SIDE_MID[s1], _SIDE_MID[s2]
             if (x2 - x1) * (cy - y1) - (y2 - y1) * (cx - x1) < 0.0:
                 s1, s2 = s2, s1
+                swapped[code, k] = 1
             table[code, k] = _SIDES.index(s1), _SIDES.index(s2)
-    return table
+    return table, swapped
 
 
-_CELL_SIDES = _cell_sides()
-
-
-def _edge_point(kind, iy, ix, psi2d, xs, ys):
-    """Zero crossing on a cell edge by linear interpolation."""
-    if kind == "h":
-        a = psi2d[iy, ix]
-        b = psi2d[iy, ix + 1]
-        t = a / (a - b)
-        return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
-    a = psi2d[iy, ix]
-    b = psi2d[iy + 1, ix]
-    t = a / (a - b)
-    return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
-
-
-def _cell_edge_id(side, iy, ix):
-    if side == "b":
-        return ("h", iy, ix)
-    if side == "t":
-        return ("h", iy + 1, ix)
-    if side == "l":
-        return ("v", iy, ix)
-    return ("v", iy, ix + 1)
+_CELL_SIDES, _CELL_SWAPPED = _cell_sides()
 
 
 def _cell_cases(psi):
@@ -324,79 +307,13 @@ def _cell_centers(psi):
     )
 
 
-def _march_slice(psi2d, xs, ys):
-    """Hand-rolled marching squares: closed loops plus open fragments."""
-    case = _cell_cases(psi2d)
-    center = _cell_centers(psi2d)
-    cells = np.argwhere((case != 0) & (case != 15))
-
-    adjacency = {}
-
-    def add_segment(e1, e2):
-        adjacency.setdefault(e1, []).append(e2)
-        adjacency.setdefault(e2, []).append(e1)
-
-    for iy, ix in cells:
-        c = case[iy, ix]
-        if c in (5, 10):
-            pairs = _SADDLE_TABLE[c, bool(center[iy, ix] < 0.0)]
-        else:
-            pairs = _EDGE_TABLE[c]
-        for s1, s2 in pairs:
-            add_segment(_cell_edge_id(s1, iy, ix), _cell_edge_id(s2, iy, ix))
-
-    endpoints = {
-        eid: _edge_point(eid[0], eid[1], eid[2], psi2d, xs, ys) for eid in adjacency
-    }
-
-    visited = set()
-    loops = []
-    fragments = []
-
-    for start in [e for e, nbrs in adjacency.items() if len(nbrs) == 1]:
-        if start in visited:
-            continue
-        chain = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nxt = [e for e in adjacency[cur] if e != prev]
-            if not nxt or nxt[0] in visited:
-                break
-            prev, cur = cur, nxt[0]
-            visited.add(cur)
-            chain.append(cur)
-        fragments.append(np.array([endpoints[e] for e in chain]))
-
-    for start in adjacency:
-        if start in visited or len(adjacency[start]) != 2:
-            continue
-        chain = [start]
-        visited.add(start)
-        prev, cur = None, start
-        while True:
-            nbrs = [e for e in adjacency[cur] if e != prev]
-            if not nbrs:
-                break
-            nxt = nbrs[0]
-            if nxt == chain[0] or nxt in visited:
-                break
-            prev, cur = cur, nxt
-            visited.add(cur)
-            chain.append(cur)
-        if len(chain) >= 3:
-            loops.append(np.array([endpoints[e] for e in chain]))
-
-    oriented = [_orient_loop(loop, psi2d, xs, ys) for loop in loops]
-    return oriented, fragments
-
-
 def _side_points(psi, xs, ys, sl, iy, ix, side):
-    """Zero crossings on sides (indices into _SIDES) of cells, as _edge_point.
+    """Zero crossings on sides (indices into _SIDES) of cells, and their ids.
 
     The crossing edge runs from node (ey, ex) to its right neighbour for
     a bottom or top side, and to its upper neighbour for a left or right
-    side.
+    side. The id numbers that edge by (slice, direction, node), so the
+    two cells sharing an edge give its crossing the same point and id.
     """
     horiz = side < 2
     ey = iy + (side == 1)
@@ -407,30 +324,37 @@ def _side_points(psi, xs, ys, sl, iy, ix, side):
     t = a / (a - psi[sl, ey2, ex2])
     x = np.where(horiz, xs[ex] + t * (xs[ex2] - xs[ex]), xs[ex])
     y = np.where(horiz, ys[ey], ys[ey] + t * (ys[ey2] - ys[ey]))
-    return np.stack([x, y], axis=1)
+    ny, nx = psi.shape[1:]
+    ids = ((2 * sl + ~horiz) * ny + ey) * nx + ex
+    return np.stack([x, y], axis=1), ids
 
 
 def _zero_segments(psi, xs, ys):
     """Every zero-crossing segment of every slice at once, unchained.
 
-    Returns (sl, p, q): the slice index of each segment and its end
-    points, with the negative side of psi on the left of p -> q. The
-    case tables, the cell-center saddle rule and the crossing arithmetic
-    are those of _march_slice, so the segments of a slice are exactly
-    the edges of its marched polylines.
+    Returns (sl, p, q, p_id, q_id, key): the slice index of each segment,
+    its end points with the negative side of psi on the left of p -> q,
+    and the ids of those two crossings (see _side_points). The case
+    tables list the crossings slice by slice, cell by cell in row-major
+    order and pair by pair, each pair's two sides in table order; key
+    is the rank of p in that listing and key ^ 1 the rank of q. Saddle
+    cases 5 and 10 are resolved by the cell-center sign.
     """
     case = _cell_cases(psi)
     saddle = (case == 5) | (case == 10)
     code = np.where(saddle & (_cell_centers(psi) < 0.0), case + 16, case)
     sl, iy, ix = np.nonzero((case != 0) & (case != 15))
-    sides = _CELL_SIDES[code[sl, iy, ix]]
+    code = code[sl, iy, ix]
+    sides = _CELL_SIDES[code]
     second = np.flatnonzero(sides[:, 1, 0] >= 0)
     cell = np.concatenate([np.arange(len(sl)), second])
-    pairs = np.concatenate([sides[:, 0], sides[second, 1]])
+    k = np.repeat([0, 1], [len(sl), len(second)])
+    pairs = sides[cell, k]
+    key = 4 * cell + 2 * k + _CELL_SWAPPED[code[cell], k]
     sl, iy, ix = sl[cell], iy[cell], ix[cell]
-    p = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 0])
-    q = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 1])
-    return sl, p, q
+    p, p_id = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 0])
+    q, q_id = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 1])
+    return sl, p, q, p_id, q_id, key
 
 
 def _bilinear(field, xs, ys, pts, *lead):
@@ -455,31 +379,57 @@ def _bilinear(field, xs, ys, pts, *lead):
     )
 
 
-def _orient_loop(loop, psi2d, xs, ys):
-    """Reverse the loop if the negative side of psi is not on its left."""
-    mid = 0.5 * (loop[0] + loop[1])
-    d = loop[1] - loop[0]
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        return loop
-    left = np.array([-d[1], d[0]]) / norm
-    offset = 0.35 * min(xs[1] - xs[0], ys[1] - ys[0])
-    probe = (mid + offset * left)[None, :]
-    value = _bilinear(psi2d, xs, ys, probe)[0]
-    return loop if value < 0.0 else loop[::-1]
-
-
 def extract_slices(L: LevelSetGrid) -> SliceContours:
-    """Zero contours of every slice; empty or fragmented slices are flagged."""
-    contours = []
-    fragments = []
-    flagged = []
-    for j in range(L.psi.shape[0]):
-        loops, frags = _march_slice(L.psi[j], L.xs, L.ys)
-        contours.append(loops)
-        fragments.append(frags)
-        if not loops or frags:
-            flagged.append(j)
+    """Zero contours of every slice; empty or fragmented slices are flagged.
+
+    The zero segments are chained by crossing id: a segment's successor
+    is the one that starts where it ends. A chain that does not close
+    is an open fragment. It runs from whichever of its two end crossings
+    ranks lower in the key order of _zero_segments, and the fragments of
+    a slice are ordered by that crossing. Closed loops are ordered by
+    their lowest-ranked crossing, p or q of their lowest-key segment s.
+    A loop starts at p of s when that crossing is p, and two segments
+    on, at p of the successor of the successor of s, when it is q. The
+    extracted homotopy resamples each loop from its first point, so its
+    energies depend on these rules.
+    """
+    nv = L.psi.shape[0]
+    sl, p, q, p_id, q_id, key = _zero_segments(L.psi, L.xs, L.ys)
+    n = len(sl)
+    by_start = np.argsort(p_id)
+    at = by_start[np.minimum(np.searchsorted(p_id, q_id, sorter=by_start), n - 1)]
+    succ = np.where(p_id[at] == q_id, at, -1).tolist()
+    heads = np.setdiff1d(np.arange(n), succ).tolist()
+    order = np.argsort(key).tolist()
+    sl, key = sl.tolist(), key.tolist()
+    done = [False] * n
+
+    def chain(first):
+        run = [first]
+        nxt = succ[first]
+        while nxt >= 0 and nxt != first:
+            run.append(nxt)
+            nxt = succ[nxt]
+        for s in run:
+            done[s] = True
+        return run
+
+    fragments = [[] for _ in range(nv)]
+    runs = [chain(head) for head in heads]
+    runs.sort(key=lambda run: min(key[run[0]], key[run[-1]] ^ 1))
+    for run in runs:
+        frag = np.vstack([p[run], q[run[-1]]])
+        if key[run[-1]] ^ 1 < key[run[0]]:
+            frag = frag[::-1]
+        fragments[sl[run[0]]].append(frag)
+    contours = [[] for _ in range(nv)]
+    for first in order:
+        if not done[first]:
+            run = chain(first)
+            if key[first] & 1:
+                run = run[2:] + run[:2]
+            contours[sl[first]].append(p[run])
+    flagged = [j for j in range(nv) if not contours[j] or fragments[j]]
     return SliceContours(contours=contours, open_fragments=fragments, flagged=flagged)
 
 
@@ -526,7 +476,7 @@ class _EvolutionFields:
         # Lengths and the midpoint-rule S(v) are sums over the zero
         # segments, so no slice needs its polylines chained.
         nv = psi.shape[0]
-        sl, p, q = _zero_segments(psi, L.xs, L.ys)
+        sl, p, q = _zero_segments(psi, L.xs, L.ys)[:3]
         counts = np.bincount(sl, minlength=nv)
         neg = psi < 0.0
         leaves_box = (
@@ -665,8 +615,8 @@ def evolve_step(
 def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     """Restore interior slices to exact signed distances to their zero sets.
 
-    The zero set is marched first and distances are measured straight
-    to its segments, so the interface moves by less than half a cell.
+    Distances are measured straight to the zero segments of each slice
+    (_zero_segments), so the interface moves by less than half a cell.
     The nearest segment does not depend on how segments chain into
     polylines, so none are chained.
     Pinned endpoint slices are left untouched. Raises when a slice has
@@ -674,7 +624,7 @@ def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     """
     psi = L.psi.copy()
     gx, gy = np.meshgrid(L.xs, L.ys)
-    sl, p, q = _zero_segments(L.psi, L.xs, L.ys)
+    sl, p, q = _zero_segments(L.psi, L.xs, L.ys)[:3]
     for j in range(1, L.psi.shape[0] - 1):
         mine = sl == j
         if not mine.any():

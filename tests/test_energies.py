@@ -52,11 +52,12 @@ def test_spec_and_factor_validation():
         EnergySpec(kind="alpha_beta", alpha=0.0)
     with pytest.raises(InputDataError):
         ConformalFactor(kind="exp_lambda_L", lam=-0.5)
-    with pytest.raises(InputDataError):
-        ConformalFactor(kind="custom", fn=lambda L: L)
-    shifted = ConformalFactor(kind="custom", fn=lambda L: L - 100.0, dfn=lambda L: 1.0)
-    with pytest.raises(InputDataError):
-        shifted.value(1.0)
+    with pytest.raises(InputDataError, match="unknown conformal factor kind"):
+        ConformalFactor(kind="custom")
+    with pytest.raises(InputDataError, match="must stay positive"):
+        ConformalFactor.length().value(0.0)
+    assert ConformalFactor.length().value(2.5) == 2.5
+    assert ConformalFactor.length().derivative(2.5) == 1.0
     f = ConformalFactor.exp_length(0.5)
     assert f.value(2.0) == pytest.approx(np.e)
     assert f.derivative(2.0) == pytest.approx(0.5 * np.e)

@@ -1,5 +1,6 @@
 """Tests for the level-set embedding, evolution, and geodesic driver."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -26,11 +27,121 @@ from curvemetrics.levelset import (
     _EvolutionFields,
     _bilinear,
     _distance_to_polyline,
-    _march_slice,
     _point_in_polygon,
 )
 
 from helpers import figure_eight, unit_circle
+
+
+# Reference: marching squares as a per-cell walk that chains segments
+# through a dict adjacency of edge ids, then orients each loop by
+# probing psi 0.35 cell left of its first segment. The probe can land
+# across the contour, so it misorients some loops (see
+# test_single_node_loops_keep_negative_side_on_left).
+
+
+def edge_point(kind, iy, ix, psi2d, xs, ys):
+    """Zero crossing on a cell edge by linear interpolation."""
+    if kind == "h":
+        a = psi2d[iy, ix]
+        b = psi2d[iy, ix + 1]
+        t = a / (a - b)
+        return (xs[ix] + t * (xs[ix + 1] - xs[ix]), ys[iy])
+    a = psi2d[iy, ix]
+    b = psi2d[iy + 1, ix]
+    t = a / (a - b)
+    return (xs[ix], ys[iy] + t * (ys[iy + 1] - ys[iy]))
+
+
+def cell_edge_id(side, iy, ix):
+    if side == "b":
+        return ("h", iy, ix)
+    if side == "t":
+        return ("h", iy + 1, ix)
+    if side == "l":
+        return ("v", iy, ix)
+    return ("v", iy, ix + 1)
+
+
+def orient_loop(loop, psi2d, xs, ys):
+    """Reverse the loop if the probe left of its first segment is not negative."""
+    mid = 0.5 * (loop[0] + loop[1])
+    d = loop[1] - loop[0]
+    norm = np.linalg.norm(d)
+    if norm == 0.0:
+        return loop
+    left = np.array([-d[1], d[0]]) / norm
+    offset = 0.35 * min(xs[1] - xs[0], ys[1] - ys[0])
+    probe = (mid + offset * left)[None, :]
+    value = _bilinear(psi2d, xs, ys, probe)[0]
+    return loop if value < 0.0 else loop[::-1]
+
+
+def reference_march(psi2d, xs, ys):
+    """Closed loops plus open fragments of one slice, chained cell by cell."""
+    case = levelset._cell_cases(psi2d)
+    center = levelset._cell_centers(psi2d)
+    cells = np.argwhere((case != 0) & (case != 15))
+
+    adjacency = {}
+
+    def add_segment(e1, e2):
+        adjacency.setdefault(e1, []).append(e2)
+        adjacency.setdefault(e2, []).append(e1)
+
+    for iy, ix in cells:
+        c = case[iy, ix]
+        if c in (5, 10):
+            pairs = levelset._SADDLE_TABLE[c, bool(center[iy, ix] < 0.0)]
+        else:
+            pairs = levelset._EDGE_TABLE[c]
+        for s1, s2 in pairs:
+            add_segment(cell_edge_id(s1, iy, ix), cell_edge_id(s2, iy, ix))
+
+    endpoints = {
+        eid: edge_point(eid[0], eid[1], eid[2], psi2d, xs, ys) for eid in adjacency
+    }
+
+    visited = set()
+    loops = []
+    fragments = []
+
+    for start in [e for e, nbrs in adjacency.items() if len(nbrs) == 1]:
+        if start in visited:
+            continue
+        chain = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nxt = [e for e in adjacency[cur] if e != prev]
+            if not nxt or nxt[0] in visited:
+                break
+            prev, cur = cur, nxt[0]
+            visited.add(cur)
+            chain.append(cur)
+        fragments.append(np.array([endpoints[e] for e in chain]))
+
+    for start in adjacency:
+        if start in visited or len(adjacency[start]) != 2:
+            continue
+        chain = [start]
+        visited.add(start)
+        prev, cur = None, start
+        while True:
+            nbrs = [e for e in adjacency[cur] if e != prev]
+            if not nbrs:
+                break
+            nxt = nbrs[0]
+            if nxt == chain[0] or nxt in visited:
+                break
+            prev, cur = cur, nxt
+            visited.add(cur)
+            chain.append(cur)
+        if len(chain) >= 3:
+            loops.append(np.array([endpoints[e] for e in chain]))
+
+    oriented = [orient_loop(loop, psi2d, xs, ys) for loop in loops]
+    return oriented, fragments
 
 
 def circle_pair(offset=0.5):
@@ -291,9 +402,9 @@ def test_saddle_field_has_both_saddle_cases_and_center_signs():
 def test_zero_segments_match_chained_loops(field, xs, ys):
     L = scaled_slices(field, xs, ys)
     fields = _EvolutionFields(L, lam=0.0)
-    sl, p, q = levelset._zero_segments(L.psi, xs, ys)
+    sl, p, q = levelset._zero_segments(L.psi, xs, ys)[:3]
     for j in range(3):
-        loops, frags = _march_slice(L.psi[j], xs, ys)
+        loops, frags = reference_march(L.psi[j], xs, ys)
         assert loops and not frags
         # The soup is the set of directed edges of the oriented loops.
         soup = np.hstack([p[sl == j], q[sl == j]])
@@ -367,7 +478,7 @@ def test_distance_to_polyline_matches_norm_reference():
     assert np.array_equal(_distance_to_polyline(gx, gy, poly), expected.reshape(gx.shape))
 
 
-def test_evolution_raises_when_zero_set_leaves_box():
+def poking_grid():
     xs = np.linspace(-2.0, 2.0, 48)
     ys = np.linspace(-2.0, 2.0, 48)
     gx, gy = np.meshgrid(xs, ys)
@@ -376,7 +487,11 @@ def test_evolution_raises_when_zero_set_leaves_box():
     # the right edge, so part of its zero set is an open fragment.
     poking = np.minimum(inner, np.hypot(gx - 1.7, gy) - 0.6)
     psi = np.stack([inner, poking, inner])
-    L = LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3), lam=0.3)
+    return LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3), lam=0.3)
+
+
+def test_evolution_raises_when_zero_set_leaves_box():
+    L = poking_grid()
     with pytest.raises(LevelSetError, match="slice 1: the zero set crosses the box"):
         evolve_step(L)
     with pytest.raises(LevelSetError, match="slice 1"):
@@ -384,6 +499,69 @@ def test_evolution_raises_when_zero_set_leaves_box():
     extraction = extract_slices(L)
     assert extraction.flagged == [1]
     assert len(extraction.contours[1]) == 1 and extraction.open_fragments[1]
+
+
+@functools.lru_cache(maxsize=None)
+def evolved_circle_states():
+    """circle_pair() on 9x48x48, after 0, 30 and 120 steps (reinit every 10)."""
+    c0, c1 = circle_pair()
+    L = embed((c0, c1), nx=48, ny=48, nv=9)
+    L = replace(L, lam=levelset_lambda(L))
+    states = {0: L}
+    for step in range(1, 121):
+        L = evolve_step(L)
+        if step % 10 == 0:
+            L = reinitialize(L)
+        if step in (30, 120):
+            states[step] = L
+    return states
+
+
+def fragmented_grid():
+    """Five open fragments per slice, listed from either end, and one loop."""
+    xs = np.linspace(-2.0, 2.0, 40)
+    gx, gy = np.meshgrid(xs, xs)
+    field = np.sin(2.0 * gx) * np.cos(1.5 * gy) + 0.2
+    psi = np.stack([field, field + 0.1 * gx, -field])
+    return LevelSetGrid(psi=psi, xs=xs, ys=xs, vs=np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize(
+    "make, n_fragments",
+    [
+        pytest.param(lambda: evolved_circle_states()[0], 0, id="circles-0"),
+        pytest.param(lambda: evolved_circle_states()[30], 0, id="circles-30"),
+        pytest.param(lambda: evolved_circle_states()[120], 0, id="circles-120"),
+        pytest.param(poking_grid, 1, id="poking"),
+        pytest.param(fragmented_grid, 15, id="fragments"),
+    ],
+)
+def test_extract_slices_matches_reference_march(make, n_fragments):
+    L = make()
+    extraction = extract_slices(L)
+    assert sum(map(len, extraction.open_fragments)) == n_fragments
+    for j in range(L.psi.shape[0]):
+        loops, frags = reference_march(L.psi[j], L.xs, L.ys)
+        for got, want in [(extraction.contours[j], loops), (extraction.open_fragments[j], frags)]:
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        assert (j in extraction.flagged) == (not loops or bool(frags))
+
+
+def test_single_node_loops_keep_negative_side_on_left():
+    axes = np.linspace(0.0, 1.0, 8)
+    for value in (0.01, 0.2, 0.5):
+        psi = -np.ones((3, 8, 8))
+        psi[:, 4, 3] = value
+        L = LevelSetGrid(psi=psi, xs=axes, ys=axes, vs=np.linspace(0.0, 1.0, 3))
+        extraction = extract_slices(L)
+        assert extraction.flagged == []
+        for loops in extraction.contours:
+            assert len(loops) == 1 and len(loops[0]) == 4
+            # The loop rings the one positive node, so with the negative
+            # side on its left it runs clockwise.
+            assert signed_area(loops[0]) < 0.0, value
 
 
 def test_run_geodesic_names_the_step_of_a_level_set_failure(monkeypatch):
