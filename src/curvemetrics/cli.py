@@ -273,41 +273,22 @@ def _cmd_flow(args):
     lam = None if args.lam == "auto" else float(args.lam)
     if lam is None:
         lam = flows.stable_lambda(C)
-    chunk = dump_every if (prefix and dump_every) else args.steps
-    done = 0
-    energies = []
-    state = None
-    while done < args.steps:
-        take = min(chunk, args.steps - done)
-        state = flows.run_homotopy_flow(
-            C,
-            kind=args.kind,
-            steps=take,
-            dt=dt,
-            factor=factor,
-            lam=lam,
-            drop_magnitude=args.drop_magnitude,
-            renormalize_every=args.renormalize_every,
-            stop_displacement=args.stop_displacement,
-        )
-        C = state.grid
-        done += state.steps
-        energies.extend(
-            state.energy_trace if not energies else state.energy_trace[1:]
-        )
-        if prefix and dump_every:
-            _save_grid(f"{prefix}{done:06d}.npz", C)
-        if state.blew_up or (
-            args.stop_displacement and state.last_displacement < args.stop_displacement
-        ):
-            break
+    # One run; the dumps read its grids, so they cannot change its output.
+    loop = flows._homotopy_flow_loop(
+        C, args.kind, args.steps, dt, factor, lam, args.drop_magnitude,
+        args.renormalize_every, args.stop_displacement,
+    )
+    for k, grid, state in loop:
+        if prefix and dump_every and (k % dump_every == 0 or state is not None):
+            _save_grid(f"{prefix}{k:06d}.npz", grid)
+    energies = state.energy_trace
     print(
-        f"kind={args.kind} steps={done} lam={_fmt(lam)} "
+        f"kind={args.kind} steps={state.steps} lam={_fmt(lam)} "
         f"energy_initial={_fmt(energies[0])} energy_final={_fmt(energies[-1])} "
         f"blew_up={state.blew_up}"
     )
     if prefix:
-        _save_grid(f"{prefix}final.npz", C)
+        _save_grid(f"{prefix}final.npz", state.grid)
     return 4 if state.blew_up else 0
 
 

@@ -27,6 +27,32 @@ def theta_grid(n):
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def dot(a, b):
+    """Dot products of (..., n) arrays over their last (component) axis.
+
+    The sum runs left to right from a[..., 0] * b[..., 0] + 0.0, the
+    order numpy uses for np.sum(a * b, axis=-1) over fewer than eight
+    components, so the two agree bit for bit there; the +0.0 turns a
+    sum of -0.0 products into +0.0 as np.sum does. Spelled out, it is
+    several times faster than the reduction over a length-2 axis.
+    """
+    out = a[..., 0] * b[..., 0] + 0.0
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _bbox_diagonal(points):
+    """Bounding-box diagonal of (M, n) points, 1.0 when they coincide.
+
+    The extent is taken one column at a time, which is exact and much
+    faster than a reduction over the long axis of a narrow array.
+    """
+    extent = np.array([col.max() - col.min() for col in points.T])
+    diag = float(np.linalg.norm(extent))
+    return diag if diag > 0.0 else 1.0
+
+
 def periodic_derivative(values, spacing, axis=0, order=2):
     """Central-difference derivative along a periodic axis.
 
@@ -103,8 +129,7 @@ class SampledCurve:
             raise InputDataError("curve points contain non-finite values")
         self.points = pts
         if self.scale_hint <= 0.0:
-            diag = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-            self.scale_hint = diag if diag > 0.0 else 1.0
+            self.scale_hint = _bbox_diagonal(pts)
 
     @property
     def n_samples(self):
@@ -123,7 +148,8 @@ class SampledCurve:
 
     def edge_lengths(self):
         """Lengths |p_{i+1} - p_i| of the N polygon edges (wrapping)."""
-        return np.linalg.norm(np.roll(self.points, -1, axis=0) - self.points, axis=1)
+        edges = np.roll(self.points, -1, axis=0) - self.points
+        return np.sqrt(dot(edges, edges))
 
     def derivative(self):
         """Central-difference derivative of the position samples."""
@@ -144,11 +170,11 @@ class TangentFrame:
 
     def project_normal(self, vectors):
         v = _match_deformation(vectors, self.T)
-        return v - np.sum(v * self.T, axis=-1, keepdims=True) * self.T
+        return v - dot(v, self.T)[..., None] * self.T
 
     def project_tangent(self, vectors):
         v = _match_deformation(vectors, self.T)
-        return np.sum(v * self.T, axis=-1, keepdims=True) * self.T
+        return dot(v, self.T)[..., None] * self.T
 
 
 @dataclass
@@ -218,7 +244,7 @@ def unit_tangent(deriv, floor):
     that need immersion check the speeds themselves.
     """
     deriv = np.asarray(deriv, dtype=float)
-    speed = np.linalg.norm(deriv, axis=-1)
+    speed = np.sqrt(dot(deriv, deriv))
     return speed, _per_speed(deriv, speed, floor)
 
 
@@ -240,7 +266,7 @@ def project(frame: TangentFrame, vectors, which: str):
 def arclength(c: SampledCurve) -> float:
     """Curve length, the periodic trapezoid of the derivative magnitude."""
     deriv = c.derivative()
-    return float(np.sum(np.linalg.norm(deriv, axis=1)) * c.dtheta)
+    return float(np.sum(np.sqrt(dot(deriv, deriv))) * c.dtheta)
 
 
 def curvature_kernel(points, dtheta, scale_hint):
@@ -272,13 +298,13 @@ def _turning_mass(points):
     """Sum of absolute turning angles at the polygon vertices."""
     edges = np.roll(points, -1, axis=0) - points
     prev = np.roll(edges, 1, axis=0)
-    dot = np.sum(prev * edges, axis=1)
+    inner = dot(prev, edges)
     if points.shape[1] == 2:
         cross = np.abs(prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0])
     else:
-        n2 = np.sum(prev * prev, axis=1) * np.sum(edges * edges, axis=1) - dot * dot
+        n2 = dot(prev, prev) * dot(edges, edges) - inner * inner
         cross = np.sqrt(np.maximum(n2, 0.0))
-    return float(np.sum(np.arctan2(cross, dot)))
+    return float(np.sum(np.arctan2(cross, inner)))
 
 
 def curvature(c: SampledCurve) -> CurvatureField:
@@ -288,7 +314,7 @@ def curvature(c: SampledCurve) -> CurvatureField:
     H, T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
     kappa = None
     if c.dim == 2:
-        kappa = np.sum(H * planar_normal(T), axis=1)
+        kappa = dot(H, planar_normal(T))
     return CurvatureField(H=H, kappa=kappa, total_mass=_turning_mass(c.points))
 
 
@@ -309,7 +335,7 @@ def lift_direction(c: SampledCurve) -> DirectionFunctionSample:
             f"curve length {length:.6g} is not 2*pi; normalize before lifting"
         )
     deriv = c.derivative()
-    speed = np.linalg.norm(deriv, axis=1)
+    speed = np.sqrt(dot(deriv, deriv))
     mean = float(np.mean(speed))
     if (speed.max() - speed.min()) > 0.01 * mean:
         raise InputDataError("direction lift needs uniform arclength sampling")

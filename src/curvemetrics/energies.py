@@ -27,6 +27,7 @@ from .curves import (
     SampledCurve,
     arclength,
     curvature_kernel,
+    dot,
     immersed,
     tangent_frame,
     unit_tangent,
@@ -149,14 +150,29 @@ def normal_speed_squared(C: HomotopyGrid, order=2):
     """Per-sample m = |pi_N d_v C|^2 and the speeds |d_theta C|."""
     speed, T = unit_tangent(C.d_theta(order), EPS_IMMERSED * C.scale_hint)
     V = C.d_v(order)
-    tang = np.sum(V * T, axis=2)
-    m = np.maximum(np.sum(V * V, axis=2) - tang * tang, 0.0)
-    return m, speed
+    return _normal_m(V, dot(V, T)), speed
+
+
+def _normal_m(V, tang):
+    """m = max(|V|^2 - (V . T)^2, 0) from V = d_v C and its part V . T."""
+    return np.maximum(dot(V, V) - tang * tang, 0.0)
+
+
+def _normal_slices(C: HomotopyGrid, m, speed, factor=None, lengths=None):
+    """Per-slice int m ds, times phi(lengths) when a factor is given.
+
+    This is the geom_H0 integrand, and with a factor the conformal
+    one; the homotopy flow assembles its energy trace here too.
+    """
+    per_slice = C.integrate_theta(m * speed)
+    if factor is None:
+        return per_slice
+    return factor.value(lengths) * per_slice
 
 
 def _curvature_sq_rows(C: HomotopyGrid):
     H, _T, _speed = curvature_kernel(C.values, C.dtheta, C.scale_hint)
-    return np.sum(H * H, axis=2)
+    return dot(H, H)
 
 
 def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
@@ -164,16 +180,16 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
     kind = spec.kind
     if kind == "param_H0":
         V = C.d_v()
-        return C.integrate_theta(np.sum(V * V, axis=2))
+        return C.integrate_theta(dot(V, V))
     if kind == "alpha_beta":
         W = C.d_theta()
         V = C.d_v()
-        w2 = np.sum(W * W, axis=2)
-        v2 = np.sum(V * V, axis=2)
-        dot = np.sum(V * W, axis=2)
+        w2 = dot(W, W)
+        v2 = dot(V, V)
+        vw = dot(V, W)
         good = w2 > 0.0
         perp2 = np.zeros_like(w2)
-        perp2[good] = np.maximum(v2[good] - dot[good] ** 2 / w2[good], 0.0)
+        perp2[good] = np.maximum(v2[good] - vw[good] ** 2 / w2[good], 0.0)
         integrand = np.zeros_like(w2)
         integrand[good] = perp2[good] ** (spec.alpha / 2.0) * np.sqrt(w2[good]) ** (
             spec.beta
@@ -181,7 +197,7 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
         return C.integrate_theta(integrand)
     m, speed = normal_speed_squared(C)
     if kind == "geom_H0":
-        return C.integrate_theta(m * speed)
+        return _normal_slices(C, m, speed)
     if kind in ("J", "MM") and not C.periodic:
         raise InputDataError(f"kind {kind} needs periodic slices for curvature")
     if kind == "J":
@@ -190,8 +206,7 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
         kappa2 = _curvature_sq_rows(C)
         return C.integrate_theta((1.0 + spec.A * kappa2) * m * speed)
     if kind == "conformal":
-        phi = spec.factor.value(length_profile(C))
-        return phi * C.integrate_theta(m * speed)
+        return _normal_slices(C, m, speed, spec.factor, length_profile(C))
     raise InputDataError(f"kind {kind} has no homotopy energy")
 
 
@@ -222,7 +237,7 @@ def inner_product(c: SampledCurve, h, k, metric) -> float:
         raise InputDataError(
             f"deformations must match the curve shape {c.points.shape}"
         )
-    dots = np.sum(h * k, axis=1)
+    dots = dot(h, k)
     if kind == "param_H0":
         return float(np.sum(dots) * c.dtheta)
     if not immersed(c):
@@ -232,12 +247,12 @@ def inner_product(c: SampledCurve, h, k, metric) -> float:
         return float(np.sum(dots * frame.speed) * c.dtheta)
     hn = frame.project_normal(h)
     kn = frame.project_normal(k)
-    ndots = np.sum(hn * kn, axis=1)
+    ndots = dot(hn, kn)
     if kind == "geom_H0":
         return float(np.sum(ndots * frame.speed) * c.dtheta)
     if kind == "MM":
         H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
-        kappa2 = np.sum(H * H, axis=1)
+        kappa2 = dot(H, H)
         return float(np.sum((1.0 + spec.A * kappa2) * ndots * frame.speed) * c.dtheta)
     # conformal
     base = float(np.sum(ndots * frame.speed) * c.dtheta)
@@ -262,7 +277,7 @@ def area_swept(C: HomotopyGrid) -> float:
     """Area swept with multiplicity, via |V x W| = sqrt(|V|^2|W|^2 - <V,W>^2)."""
     W = C.d_theta()
     V = C.d_v()
-    gram = np.sum(V * V, axis=2) * np.sum(W * W, axis=2) - np.sum(V * W, axis=2) ** 2
+    gram = dot(V, V) * dot(W, W) - dot(V, W) ** 2
     integrand = np.sqrt(np.maximum(gram, 0.0))
     return float(C.integrate_v(C.integrate_theta(integrand)))
 
@@ -286,9 +301,9 @@ def cross_identity_check(W, V) -> float:
     if w2 == 0.0:
         raise InputDataError("cross identity needs W != 0")
     v2 = float(np.dot(V, V))
-    dot = float(np.dot(V, W))
-    gram = v2 * w2 - dot * dot
-    perp = V - (dot / w2) * W
+    vw = float(np.dot(V, W))
+    gram = v2 * w2 - vw * vw
+    perp = V - (vw / w2) * W
     lhs = float(np.dot(perp, perp)) * w2
     scale = max(v2 * w2, 1.0)
     residual = abs(lhs - gram) / scale
@@ -343,7 +358,7 @@ def stable_lambda(C: HomotopyGrid) -> float:
     if not C.periodic:
         raise InputDataError("stable_lambda needs periodic slices")
     m, speed = normal_speed_squared(C)
-    big_m = C.integrate_theta(m * speed)
+    big_m = _normal_slices(C, m, speed)
     eps_m = 1e-12 * C.scale_hint**2
     if np.any(big_m <= eps_m):
         j = int(np.argmin(big_m))

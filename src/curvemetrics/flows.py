@@ -20,6 +20,7 @@ from .curves import (
     EPS_IMMERSED,
     SampledCurve,
     curvature_kernel,
+    dot,
     immersed,
     open_derivative,
     periodic_derivative,
@@ -29,6 +30,8 @@ from .curves import (
 from .energies import (
     ConformalFactor,
     EnergySpec,
+    _normal_m,
+    _normal_slices,
     energy,
     normal_speed_squared,
     stable_lambda,
@@ -46,7 +49,7 @@ def mm_normal_speed(kappa, A):
 def heat_cfl_dt(c: SampledCurve) -> float:
     """Largest stable explicit step for the heat flow, 0.2 min(ds)^2."""
     deriv = periodic_derivative(c.points, c.dtheta, axis=0)
-    ds_min = float(np.min(np.linalg.norm(deriv, axis=1))) * c.dtheta
+    ds_min = float(np.min(np.sqrt(dot(deriv, deriv)))) * c.dtheta
     return 0.2 * ds_min * ds_min
 
 
@@ -77,7 +80,7 @@ def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve
     if dt > dt_max * (1.0 + 1e-12):
         raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
     H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
-    kappa_sq = np.sum(H * H, axis=1)
+    kappa_sq = dot(H, H)
     step = H / (1.0 + A * kappa_sq)[:, None]
     return SampledCurve(points=c.points + dt * step, scale_hint=c.scale_hint)
 
@@ -106,10 +109,12 @@ class VStarField:
     c_s, c_vstar, c_ss, c_vstar_vstar are (N_v, N_theta, n) arrays;
     m = |C_v*|^2 per point; big_m its per-slice arclength integral;
     lengths the slice lengths; l_vstar the per-slice value of
-    d_v len = -int C_v* . C_ss ds. speed and tangential carry
-    |d_theta C| and (C_v . C_s) for reuse by the steppers.
+    d_v len = -int C_v* . C_ss ds. c_v, speed and tangential carry
+    d_v C, |d_theta C| and (C_v . C_s) for reuse by the steppers and
+    the flow's energy trace.
     """
 
+    c_v: np.ndarray
     c_s: np.ndarray
     c_vstar: np.ndarray
     c_ss: np.ndarray
@@ -145,7 +150,7 @@ def d_vstar(C: HomotopyGrid, f, order=2, speed=None, tangential=None):
     f = np.asarray(f, dtype=float)
     if speed is None or tangential is None:
         speed, T = _speed_tangent(C, order)
-        tangential = np.sum(C.d_v(order) * T, axis=2)
+        tangential = dot(C.d_v(order), T)
     fv = open_derivative(f, C.dv, axis=0, order=order)
     fs = d_s(C, f, order=order, speed=speed)
     a = tangential if f.ndim == 2 else tangential[..., None]
@@ -158,17 +163,18 @@ def vstar_calculus(C: HomotopyGrid, order=2) -> VStarField:
         raise InputDataError("the v* calculus needs periodic slices")
     speed, T = _speed_tangent(C, order)
     c_v = C.d_v(order)
-    tangential = np.sum(c_v * T, axis=2)
+    tangential = dot(c_v, T)
     c_vstar = c_v - tangential[..., None] * T
     c_ss = periodic_derivative(T, C.dtheta, axis=1, order=order) / speed[..., None]
     c_vstar_vstar = d_vstar(
         C, c_vstar, order=order, speed=speed, tangential=tangential
     )
-    m = np.sum(c_vstar * c_vstar, axis=2)
+    m = dot(c_vstar, c_vstar)
     big_m = C.integrate_theta(m * speed)
     lengths = C.integrate_theta(speed)
-    l_vstar = C.integrate_theta(-np.sum(c_vstar * c_ss, axis=2) * speed)
+    l_vstar = C.integrate_theta(-dot(c_vstar, c_ss) * speed)
     return VStarField(
+        c_v=c_v,
         c_s=T,
         c_vstar=c_vstar,
         c_ss=c_ss,
@@ -201,18 +207,16 @@ def identity_residuals(C: HomotopyGrid) -> dict:
         C, fields.c_s, speed=fields.speed, tangential=fields.tangential
     )
     return {
-        "c_s.c_s=1": mx(np.sum(fields.c_s * fields.c_s, axis=2) - 1.0),
-        "c_s.c_vstar=0": mx(np.sum(fields.c_s * fields.c_vstar, axis=2)),
+        "c_s.c_s=1": mx(dot(fields.c_s, fields.c_s) - 1.0),
+        "c_s.c_vstar=0": mx(dot(fields.c_s, fields.c_vstar)),
         "c_vstar_s.c_vstar=-c_vstarvstar.c_s": mx(
-            np.sum(c_vstar_s * fields.c_vstar, axis=2)
-            + np.sum(fields.c_vstar_vstar * fields.c_s, axis=2)
+            dot(c_vstar_s, fields.c_vstar) + dot(fields.c_vstar_vstar, fields.c_s)
         ),
         "c_vstar_s.c_s=-c_ss.c_vstar": mx(
-            np.sum(c_vstar_s * fields.c_s, axis=2)
-            + np.sum(fields.c_ss * fields.c_vstar, axis=2)
+            dot(c_vstar_s, fields.c_s) + dot(fields.c_ss, fields.c_vstar)
         ),
-        "c_s_vstar.c_s=0": mx(np.sum(c_s_vstar * fields.c_s, axis=2)),
-        "c_ss.c_s=0": mx(np.sum(fields.c_ss * fields.c_s, axis=2)),
+        "c_s_vstar.c_s=0": mx(dot(c_s_vstar, fields.c_s)),
+        "c_ss.c_s=0": mx(dot(fields.c_ss, fields.c_s)),
     }
 
 
@@ -348,7 +352,30 @@ def run_homotopy_flow(
     the per-step displacement falls below stop_displacement, and
     reports rather than raises a blow-up. Each step computes the v*
     fields once and shares them between the CFL bound, the stability
-    margin and the update; h0 steps with the identity factor.
+    margin, the update and the energy trace; h0 steps with the
+    identity factor. Every trace entry but the last is the energy of
+    the grid a step started from, taken from that step's fields with
+    the formula of energies.energy; the last is one energy() call on
+    the final grid.
+    """
+    for _k, _grid, state in _homotopy_flow_loop(
+        C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
+        stop_displacement,
+    ):
+        pass
+    return state
+
+
+def _homotopy_flow_loop(
+    C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
+    stop_displacement,
+):
+    """The step loop of run_homotopy_flow, one item per step.
+
+    Yields (k, grid, None) after every step but the last, with the
+    grid step k + 1 starts from, then (k, grid, state) with the final
+    FlowState. k is state.steps there; after a blow-up the grid is the
+    last one before the failed step.
     """
     if kind not in ("h0", "conformal"):
         raise InputDataError(f"unknown homotopy flow kind {kind!r}")
@@ -362,11 +389,13 @@ def run_homotopy_flow(
     if kind == "conformal":
         spec = EnergySpec(kind="conformal", factor=factor)
         step_factor = factor
+        energy_factor = factor
     else:
         spec = EnergySpec(kind="geom_H0")
         step_factor = ConformalFactor.identity()
+        energy_factor = None
 
-    energies = [energy(C, spec).total]
+    energies = []
     margins = [] if kind == "conformal" else None
     t = 0.0
     displacement = np.inf
@@ -386,17 +415,22 @@ def run_homotopy_flow(
         except NumericalFailureError:
             blew_up = True
             break
+        m = _normal_m(fields.c_v, fields.tangential)
+        per_slice = _normal_slices(C, m, fields.speed, energy_factor, fields.lengths)
+        energies.append(float(C.integrate_v(per_slice)))
         displacement = float(np.max(np.abs(new.values - C.values)))
         C = new
         t += current_dt
         step_dt = current_dt
         if renormalize_every and k % renormalize_every == 0:
             C = _renormalize_interior(C)
-        energies.append(energy(C, spec).total)
         if stop_displacement and displacement < stop_displacement:
             converged = True
             break
-    return FlowState(
+        if k < steps:
+            yield k, C, None
+    energies.append(energy(C, spec).total)
+    yield k, C, FlowState(
         grid=C,
         t=t,
         steps=k,
@@ -418,8 +452,8 @@ def _conformal_energy_o4(C: HomotopyGrid, factor: ConformalFactor) -> float:
     use order-4 stencils rather than the order-2 energy quadrature.
     """
     m, speed = normal_speed_squared(C, order=4)
-    phi = np.atleast_1d(factor.value(C.integrate_theta(speed)))
-    return float(np.trapezoid(phi * C.integrate_theta(m * speed), dx=C.dv))
+    per_slice = _normal_slices(C, m, speed, factor, C.integrate_theta(speed))
+    return float(C.integrate_v(per_slice))
 
 
 def _conformal_gradient_o4(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarray:
@@ -428,8 +462,8 @@ def _conformal_gradient_o4(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarr
     phi, dphi, _coef_s = _factor_terms(f, factor)
     phi = phi[:, None, None]
     dphi = dphi[:, None, None]
-    vv_dot_s = np.sum(f.c_vstar_vstar * f.c_s, axis=2)[..., None]
-    vstar_dot_ss = np.sum(f.c_vstar * f.c_ss, axis=2)[..., None]
+    vv_dot_s = dot(f.c_vstar_vstar, f.c_s)[..., None]
+    vstar_dot_ss = dot(f.c_vstar, f.c_ss)[..., None]
     return (
         2.0 * dphi * f.l_vstar[:, None, None] * f.c_vstar
         + 2.0 * phi * f.c_vstar_vstar
@@ -478,11 +512,12 @@ def energy_derivative_check(
 
     rng = np.random.default_rng(seed)
     G = _conformal_gradient_o4(C, factor)
-    speed = np.linalg.norm(C.d_theta(order=4), axis=2)
+    W = C.d_theta(order=4)
+    speed = np.sqrt(dot(W, W))
     worst = 0.0
     for _ in range(trials):
         P = _smooth_perturbation(C, rng)
-        integrand = np.sum(P * G, axis=2) * speed
+        integrand = dot(P, G) * speed
         analytic = -float(np.trapezoid(np.sum(integrand, axis=1) * C.dtheta, dx=C.dv))
         plus = HomotopyGrid(values=C.values + step * P, periodic=True)
         minus = HomotopyGrid(values=C.values - step * P, periodic=True)
@@ -522,10 +557,9 @@ def commutator_check(C: HomotopyGrid, trials: int = 5, seed: int = 0) -> float:
     fields = vstar_calculus(C)
     rng = np.random.default_rng(seed)
     sl = slice(2, C.n_v - 2) if C.n_v > 6 else slice(None)
-    vstar_dot_ss = np.sum(fields.c_vstar * fields.c_ss, axis=2)
-    c_v = C.d_v()
-    c_vs = d_s(C, c_v, speed=fields.speed)
-    ts_term = np.sum(fields.c_s * c_vs, axis=2)
+    vstar_dot_ss = dot(fields.c_vstar, fields.c_ss)
+    c_vs = d_s(C, fields.c_v, speed=fields.speed)
+    ts_term = dot(fields.c_s, c_vs)
 
     worst = 0.0
     for _ in range(trials):

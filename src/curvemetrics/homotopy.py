@@ -10,12 +10,15 @@ trapezoid quadrature.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .curves import (
     EPS_IMMERSED,
     SampledCurve,
+    _bbox_diagonal,
+    dot,
     open_derivative,
     periodic_derivative,
     resample_arclength,
@@ -68,11 +71,14 @@ class HomotopyGrid:
             return 2.0 * np.pi / self.n_theta
         return 1.0 / (self.n_theta - 1)
 
-    @property
+    @cached_property
     def scale_hint(self):
-        flat = self.values.reshape(-1, self.dim)
-        diag = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
-        return diag if diag > 0.0 else 1.0
+        """Bounding-box diagonal of all samples, computed once per grid.
+
+        Nothing writes to values after a grid is built, so the cache
+        cannot go stale.
+        """
+        return _bbox_diagonal(self.values.reshape(-1, self.dim))
 
     def v_grid(self):
         return np.linspace(0.0, 1.0, self.n_v)
@@ -142,7 +148,8 @@ def length_profile(C: HomotopyGrid) -> np.ndarray:
 
 def slice_speeds(C: HomotopyGrid):
     """Per-sample derivative magnitudes |d_theta C| as an (N_v, N_theta) array."""
-    return np.linalg.norm(C.d_theta(), axis=2)
+    W = C.d_theta()
+    return np.sqrt(dot(W, W))
 
 
 def _require_immersed_slices(C: HomotopyGrid, what):
@@ -227,13 +234,13 @@ def _tangential_rate(points, dtheta, d_v, scale):
     speed, T = unit_tangent(periodic_derivative(points, dtheta, axis=1), floor)
     if np.any(speed <= floor):
         raise NotImmersedError("horizontal reparameterization met a degenerate slice")
-    return -np.sum(d_v * T, axis=2) / speed
+    return -dot(d_v, T) / speed
 
 
 def max_tangential_speed(C: HomotopyGrid) -> float:
     """max over the grid of |<d_v C, T>|, the tangential motion magnitude."""
     _speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
-    return float(np.max(np.abs(np.sum(C.d_v() * T, axis=2))))
+    return float(np.max(np.abs(dot(C.d_v(), T))))
 
 
 def reparam_horizontal(C: HomotopyGrid) -> HorizontalResult:
@@ -309,7 +316,7 @@ def optimal_unwind_shift(C: HomotopyGrid):
         raise InputDataError("shift unwinding needs periodic slices")
     _require_immersed_slices(C, "optimal unwinding shift")
     speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
-    tangential = np.sum(C.d_v() * T, axis=2)
+    tangential = dot(C.d_v(), T)
     numer = C.integrate_theta(tangential * speed)
     denom = C.integrate_theta(speed * speed)
     rate = -numer / denom

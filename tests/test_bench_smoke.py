@@ -38,6 +38,9 @@ def test_perfbench_toy_homotopy_flow_runs_clean():
     # One v* field pass per flow step, and no separate CFL evaluation.
     assert metrics["flows.vstar_calculus.calls"]["value"] == 5
     assert metrics["flows.homotopy_cfl_dt.calls"]["value"] == 0
+    # The energy trace comes from those fields; only the final grid
+    # gets its own conformal energy() call.
+    assert metrics["energies.energy.conformal.calls"]["value"] == 1
 
 
 def test_perfbench_toy_geodesic_solve_runs_clean():

@@ -8,6 +8,7 @@ from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
 from curvemetrics.energies import EnergySpec, inner_product
 from curvemetrics.errors import LevelSetError
+from curvemetrics.homotopy import sample_homotopy
 
 from helpers import translating_circle, unit_circle
 
@@ -281,3 +282,29 @@ def test_cli_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["energy", "--grid", grid]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_flow_output_does_not_depend_on_dumps(tmp_path, capsys):
+    # Renormalization runs every 10 steps of one run; dumping every 7
+    # steps must neither move it nor change the printed energies.
+    def wobbled(th, v):
+        r = 1.0 + 0.05 * (1.0 - v) * np.cos(3.0 * th) + 0.04 * v * np.sin(2.0 * th)
+        return np.stack([0.5 * v + r * np.cos(th), r * np.sin(th)], axis=1)
+
+    grid = tmp_path / "wobbled.npz"
+    curveio.save_grid_npz(grid, sample_homotopy(wobbled, 64, 9))
+    args = ["flow", "--kind", "conformal", "--grid", str(grid), "--steps", "30"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    prefix = str(tmp_path / "dump_")
+    assert main(args + ["--dump-every", "7", "--out-prefix", prefix]) == 0
+    assert capsys.readouterr().out == plain
+    dumps = sorted(p.name for p in tmp_path.glob("dump_*.npz"))
+    assert dumps == [
+        "dump_000007.npz", "dump_000014.npz", "dump_000021.npz",
+        "dump_000028.npz", "dump_000030.npz", "dump_final.npz",
+    ]
+    final = curveio.load_grid(prefix + "final.npz")
+    np.testing.assert_array_equal(
+        curveio.load_grid(prefix + "000030.npz").values, final.values
+    )

@@ -9,6 +9,7 @@ from curvemetrics.curves import (
     arclength,
     curvature,
     curvature_kernel,
+    dot,
     immersed,
     lift_direction,
     open_derivative,
@@ -86,6 +87,40 @@ def test_sampled_curve_validation():
 def test_scale_hint_defaults_to_bbox_diagonal():
     c = unit_circle(64)
     assert c.scale_hint == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scale_hint_default_matches_the_reduction(n):
+    # The reference is the whole-array reduction the column-wise
+    # bounding box replaced; max and min are exact, so the two agree.
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(97, n)) * 10.0 ** rng.integers(-8, 8, size=n)
+    reference = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    assert SampledCurve(points=pts).scale_hint == reference
+    assert SampledCurve(points=np.ones((5, n))).scale_hint == 1.0
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("shape", [(7,), (33, 65)])
+def test_dot_matches_numpy_reductions_bit_for_bit(n, shape):
+    rng = np.random.default_rng(n)
+    size = shape + (n,)
+    a = rng.normal(size=size) * 10.0 ** rng.integers(-150, 150, size=size)
+    b = rng.normal(size=size) * 10.0 ** rng.integers(-150, 150, size=size)
+    a[rng.random(size) < 0.2] = -0.0
+    b[rng.random(size) < 0.2] = 0.0
+    # A row of -0.0 products: np.sum gives +0.0 there.
+    a[0] = -0.0
+    b[0] = 1.0
+    np.testing.assert_array_equal(_bits(dot(a, b)), _bits(np.sum(a * b, axis=-1)))
+    np.testing.assert_array_equal(
+        _bits(np.sqrt(dot(a, a))), _bits(np.linalg.norm(a, axis=-1))
+    )
+    assert not np.signbit(dot(a, b)[0]).any()
 
 
 def test_immersed_flags_pinched_curve():

@@ -6,7 +6,12 @@ import pytest
 from curvemetrics import flows
 from curvemetrics.curves import SampledCurve, theta_grid
 from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
-from curvemetrics.errors import CFLError, InputDataError, NotImmersedError
+from curvemetrics.errors import (
+    CFLError,
+    InputDataError,
+    NotImmersedError,
+    NumericalFailureError,
+)
 from curvemetrics.flows import (
     commutator_check,
     conformal_homotopy_flow_step,
@@ -186,10 +191,19 @@ def test_run_conformal_flow_reports_state():
     np.testing.assert_array_equal(state.grid.values[-1], C.values[-1])
 
 
-@pytest.mark.parametrize("kind", ["h0", "conformal"])
-def test_run_flow_matches_the_public_step_loop(kind):
+@pytest.mark.parametrize(
+    "kind, renormalize_every",
+    [("h0", 0), ("conformal", 0), ("h0", 2), ("conformal", 2)],
+    ids=["h0", "conformal", "h0-renormalize", "conformal-renormalize"],
+)
+def test_run_flow_matches_the_public_step_loop(kind, renormalize_every):
+    # The run takes its energy trace from the v* fields of the next
+    # step, which are built after renormalization; public energy() on
+    # the same grids must give the same numbers bit for bit.
     C = translating_circle(n_theta=128, n_v=17)
-    state = run_homotopy_flow(C, kind=kind, steps=5, renormalize_every=0)
+    state = run_homotopy_flow(
+        C, kind=kind, steps=5, renormalize_every=renormalize_every
+    )
     if kind == "conformal":
         factor = ConformalFactor.exp_length(stable_lambda(C))
         spec = EnergySpec(kind="conformal", factor=factor)
@@ -199,13 +213,15 @@ def test_run_flow_matches_the_public_step_loop(kind):
     G = C
     margins = []
     energies = [energy(G, spec).total]
-    for _ in range(5):
+    for k in range(1, 6):
         dt = homotopy_cfl_dt(G, factor)
         if factor is None:
             G = h0_homotopy_flow_step(G, dt)
         else:
             margins.append(stability_margin(G, factor))
             G = conformal_homotopy_flow_step(G, factor, dt)
+        if renormalize_every and k % renormalize_every == 0:
+            G = flows._renormalize_interior(G)
         energies.append(energy(G, spec).total)
     assert np.array_equal(state.grid.values, G.values)
     assert np.array_equal(state.energy_trace, energies)
@@ -219,22 +235,56 @@ def test_run_flow_matches_the_public_step_loop(kind):
 @pytest.mark.parametrize("kind", ["h0", "conformal"])
 def test_run_flow_builds_vstar_fields_once_per_step(kind, monkeypatch):
     orders = []
+    energy_calls = []
     original = flows.vstar_calculus
+    original_energy = flows.energy
 
     def counting(C, order=2):
         orders.append(order)
         return original(C, order)
 
+    def counting_energy(C, spec):
+        energy_calls.append(spec.kind)
+        return original_energy(C, spec)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("the flow loop must reuse its v* fields")
 
     monkeypatch.setattr(flows, "vstar_calculus", counting)
+    monkeypatch.setattr(flows, "energy", counting_energy)
     monkeypatch.setattr(flows, "homotopy_cfl_dt", forbidden)
     monkeypatch.setattr(flows, "stability_margin", forbidden)
     C = translating_circle(n_theta=64, n_v=9)
     state = run_homotopy_flow(C, kind=kind, steps=4, renormalize_every=2)
     assert state.steps == 4
     assert orders == [2, 2, 2, 2]
+    # The trace reuses each step's fields; only the final grid needs
+    # its own energy() call.
+    assert len(energy_calls) == 1
+    assert state.energy_trace.size == 5
+
+
+def test_run_flow_reports_a_blow_up(monkeypatch):
+    grids = []
+    original = flows._step
+
+    def failing_third(C, fields, factor, dt, drop_magnitude):
+        grids.append(C)
+        if len(grids) == 3:
+            raise NumericalFailureError("flow blew up: field norm exceeded the cap")
+        return original(C, fields, factor, dt, drop_magnitude)
+
+    monkeypatch.setattr(flows, "_step", failing_third)
+    C = translating_circle(n_theta=64, n_v=9)
+    state = run_homotopy_flow(C, kind="conformal", steps=10, renormalize_every=2)
+    assert state.steps == 3
+    assert state.blew_up
+    assert not state.converged
+    assert state.grid is grids[-1]
+    spec = EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(state.lam))
+    expected = [energy(G, spec).total for G in grids]
+    assert np.array_equal(state.energy_trace, expected)
+    assert state.margin_trace.size == 3
 
 
 def test_run_h0_flow_and_validation():

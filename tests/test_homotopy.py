@@ -20,7 +20,7 @@ from curvemetrics.homotopy import (
     slice_speeds,
 )
 
-from helpers import as_grid, ellipse, translating_circle, unit_circle
+from helpers import as_grid, ellipse, smooth_random_grid, translating_circle, unit_circle
 
 
 def test_grid_validation_rejects_bad_shapes():
@@ -47,6 +47,17 @@ def test_grid_spacings():
     open_grid = HomotopyGrid(values=np.random.default_rng(0).random((5, 33, 2)), periodic=False)
     assert open_grid.dtheta == pytest.approx(1.0 / 32, abs=0.0)
     assert open_grid.theta_values()[-1] == 1.0
+
+
+def test_scale_hint_matches_the_reduction_and_is_computed_once():
+    # The reference is the whole-grid reduction the cached column-wise
+    # bounding box replaced.
+    C = smooth_random_grid(n_theta=64, n_v=9, seed=3)
+    flat = C.values.reshape(-1, C.dim)
+    reference = float(np.linalg.norm(flat.max(axis=0) - flat.min(axis=0)))
+    assert C.scale_hint == reference
+    assert "scale_hint" in vars(C)
+    assert HomotopyGrid(values=np.zeros((2, 4, 3))).scale_hint == 1.0
 
 
 def test_integrate_theta_trig_exact():
