@@ -22,6 +22,7 @@ import sys
 import numpy as np
 
 from . import counterexamples, curveio, flows, homotopy, levelset, shapedist
+from .curveio import _fmt, _format_block
 from .curves import SampledCurve, arclength, theta_grid
 from .energies import ConformalFactor, EnergySpec, energy, inner_product
 from .errors import (
@@ -46,10 +47,6 @@ _NUMERICAL_ERRORS = (
 )
 
 MIN_CLI_SAMPLES = 16
-
-
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
 
 
 def _read_config(path):
@@ -141,9 +138,12 @@ def _save_grid(path, C):
         curveio.save_grid_csv(path, C)
 
 
-def _factor_from_args(args) -> ConformalFactor:
+def _factor_from_args(args):
+    """The --factor of args, or None when it is not given (flow's default)."""
     name = getattr(args, "factor", "identity")
     lam = getattr(args, "factor_lam", 0.0)
+    if name is None:
+        return None
     if name == "identity":
         return ConformalFactor.identity()
     if name == "exp_length":
@@ -183,10 +183,11 @@ def _translating_circle(n_theta=256, n_v=64, offset=1.0):
 
 
 def _write_table(out, header, rows, title):
-    lines = [f"# counterexample: {title}", f"# columns: {','.join(header)}"]
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    text = "\n".join(lines) + "\n"
+    block = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+    text = (
+        f"# counterexample: {title}\n# columns: {','.join(header)}\n"
+        + _format_block(block)
+    )
     if out:
         with open(out, "w") as f:
             f.write(text)
@@ -269,10 +270,10 @@ def _cmd_flow(args):
         return 0
 
     C = _load_grid(args.grid)
+    # Without --factor the conformal run uses e^(lam L), lam from --lam
+    # or stable_lambda; state.lam is the lambda the run used.
     factor = _factor_from_args(args)
     lam = None if args.lam == "auto" else float(args.lam)
-    if lam is None:
-        lam = flows.stable_lambda(C)
     # One run; the dumps read its grids, so they cannot change its output.
     loop = flows._homotopy_flow_loop(
         C, args.kind, args.steps, dt, factor, lam, args.drop_magnitude,
@@ -283,7 +284,7 @@ def _cmd_flow(args):
             _save_grid(f"{prefix}{k:06d}.npz", grid)
     energies = state.energy_trace
     print(
-        f"kind={args.kind} steps={state.steps} lam={_fmt(lam)} "
+        f"kind={args.kind} steps={state.steps} lam={_fmt(state.lam)} "
         f"energy_initial={_fmt(energies[0])} energy_final={_fmt(energies[-1])} "
         f"blew_up={state.blew_up}"
     )
@@ -370,7 +371,7 @@ def _cmd_counterexample(args):
             cone = counterexamples.zigzag_cone(k, c1)
             first = cone.first_phase_energy()
             bound = 0.8 * np.pi**2 / k
-            rows.append((k, first, bound, cone.total_normal_energy()))
+            rows.append((k, first, bound, first + cone.second_phase_energy()))
         _write_table(args.out, ["k", "first_phase", "bound", "total"], rows, name)
     elif name == "pulley":
         hs = [int(h) for h in _values_list(args.values or "2,4,8")]
@@ -555,8 +556,9 @@ def build_parser(config=None):
     helper.add(p, "--dt", default="auto")
     helper.add(p, "--A", type=float, default=0.0)
     helper.add(p, "--lam", default="auto")
-    helper.add(p, "--factor", default="identity",
-               choices=["identity", "exp_length", "length"])
+    helper.add(p, "--factor", default=None,
+               choices=["identity", "exp_length", "length"],
+               help="conformal factor; default e^(lam L)")
     helper.add(p, "--factor-lam", type=float, default=0.0)
     helper.add(p, "--drop-magnitude", action="store_true")
     helper.add(p, "--renormalize-every", type=int, default=10)

@@ -171,10 +171,14 @@ class ZigzagCone:
         """Normal energy of the spike-growing phase v in [0, 1/2]."""
         return self._quad(1, 0.0, 0.5, n_theta, n_v)
 
+    def second_phase_energy(self, n_theta=2048, n_v=256) -> float:
+        """Normal energy of the valley-filling phase v in [1/2, 1]."""
+        return self._quad(2, 0.5, 1.0, n_theta, n_v)
+
     def total_normal_energy(self, n_theta=2048, n_v=256) -> float:
         """Normal energy of the whole cone homotopy."""
-        return self._quad(1, 0.0, 0.5, n_theta, n_v) + self._quad(
-            2, 0.5, 1.0, n_theta, n_v
+        return self.first_phase_energy(n_theta, n_v) + self.second_phase_energy(
+            n_theta, n_v
         )
 
 

@@ -18,27 +18,60 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_block(block) -> str:
+    """An (m, k) float block as m lines of k comma-separated "%.17g" fields.
+
+    One %-format over the whole block; "%.17g" % x and _fmt(x) spell
+    every float alike.
+    """
+    block = np.asarray(block, dtype=float)
+    m, k = block.shape
+    line = ",".join(["%.17g"] * k) + "\n"
+    return (line * m) % tuple(block.ravel().tolist())
+
+
+def _floats(fields) -> np.ndarray:
+    return np.fromiter(map(float, fields), dtype=float, count=len(fields))
+
+
 def _parse_rows(text, path, columns=None):
-    rows = []
+    """The data lines of a CSV text as one (rows, width) float array.
+
+    Data lines are the stripped lines that are neither blank nor "#"
+    comments. Every field goes through float(), so an empty field is
+    not a number. All fields are parsed at once; when that fails, a
+    scan of the lines names the first bad one.
+    """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    widths = {s.count(",") + 1 for s in lines}
+    if len(widths) == 1 and (columns is None or widths == {columns}):
+        try:
+            return _floats(",".join(lines).split(",")).reshape(len(lines), -1)
+        except ValueError:
+            pass
+    raise _row_error(text, path, columns)
+
+
+def _row_error(text, path, columns):
+    """The InputDataError for the first data line _parse_rows cannot take."""
+    widths = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p for p in line.split(",") if p.strip() != ""]
+        fields = line.split(",")
         try:
-            rows.append([float(p) for p in parts])
+            _floats(fields)
         except ValueError:
-            raise InputDataError(f"{path}:{line_no}: not a numeric row: {line!r}")
-        if columns is not None and len(rows[-1]) != columns:
-            raise InputDataError(
-                f"{path}:{line_no}: expected {columns} columns, got {len(rows[-1])}"
+            return InputDataError(f"{path}:{line_no}: not a numeric row: {line!r}")
+        if columns is not None and len(fields) != columns:
+            return InputDataError(
+                f"{path}:{line_no}: expected {columns} columns, got {len(fields)}"
             )
-    if not rows:
-        raise InputDataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise InputDataError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.array(rows)
+        widths.add(len(fields))
+    if not widths:
+        return InputDataError(f"{path}: no data rows")
+    return InputDataError(f"{path}: ragged rows (widths {sorted(widths)})")
 
 
 def save_curve_json(path, c: SampledCurve):
@@ -68,8 +101,7 @@ def load_curve_json(path) -> SampledCurve:
 def save_curve_csv(path, c: SampledCurve):
     with open(path, "w") as f:
         f.write(f"# curve: n_samples={c.n_samples} n={c.dim}\n")
-        for p in c.points:
-            f.write(",".join(_fmt(x) for x in p) + "\n")
+        f.write(_format_block(c.points))
 
 
 def load_curve_csv(path) -> SampledCurve:
@@ -100,8 +132,7 @@ def save_grid_csv(path, C: HomotopyGrid):
             f"# homotopy grid: n_v={C.n_v} n_theta={C.n_theta} n={C.dim} "
             f"periodic={1 if C.periodic else 0}\n"
         )
-        for row in C.values.reshape(-1, C.dim):
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+        f.write(_format_block(C.values.reshape(-1, C.dim)))
 
 
 def load_grid_csv(path) -> HomotopyGrid:
@@ -208,15 +239,17 @@ def save_direction_csv(path, d: DirectionFunctionSample):
     s = d.s_grid()
     with open(path, "w") as f:
         f.write(f"# direction function: m={d.m_intervals} winding={d.winding}\n")
-        for sk, tk in zip(s, d.theta_of_s):
-            f.write(f"{_fmt(sk)},{_fmt(tk)}\n")
+        f.write(_format_block(np.column_stack([s, d.theta_of_s])))
 
 
 def load_direction_csv(path) -> DirectionFunctionSample:
     with open(path) as f:
         data = _parse_rows(f.read(), path, columns=2)
     theta = data[:, 1]
-    winding = int(round((theta[-1] - theta[0]) / (2.0 * np.pi)))
+    turns = (float(theta[-1]) - float(theta[0])) / (2.0 * np.pi)
+    if not (np.all(np.isfinite(theta)) and np.isfinite(turns)):
+        raise InputDataError(f"{path}: direction values must be finite")
+    winding = int(round(turns))
     return DirectionFunctionSample(theta_of_s=theta, winding=winding)
 
 
@@ -224,8 +257,7 @@ def save_pointset_csv(path, points):
     points = np.asarray(points, dtype=float)
     with open(path, "w") as f:
         f.write(f"# point set: count={points.shape[0]} n={points.shape[1]}\n")
-        for p in points:
-            f.write(",".join(_fmt(x) for x in p) + "\n")
+        f.write(_format_block(points))
 
 
 def load_pointset_csv(path) -> np.ndarray:

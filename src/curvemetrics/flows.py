@@ -383,9 +383,6 @@ def _homotopy_flow_loop(
         if lam is None:
             lam = stable_lambda(C)
         factor = ConformalFactor.exp_length(lam)
-    lam_value = float(lam) if lam is not None else (
-        factor.lam if factor is not None else 0.0
-    )
     if kind == "conformal":
         spec = EnergySpec(kind="conformal", factor=factor)
         step_factor = factor
@@ -394,6 +391,7 @@ def _homotopy_flow_loop(
         spec = EnergySpec(kind="geom_H0")
         step_factor = ConformalFactor.identity()
         energy_factor = None
+    lam_value = step_factor.lam
 
     energies = []
     margins = [] if kind == "conformal" else None

@@ -1,8 +1,8 @@
 """Smoke test of the perfbench harness at toy size, so it cannot rot.
 
-Runs the traced homotopy_flow workload (5 flow steps) and the traced
-geodesic_solve workload (toy grid) in a subprocess and reads the JSON
-record on the last line, and the per-operation outputs printed above it.
+Runs each traced workload at toy size (5 flow steps, a toy geodesic
+grid, one set of CLI commands) in a subprocess and reads the JSON record
+on the last line, and the per-operation outputs printed above it.
 """
 
 import json
@@ -51,3 +51,13 @@ def test_perfbench_toy_geodesic_solve_runs_clean():
     assert outputs and steps > 0
     assert steps == metrics["levelset.evolve_step.calls"]["value"]
     assert metrics["levelset.extract_slices.calls"]["value"] > 0
+
+
+def test_perfbench_toy_cli_batch_runs_clean():
+    metrics, _ = run_toy("cli_batch")
+    # Each of the 7 malformed commands exits 3, and 4 of their errors
+    # come out of curveio's readers.
+    assert metrics["cli.errors"]["value"] == 7
+    assert metrics["curveio.errors"]["value"] == 4
+    # The total size of every file the curveio writers produce.
+    assert metrics["curveio.bytes_written"]["value"] == 622370

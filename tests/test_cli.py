@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from curvemetrics import curveio, levelset
+from curvemetrics import cli, counterexamples, curveio, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
 from curvemetrics.energies import EnergySpec, inner_product
 from curvemetrics.errors import LevelSetError
+from curvemetrics.flows import run_homotopy_flow, stable_lambda
 from curvemetrics.homotopy import sample_homotopy
 
 from helpers import translating_circle, unit_circle
@@ -284,13 +285,14 @@ def test_cli_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
 
 
+def wobbled(th, v):
+    r = 1.0 + 0.05 * (1.0 - v) * np.cos(3.0 * th) + 0.04 * v * np.sin(2.0 * th)
+    return np.stack([0.5 * v + r * np.cos(th), r * np.sin(th)], axis=1)
+
+
 def test_flow_output_does_not_depend_on_dumps(tmp_path, capsys):
     # Renormalization runs every 10 steps of one run; dumping every 7
     # steps must neither move it nor change the printed energies.
-    def wobbled(th, v):
-        r = 1.0 + 0.05 * (1.0 - v) * np.cos(3.0 * th) + 0.04 * v * np.sin(2.0 * th)
-        return np.stack([0.5 * v + r * np.cos(th), r * np.sin(th)], axis=1)
-
     grid = tmp_path / "wobbled.npz"
     curveio.save_grid_npz(grid, sample_homotopy(wobbled, 64, 9))
     args = ["flow", "--kind", "conformal", "--grid", str(grid), "--steps", "30"]
@@ -308,3 +310,89 @@ def test_flow_output_does_not_depend_on_dumps(tmp_path, capsys):
     np.testing.assert_array_equal(
         curveio.load_grid(prefix + "000030.npz").values, final.values
     )
+
+
+def test_flow_conformal_uses_exp_length_factor_unless_one_is_given(tmp_path, capsys):
+    C = sample_homotopy(wobbled, 64, 9)
+    grid = tmp_path / "wobbled.npz"
+    curveio.save_grid_npz(grid, C)
+
+    def run(*extra):
+        argv = ["flow", "--grid", str(grid), "--steps", "12", *extra]
+        assert main(argv) == 0
+        return parse_kv(capsys.readouterr().out)
+
+    def expect(record, state):
+        assert record["lam"] == cli._fmt(state.lam)
+        assert record["energy_final"] == cli._fmt(state.energy_trace[-1])
+
+    conformal = run("--kind", "conformal")
+    state = run_homotopy_flow(C, kind="conformal", steps=12)
+    assert state.lam == stable_lambda(C)
+    expect(conformal, state)
+    h0 = run("--kind", "h0")
+    expect(h0, run_homotopy_flow(C, kind="h0", steps=12))
+    assert h0["energy_final"] != conformal["energy_final"]
+    assert float(h0["lam"]) == 0.0
+    expect(
+        run("--kind", "conformal", "--lam", "0.25"),
+        run_homotopy_flow(C, kind="conformal", steps=12, lam=0.25),
+    )
+    # An explicit factor is the one the run uses, and lam= is its lambda.
+    given = run("--kind", "conformal", "--factor", "exp_length", "--factor-lam", "0.3")
+    assert given["lam"] == cli._fmt(0.3)
+    assert run("--kind", "conformal", "--factor", "identity")["lam"] == "0"
+
+
+def test_zigzag_table_takes_each_phase_quadrature_once(capsys, monkeypatch):
+    phases = []
+    quad = counterexamples.ZigzagCone._quad
+
+    def counted(self, phase, *args):
+        phases.append(phase)
+        return quad(self, phase, *args)
+
+    monkeypatch.setattr(counterexamples.ZigzagCone, "_quad", counted)
+    assert main(["counterexample", "--name", "zigzag", "--values", "4,8"]) == 0
+    assert phases == [1, 2, 1, 2]
+    rows = [
+        line.split(",")
+        for line in capsys.readouterr().out.splitlines()
+        if not line.startswith("#")
+    ]
+    monkeypatch.setattr(counterexamples.ZigzagCone, "_quad", quad)
+    for k, row in zip((4, 8), rows):
+        cone = counterexamples.zigzag_cone(k, cli._unit_circle())
+        assert row[3] == cli._fmt(cone.total_normal_energy())
+
+
+def test_counterexample_table_bytes_match_the_row_loop(tmp_path, capsys):
+    rows = [(1, 0.1, -0.0), (2, 5e-324, 1e308), (3, -1.0 / 3.0, 2.0**60)]
+    out = tmp_path / "table.csv"
+    cli._write_table(str(out), ["k", "a", "b"], rows, "demo")
+    lines = ["# counterexample: demo", "# columns: k,a,b"]
+    lines += [",".join(f"{float(x):.17g}" for x in row) for row in rows]
+    expected = "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == expected
+    assert out.read_text() == expected
+    cli._write_table(None, ["k"], [], "empty")
+    assert capsys.readouterr().out == "# counterexample: empty\n# columns: k\n"
+
+
+@pytest.mark.parametrize("row", ["1,,2", "1,2,", "1, ,2"])
+def test_empty_csv_field_exits_3_naming_its_line(tmp_path, capsys, row):
+    good = tmp_path / "good.csv"
+    curveio.save_pointset_csv(good, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"0.5,1.5\n{row}\n")
+    assert main(["hausdorff", "--a", str(bad), "--b", str(good)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"InputDataError: {bad}:2: not a numeric row"
+    )
+
+
+def test_dirshape_rejects_non_finite_direction_with_exit_3(tmp_path, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("0,0\n1,1\n2,2\n3,3\n6.28,nan\n")
+    assert main(["dirshape", "--d1", str(path)]) == 3
+    assert "must be finite" in capsys.readouterr().err
