@@ -89,8 +89,19 @@ def load_curve_json(path) -> SampledCurve:
             raise InputDataError(f"{path}: invalid JSON ({e})")
     if not isinstance(payload, dict) or "points" not in payload:
         raise InputDataError(f"{path}: expected an object with a 'points' array")
-    pts = np.asarray(payload["points"], dtype=float)
-    if "n" in payload and pts.ndim == 2 and pts.shape[1] != int(payload["n"]):
+    try:
+        pts = np.asarray(payload["points"], dtype=float)
+    except (TypeError, ValueError) as e:
+        raise InputDataError(
+            f"{path}: 'points' is not a rectangular array of numbers ({e})"
+        )
+    try:
+        declared = int(payload["n"]) if "n" in payload else None
+    except (TypeError, ValueError):
+        raise InputDataError(
+            f"{path}: declared dimension n={payload['n']!r} is not an integer"
+        )
+    if declared is not None and pts.ndim == 2 and pts.shape[1] != declared:
         raise InputDataError(
             f"{path}: declared dimension n={payload['n']} but points have "
             f"{pts.shape[1]} coordinates"

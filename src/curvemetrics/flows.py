@@ -19,12 +19,13 @@ import numpy as np
 from .curves import (
     EPS_IMMERSED,
     SampledCurve,
+    _resample_rows,
     curvature_kernel,
     dot,
     immersed,
     open_derivative,
     periodic_derivative,
-    resample_arclength,
+    scale,
     unit_tangent,
 )
 from .energies import (
@@ -81,7 +82,7 @@ def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve
         raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
     H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
     kappa_sq = dot(H, H)
-    step = H / (1.0 + A * kappa_sq)[:, None]
+    step = scale(H, 1.0 + A * kappa_sq, divide=True)
     return SampledCurve(points=c.points + dt * step, scale_hint=c.scale_hint)
 
 
@@ -141,8 +142,7 @@ def d_s(C: HomotopyGrid, f, order=2, speed=None):
     if speed is None:
         speed, _T = _speed_tangent(C, order)
     df = periodic_derivative(f, C.dtheta, axis=1, order=order)
-    w = speed if f.ndim == 2 else speed[..., None]
-    return df / w
+    return df / speed if f.ndim == 2 else scale(df, speed, divide=True)
 
 
 def d_vstar(C: HomotopyGrid, f, order=2, speed=None, tangential=None):
@@ -153,8 +153,7 @@ def d_vstar(C: HomotopyGrid, f, order=2, speed=None, tangential=None):
         tangential = dot(C.d_v(order), T)
     fv = open_derivative(f, C.dv, axis=0, order=order)
     fs = d_s(C, f, order=order, speed=speed)
-    a = tangential if f.ndim == 2 else tangential[..., None]
-    return fv - a * fs
+    return fv - (tangential * fs if f.ndim == 2 else scale(fs, tangential))
 
 
 def vstar_calculus(C: HomotopyGrid, order=2) -> VStarField:
@@ -164,8 +163,9 @@ def vstar_calculus(C: HomotopyGrid, order=2) -> VStarField:
     speed, T = _speed_tangent(C, order)
     c_v = C.d_v(order)
     tangential = dot(c_v, T)
-    c_vstar = c_v - tangential[..., None] * T
-    c_ss = periodic_derivative(T, C.dtheta, axis=1, order=order) / speed[..., None]
+    c_vstar = c_v - scale(T, tangential)
+    T_theta = periodic_derivative(T, C.dtheta, axis=1, order=order)
+    c_ss = scale(T_theta, speed, divide=True)
     c_vstar_vstar = d_vstar(
         C, c_vstar, order=order, speed=speed, tangential=tangential
     )
@@ -224,7 +224,9 @@ def _factor_terms(fields: VStarField, factor: ConformalFactor):
     """phi and phi' on the slice lengths, and the C_ss coefficient.
 
     coef_s = (1/2)(phi' M - phi m) per grid point; it is nonnegative
-    everywhere when the factor's lambda is stable.
+    everywhere when the factor's lambda is stable. A flow step takes
+    these once and shares them between its CFL bound, its stability
+    margin and its update.
     """
     phi = np.atleast_1d(factor.value(fields.lengths))
     dphi = np.atleast_1d(factor.derivative(fields.lengths))
@@ -232,30 +234,42 @@ def _factor_terms(fields: VStarField, factor: ConformalFactor):
     return phi, dphi, coef_s
 
 
-def _cfl_dt(C: HomotopyGrid, fields: VStarField, factor: ConformalFactor) -> float:
+def _cfl_dt(C: HomotopyGrid, fields: VStarField, terms) -> float:
+    """The stable step for the fields and their _factor_terms."""
     ds_min = float(np.min(fields.speed)) * C.dtheta
-    phi, _dphi, coef_s = _factor_terms(fields, factor)
+    phi, _dphi, coef_s = terms
     coef = max(float(np.max(phi)), float(np.max(np.abs(coef_s))), 1.0)
     return 0.2 * min(ds_min * ds_min, C.dv * C.dv) / coef
 
 
-def _step(C: HomotopyGrid, fields: VStarField, factor, dt, drop_magnitude) -> HomotopyGrid:
-    dt_max = _cfl_dt(C, fields, factor)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    phi, dphi, coef_s = _factor_terms(fields, factor)
-    rhs = (
-        phi[:, None, None] * fields.c_vstar_vstar
-        + (dphi * fields.l_vstar)[:, None, None] * fields.c_vstar
-        + coef_s[..., None] * fields.c_ss
-    )
+def _step(C: HomotopyGrid, fields: VStarField, terms, dt, drop_magnitude) -> HomotopyGrid:
+    """Explicit Euler update from the fields and their _factor_terms.
+
+    dt is not checked against the CFL bound here; the public steps
+    check it and the flow loop never exceeds it.
+    """
+    phi, dphi, coef_s = terms
+    rhs = scale(fields.c_vstar_vstar, phi[:, None])
+    rhs += scale(fields.c_vstar, (dphi * fields.l_vstar)[:, None])
+    rhs += scale(fields.c_ss, coef_s)
     if drop_magnitude:
-        rhs = rhs / phi[:, None, None]
+        rhs = scale(rhs, phi[:, None], divide=True)
     values = C.values.copy()
     values[1:-1] += dt * rhs[1:-1]
-    if not np.all(np.isfinite(values)) or np.max(np.abs(values)) > 1e6 * C.scale_hint:
+    # A NaN or an infinity fails the comparison too.
+    if not np.max(np.abs(values)) <= 1e6 * C.scale_hint:
         raise NumericalFailureError("flow blew up: field norm exceeded the cap")
     return HomotopyGrid(values=values, periodic=True)
+
+
+def _guarded_step(C: HomotopyGrid, factor, dt, drop_magnitude) -> HomotopyGrid:
+    """One public flow step: fields, factor terms, the CFL guard, the update."""
+    fields = vstar_calculus(C)
+    terms = _factor_terms(fields, factor)
+    dt_max = _cfl_dt(C, fields, terms)
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
+    return _step(C, fields, terms, dt, drop_magnitude)
 
 
 def homotopy_cfl_dt(C: HomotopyGrid, factor: Optional[ConformalFactor] = None) -> float:
@@ -264,7 +278,9 @@ def homotopy_cfl_dt(C: HomotopyGrid, factor: Optional[ConformalFactor] = None) -
     The coefficient is the largest of 1, phi and |coef_s|; no factor
     means the h0 flow, the identity factor.
     """
-    return _cfl_dt(C, vstar_calculus(C), factor or ConformalFactor.identity())
+    fields = vstar_calculus(C)
+    factor = factor or ConformalFactor.identity()
+    return _cfl_dt(C, fields, _factor_terms(fields, factor))
 
 
 def h0_homotopy_flow_step(C: HomotopyGrid, dt: float) -> HomotopyGrid:
@@ -275,17 +291,17 @@ def h0_homotopy_flow_step(C: HomotopyGrid, dt: float) -> HomotopyGrid:
     conformal variant repairs. Endpoint slices stay pinned. This is the
     conformal step with the identity factor.
     """
-    return _step(C, vstar_calculus(C), ConformalFactor.identity(), dt, False)
+    return _guarded_step(C, ConformalFactor.identity(), dt, False)
 
 
-def _margin(fields: VStarField, factor: ConformalFactor) -> float:
-    _phi, _dphi, coef_s = _factor_terms(fields, factor)
+def _margin(terms) -> float:
+    _phi, _dphi, coef_s = terms
     return 2.0 * float(np.min(coef_s))
 
 
 def stability_margin(C: HomotopyGrid, factor: ConformalFactor) -> float:
     """min over the grid of phi' M - phi m, nonnegative when lambda is stable."""
-    return _margin(vstar_calculus(C), factor)
+    return _margin(_factor_terms(vstar_calculus(C), factor))
 
 
 def conformal_homotopy_flow_step(
@@ -303,7 +319,7 @@ def conformal_homotopy_flow_step(
     stabilization; with the identity factor the step reduces to the
     plain flow exactly.
     """
-    return _step(C, vstar_calculus(C), factor, dt, drop_magnitude)
+    return _guarded_step(C, factor, dt, drop_magnitude)
 
 
 @dataclass
@@ -325,10 +341,7 @@ class FlowState:
 def _renormalize_interior(C: HomotopyGrid) -> HomotopyGrid:
     """Resample interior slices at equal arclength; endpoints stay bit-exact."""
     values = C.values.copy()
-    scale = C.scale_hint
-    for j in range(1, C.n_v - 1):
-        curve = SampledCurve(points=values[j], scale_hint=scale)
-        values[j] = resample_arclength(curve, C.n_theta).points
+    values[1:-1] = _resample_rows(C.values[1:-1], C.n_theta, C.scale_hint)
     return HomotopyGrid(values=values, periodic=True)
 
 
@@ -403,13 +416,14 @@ def _homotopy_flow_loop(
     step_dt = dt
     for k in range(1, steps + 1):
         fields = vstar_calculus(C)
-        current_dt = _cfl_dt(C, fields, step_factor)
+        terms = _factor_terms(fields, step_factor)
+        current_dt = _cfl_dt(C, fields, terms)
         if dt is not None:
             current_dt = min(dt, current_dt)
         try:
             if margins is not None:
-                margins.append(_margin(fields, factor))
-            new = _step(C, fields, step_factor, current_dt, drop_magnitude)
+                margins.append(_margin(terms))
+            new = _step(C, fields, terms, current_dt, drop_magnitude)
         except NumericalFailureError:
             blew_up = True
             break
@@ -458,16 +472,13 @@ def _conformal_gradient_o4(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarr
     """Gradient field G with dE/dt = -integral of C_t . G ds dv, order 4."""
     f = vstar_calculus(C, order=4)
     phi, dphi, _coef_s = _factor_terms(f, factor)
-    phi = phi[:, None, None]
-    dphi = dphi[:, None, None]
-    vv_dot_s = dot(f.c_vstar_vstar, f.c_s)[..., None]
-    vstar_dot_ss = dot(f.c_vstar, f.c_ss)[..., None]
+    phi2 = 2.0 * phi[:, None]
     return (
-        2.0 * dphi * f.l_vstar[:, None, None] * f.c_vstar
-        + 2.0 * phi * f.c_vstar_vstar
-        - 2.0 * phi * vv_dot_s * f.c_s
-        - 2.0 * phi * vstar_dot_ss * f.c_vstar
-        + (phi * f.m[..., None] + dphi * f.big_m[:, None, None]) * f.c_ss
+        scale(f.c_vstar, (2.0 * dphi * f.l_vstar)[:, None])
+        + scale(f.c_vstar_vstar, phi2)
+        - scale(f.c_s, phi2 * dot(f.c_vstar_vstar, f.c_s))
+        - scale(f.c_vstar, phi2 * dot(f.c_vstar, f.c_ss))
+        + scale(f.c_ss, phi[:, None] * f.m + (dphi * f.big_m)[:, None])
     )
 
 

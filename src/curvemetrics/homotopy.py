@@ -18,10 +18,10 @@ from .curves import (
     EPS_IMMERSED,
     SampledCurve,
     _bbox_diagonal,
+    _resample_rows,
     dot,
     open_derivative,
     periodic_derivative,
-    resample_arclength,
     theta_grid,
     unit_tangent,
 )
@@ -203,12 +203,8 @@ def reparam_arclength(C: HomotopyGrid) -> HomotopyGrid:
     if not C.periodic:
         raise InputDataError("arclength reparameterization needs periodic slices")
     _require_immersed_slices(C, "arclength reparameterization")
-    scale = C.scale_hint
-    rows = []
-    for j in range(C.n_v):
-        curve = SampledCurve(points=C.values[j], scale_hint=scale)
-        rows.append(resample_arclength(curve, C.n_theta).points)
-    return HomotopyGrid(values=np.stack(rows, axis=0), periodic=True)
+    values = _resample_rows(C.values, C.n_theta, C.scale_hint)
+    return HomotopyGrid(values=values, periodic=True)
 
 
 @dataclass

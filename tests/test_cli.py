@@ -53,6 +53,23 @@ def test_energy_missing_file_exits_3(tmp_path, capsys):
     assert "InputDataError" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"points": [[0, 1], [1]]}',
+        '{"points": "abc"}',
+        '{"n": "two", "points": [[0, 1], [1, 0], [2, 2]]}',
+    ],
+)
+def test_malformed_curve_json_exits_3(tmp_path, capsys, payload):
+    bad = tmp_path / "bad.json"
+    bad.write_text(payload)
+    np.savetxt(tmp_path / "h.csv", np.ones((3, 2)), delimiter=",")
+    h = str(tmp_path / "h.csv")
+    assert main(["inner", "--curve", str(bad), "--h", h, "--k", h]) == 3
+    assert capsys.readouterr().err.startswith(f"InputDataError: {bad}: ")
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -80,6 +80,23 @@ def test_curve_json_rejects_malformed(tmp_path):
         load_curve_json(path)
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ('{"points": [[0, 1], [1]]}', "'points' is not a rectangular array"),
+        ('{"points": "abc"}', "'points' is not a rectangular array"),
+        ('{"points": [[0, 1], [1, {}], [2, 2]]}', "'points' is not a rectangular array"),
+        ('{"n": "two", "points": [[0, 1], [1, 0], [2, 2]]}', "dimension n='two' is not"),
+        ('{"n": null, "points": [[0, 1], [1, 0], [2, 2]]}', "dimension n=None is not"),
+    ],
+)
+def test_curve_json_rejects_non_numeric_payloads(tmp_path, payload, message):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    with pytest.raises(InputDataError, match=f"bad.json: .*{message}"):
+        load_curve_json(path)
+
+
 def test_curve_csv_rejects_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,2.0\nx,3.0\n")

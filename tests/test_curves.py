@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from curvemetrics.curves import (
+    EPS_IMMERSED,
     SampledCurve,
+    _per_speed,
+    _resample_rows,
     arclength,
     curvature,
     curvature_kernel,
@@ -17,6 +20,7 @@ from curvemetrics.curves import (
     planar_normal,
     project,
     resample_arclength,
+    scale,
     tangent_frame,
     theta_grid,
     unit_tangent,
@@ -57,6 +61,55 @@ def test_periodic_derivative_axis_handling():
     assert np.max(np.abs(d[:, 0] + np.sin(th))) < 2e-3
 
 
+def _periodic_derivative_by_roll(values, spacing, axis, order):
+    """The np.roll form of the periodic stencils, kept as the reference."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
+    if order == 2:
+        out = (np.roll(v, -1, axis=0) - np.roll(v, 1, axis=0)) / (2.0 * spacing)
+    else:
+        out = (
+            -np.roll(v, -2, axis=0)
+            + 8.0 * np.roll(v, -1, axis=0)
+            - 8.0 * np.roll(v, 1, axis=0)
+            + np.roll(v, 2, axis=0)
+        ) / (12.0 * spacing)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize(
+    "shape, axis",
+    [
+        ((37,), 0),
+        ((37,), -1),
+        ((36, 5), 0),
+        ((5, 36), 1),
+        ((36, 5), -2),
+        ((36, 7, 2), 0),
+        ((7, 36, 2), 1),
+        ((7, 37, 3), -2),
+    ],
+)
+def test_periodic_derivative_matches_the_roll_formula_bit_for_bit(shape, axis, order):
+    rng = np.random.default_rng(len(shape) * 10 + order)
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    expected = _periodic_derivative_by_roll(values, 0.0491, axis, order)
+    got = periodic_derivative(values, 0.0491, axis=axis, order=order)
+    assert got.shape == expected.shape
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def test_periodic_derivative_rejects_bad_arguments():
+    with pytest.raises(InputDataError, match="unsupported stencil order 3"):
+        periodic_derivative(np.zeros(16), 0.1, order=3)
+    with pytest.raises(InputDataError, match="axis 2 is out of range"):
+        periodic_derivative(np.zeros((16, 2)), 0.1, axis=2)
+    with pytest.raises(InputDataError, match="need at least 2 samples"):
+        periodic_derivative(np.zeros((1, 2)), 0.1, order=4)
+    # One sample is enough for the order-2 stencil: it reads itself.
+    assert np.array_equal(periodic_derivative(np.ones((1, 2)), 0.1), np.zeros((1, 2)))
+
+
 def test_open_derivative_exact_on_polynomials():
     x = np.linspace(0.0, 1.0, 21)
     h = x[1] - x[0]
@@ -64,6 +117,20 @@ def test_open_derivative_exact_on_polynomials():
     assert np.max(np.abs(d2 - 2.0 * x)) < 1e-12
     d4 = open_derivative(x**4, h, order=4)
     assert np.max(np.abs(d4 - 4.0 * x**3)) < 1e-10
+
+
+@pytest.mark.parametrize("shape, axis", [((33,), 0), ((33, 17, 2), 0), ((5, 33, 2), 1)])
+def test_open_derivative_matches_the_plain_stencil_bit_for_bit(shape, axis):
+    rng = np.random.default_rng(len(shape))
+    values = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    v = np.moveaxis(values, axis, 0)
+    h = 0.0371
+    expected = np.empty_like(v)
+    expected[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    expected[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    expected[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    got = open_derivative(values, h, axis=axis)
+    np.testing.assert_array_equal(_bits(got), _bits(np.moveaxis(expected, 0, axis)))
 
 
 def test_open_derivative_rejects_bad_order():
@@ -121,6 +188,46 @@ def test_dot_matches_numpy_reductions_bit_for_bit(n, shape):
         _bits(np.sqrt(dot(a, a))), _bits(np.linalg.norm(a, axis=-1))
     )
     assert not np.signbit(dot(a, b)[0]).any()
+
+
+@pytest.mark.parametrize("divide", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_scale_matches_the_broadcast_form_bit_for_bit(n, divide):
+    rng = np.random.default_rng(n + 2 * divide)
+    V = rng.normal(size=(9, 33, n)) * 10.0 ** rng.integers(-100, 100, size=(9, 33, n))
+    s = rng.normal(size=(9, 33)) * 10.0 ** rng.integers(-100, 100, size=(9, 33))
+    V[rng.random(V.shape) < 0.1] = -0.0
+    s[rng.random(s.shape) < 0.1] = -0.0
+    per_row = rng.normal(size=9)
+    # Zeros, overflow and underflow are part of the comparison.
+    with np.errstate(all="ignore"):
+        if divide:
+            pairs = [
+                (scale(V, s, divide=True), V / s[..., None]),
+                (scale(V, per_row[:, None], divide=True), V / per_row[:, None, None]),
+            ]
+        else:
+            pairs = [
+                (scale(V, s), s[..., None] * V),
+                (scale(V, per_row[:, None]), per_row[:, None, None] * V),
+            ]
+    for got, expected in pairs:
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def test_per_speed_zeroes_degenerate_samples_bit_for_bit():
+    rng = np.random.default_rng(5)
+    f = rng.normal(size=(17, 64, 2))
+    speed = np.abs(rng.normal(size=(17, 64)))
+    floor = 0.3
+    speed[rng.random(speed.shape) < 0.2] = 0.0
+    speed[0, :5] = floor
+    f[1, :5] = -0.0
+    good = (speed > floor)[..., None]
+    expected = np.divide(f, speed[..., None], out=np.zeros_like(f), where=good)
+    got = _per_speed(f, speed, floor)
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    assert not np.signbit(got[~good[..., 0]]).any()
 
 
 def test_immersed_flags_pinched_curve():
@@ -309,3 +416,62 @@ def test_figure_eight_is_valid_curve_but_lift_needs_length():
     assert immersed(c)
     with pytest.raises(InputDataError):
         lift_direction(c)
+
+
+def _resample_reference(points, m, scale_hint):
+    """Equal-arclength resampling of one (N, n) curve, one row at a time."""
+    edges_vec = np.roll(points, -1, axis=0) - points
+    edges = np.sqrt(dot(edges_vec, edges_vec))
+    if not np.all(edges > EPS_IMMERSED * scale_hint):
+        raise NotImmersedError("arclength resampling needs an immersed curve")
+    cum = np.concatenate([[0.0], np.cumsum(edges)])
+    total = cum[-1]
+    targets = np.arange(m) * (total / m)
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(edges) - 1)
+    frac = (targets - cum[idx]) / edges[idx]
+    nxt = np.roll(points, -1, axis=0)
+    return points[idx] + frac[:, None] * (nxt[idx] - points[idx])
+
+
+def _random_immersed_stack(rng, rows, n_samples, dim):
+    """Star-shaped closed curves, unevenly parameterized, tilted into R^dim."""
+    th = theta_grid(n_samples)
+    out = np.empty((rows, n_samples, dim))
+    for r in range(rows):
+        warp = th + 0.4 * np.sin(th + rng.uniform(0.0, 2.0 * np.pi))
+        radius = 1.0 + 0.2 * np.cos(rng.integers(2, 5) * warp + rng.uniform(0.0, 6.0))
+        out[r, :, 0] = radius * np.cos(warp) + rng.normal()
+        out[r, :, 1] = radius * np.sin(warp) + rng.normal()
+        if dim == 3:
+            out[r, :, 2] = 0.3 * np.sin(2.0 * warp) * rng.normal()
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n_samples, m", [(64, 64), (63, 63), (64, 101), (65, 40)])
+def test_resample_rows_matches_the_per_row_reference(dim, n_samples, m):
+    rng = np.random.default_rng(n_samples * m + dim)
+    stack = _random_immersed_stack(rng, 6, n_samples, dim)
+    expected = np.stack([_resample_reference(p, m, 3.0) for p in stack])
+    got = _resample_rows(stack, m, 3.0)
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    # Leading axes are kept, and one curve is a stack of one.
+    nested = _resample_rows(stack.reshape(2, 3, n_samples, dim), m, 3.0)
+    np.testing.assert_array_equal(_bits(nested), _bits(expected.reshape(2, 3, m, dim)))
+    single = resample_arclength(SampledCurve(points=stack[4], scale_hint=3.0), m)
+    np.testing.assert_array_equal(_bits(single.points), _bits(expected[4]))
+    assert single.scale_hint == 3.0
+
+
+def test_resample_rows_rejects_a_degenerate_row_with_the_curve_message():
+    rng = np.random.default_rng(11)
+    stack = _random_immersed_stack(rng, 5, 48, 2)
+    stack[3, 17] = stack[3, 16]
+    with pytest.raises(NotImmersedError) as per_row:
+        _resample_reference(stack[3], 48, 1.0)
+    with pytest.raises(NotImmersedError) as stacked:
+        _resample_rows(stack, 48, 1.0)
+    with pytest.raises(NotImmersedError) as single:
+        resample_arclength(SampledCurve(points=stack[3], scale_hint=1.0), 48)
+    assert str(stacked.value) == str(per_row.value) == str(single.value)
+    assert str(stacked.value) == "arclength resampling needs an immersed curve"

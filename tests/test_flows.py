@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from curvemetrics import flows
-from curvemetrics.curves import SampledCurve, theta_grid
+from curvemetrics import curves, flows
+from curvemetrics.curves import SampledCurve, resample_arclength, theta_grid
 from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
 from curvemetrics.errors import (
     CFLError,
@@ -30,7 +30,7 @@ from curvemetrics.flows import (
     stability_margin,
     vstar_calculus,
 )
-from curvemetrics.homotopy import linear_homotopy
+from curvemetrics.homotopy import HomotopyGrid, linear_homotopy
 
 from helpers import smooth_random_grid, translating_circle, unit_circle
 
@@ -232,6 +232,56 @@ def test_run_flow_matches_the_public_step_loop(kind, renormalize_every):
         assert np.array_equal(state.margin_trace, margins)
 
 
+def _renormalize_per_slice(G):
+    """Interior slices resampled one public SampledCurve at a time."""
+    rows = [G.values[0]]
+    for j in range(1, G.n_v - 1):
+        curve = SampledCurve(points=G.values[j], scale_hint=G.scale_hint)
+        rows.append(resample_arclength(curve, G.n_theta).points)
+    rows.append(G.values[-1])
+    return HomotopyGrid(values=np.stack(rows), periodic=True)
+
+
+@pytest.mark.parametrize("kind", ["h0", "conformal"])
+def test_run_flow_renormalizes_without_per_slice_curves(kind, monkeypatch):
+    # The reference is the public step loop, renormalized every second
+    # step one curve at a time; the run must match it bit for bit while
+    # every per-curve entry point fails when called.
+    C = translating_circle(n_theta=128, n_v=17)
+    if kind == "conformal":
+        factor = ConformalFactor.exp_length(stable_lambda(C))
+        spec = EnergySpec(kind="conformal", factor=factor)
+    else:
+        factor = None
+        spec = EnergySpec(kind="geom_H0")
+    G = C
+    margins = []
+    energies = [energy(G, spec).total]
+    for k in range(1, 6):
+        dt = homotopy_cfl_dt(G, factor)
+        if factor is None:
+            G = h0_homotopy_flow_step(G, dt)
+        else:
+            margins.append(stability_margin(G, factor))
+            G = conformal_homotopy_flow_step(G, factor, dt)
+        if k % 2 == 0:
+            G = _renormalize_per_slice(G)
+        energies.append(energy(G, spec).total)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("renormalization went through a per-curve call")
+
+    monkeypatch.setattr(flows, "SampledCurve", forbidden)
+    monkeypatch.setattr(flows, "resample_arclength", forbidden, raising=False)
+    monkeypatch.setattr(curves, "resample_arclength", forbidden)
+    state = run_homotopy_flow(C, kind=kind, steps=5, renormalize_every=2)
+    assert np.array_equal(state.grid.values, G.values)
+    assert np.array_equal(state.energy_trace, energies)
+    assert state.dt == dt
+    if factor is not None:
+        assert np.array_equal(state.margin_trace, margins)
+
+
 @pytest.mark.parametrize("kind", ["h0", "conformal"])
 def test_run_flow_builds_vstar_fields_once_per_step(kind, monkeypatch):
     orders = []
@@ -285,6 +335,17 @@ def test_run_flow_reports_a_blow_up(monkeypatch):
     expected = [energy(G, spec).total for G in grids]
     assert np.array_equal(state.energy_trace, expected)
     assert state.margin_trace.size == 3
+
+
+@pytest.mark.parametrize("dt", [1e12, np.inf, np.nan])
+def test_step_rejects_runaway_and_non_finite_fields(dt):
+    C = translating_circle(n_theta=64, n_v=9)
+    fields = vstar_calculus(C)
+    terms = flows._factor_terms(fields, ConformalFactor.identity())
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericalFailureError, match="field norm exceeded the cap"
+    ):
+        flows._step(C, fields, terms, dt, False)
 
 
 def test_run_h0_flow_and_validation():
