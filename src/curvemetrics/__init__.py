@@ -62,8 +62,10 @@ from .flows import (
     vstar_calculus,
 )
 from .homotopy import (
+    HomotopyFrame,
     HomotopyGrid,
     HorizontalResult,
+    homotopy_frame,
     length_profile,
     linear_homotopy,
     optimal_unwind_shift,

@@ -170,6 +170,14 @@ def _values_list(text, conv=float):
         raise InputDataError(f"bad numeric list {text!r}")
 
 
+def _whole(tok):
+    """int of a whole-number token such as 2 or 2.0; 1.5 is an error naming it."""
+    x = float(tok)
+    if not x.is_integer():
+        raise InputDataError(f"--values needs whole numbers, got {tok.strip()!r}")
+    return int(x)
+
+
 def _unit_circle(n=256) -> SampledCurve:
     th = theta_grid(n)
     return SampledCurve(points=np.stack([np.cos(th), np.sin(th)], axis=1))
@@ -212,17 +220,8 @@ def _cmd_inner(args):
     c = _load_curve(args.curve)
     h = _load_array(args.h)
     k = _load_array(args.k)
-    if args.metric in ("param_H0", "intermediate", "geom_H0", "MM", "conformal"):
-        metric = (
-            args.metric
-            if args.metric in ("param_H0", "intermediate")
-            else EnergySpec(
-                kind=args.metric, A=args.A, factor=_factor_from_args(args)
-            )
-        )
-    else:
-        metric = args.metric
-    value = inner_product(c, h, k, metric)
+    spec = EnergySpec(kind=args.metric, A=args.A, factor=_factor_from_args(args))
+    value = inner_product(c, h, k, spec)
     print(f"inner={_fmt(value)}")
     return 0
 
@@ -335,7 +334,7 @@ def _cmd_geodesic(args):
 def _cmd_counterexample(args):
     name = args.name
     if name == "winding":
-        ks = [int(k) for k in _values_list(args.values or "1,2,3")]
+        ks = _values_list(args.values or "1,2,3", _whole)
         base = (
             _load_grid(args.grid) if args.grid else _translating_circle()
         )
@@ -347,7 +346,7 @@ def _cmd_counterexample(args):
             rows.append((k, geom, param))
         _write_table(args.out, ["k", "geom_energy", "param_energy"], rows, name)
     elif name == "wiggle":
-        js = [int(j) for j in _values_list(args.values or "1,2,4,8,16")]
+        js = _values_list(args.values or "1,2,4,8,16", _whole)
         rows = []
         for j in js:
             C = counterexamples.graph_wiggle(j)
@@ -355,7 +354,7 @@ def _cmd_counterexample(args):
             rows.append((j, e))
         _write_table(args.out, ["j", "energy"], rows, name)
     elif name == "tessellation":
-        hs = [int(h) for h in _values_list(args.values or "1,2,4")]
+        hs = _values_list(args.values or "1,2,4", _whole)
         base = counterexamples.conformal_stretch(0.25, 1.0)
         rows = []
         for h in hs:
@@ -364,7 +363,7 @@ def _cmd_counterexample(args):
             rows.append((h, e))
         _write_table(args.out, ["h", "energy"], rows, name)
     elif name == "zigzag":
-        ks = [int(k) for k in _values_list(args.values or "4,8,16,32")]
+        ks = _values_list(args.values or "4,8,16,32", _whole)
         c1 = _unit_circle()
         rows = []
         for k in ks:
@@ -374,7 +373,7 @@ def _cmd_counterexample(args):
             rows.append((k, first, bound, first + cone.second_phase_energy()))
         _write_table(args.out, ["k", "first_phase", "bound", "total"], rows, name)
     elif name == "pulley":
-        hs = [int(h) for h in _values_list(args.values or "2,4,8")]
+        hs = _values_list(args.values or "2,4,8", _whole)
         rows = []
         for h in hs:
             r = counterexamples.pulley(h)

@@ -117,14 +117,18 @@ def open_derivative(values, spacing, axis=0, order=2):
     """Derivative along a non-periodic axis.
 
     Central differences in the interior with one-sided stencils of the
-    same order at both ends.
+    same order at both ends. Two samples at order 2 define only the line
+    through them, so both get its slope, the exact derivative of that
+    line.
     """
     v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     m = v.shape[0]
     out = np.empty_like(v)
-    if order == 2:
-        if m < 3:
-            raise InputDataError("need at least 3 samples for a second-order derivative")
+    if order == 2 and m == 2:
+        out[:] = (v[1] - v[0]) / spacing
+    elif order == 2:
+        if m < 2:
+            raise InputDataError("need at least 2 samples for a derivative")
         # Written in place: a temporary of a large grid costs more than
         # the subtraction itself.
         np.subtract(v[2:], v[:-2], out=out[1:-1])

@@ -12,10 +12,14 @@ The menu of kinds mirrors the metrics the library supports:
   family behind the tessellation and wiggle examples.
 - conformal: geom_H0 scaled by a positive factor phi(len(c)).
 
-Degenerate samples (|d_theta C| = 0) contribute nothing to geometric
-integrands because the arclength weight vanishes there; this lets
-energies of homotopies with a collapsing slice, such as cones, be
-evaluated without special casing.
+Every geometric kind (geom_H0, conformal, J, MM, alpha_beta) reads the
+squared normal speed m = |C_v*|^2 = |pi_N d_v C|^2 and the speed
+|d_theta C| from the one frame kernel, homotopy.homotopy_frame, as do
+stable_lambda and the v* calculus of the flows. Degenerate samples
+(|d_theta C| = 0) contribute nothing to geometric integrands because
+the arclength weight vanishes there; this lets energies of homotopies
+with a collapsing slice, such as cones, be evaluated without special
+casing.
 """
 
 from dataclasses import dataclass, field
@@ -23,17 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
-    EPS_IMMERSED,
     SampledCurve,
     arclength,
     curvature_kernel,
     dot,
     immersed,
     tangent_frame,
-    unit_tangent,
 )
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
-from .homotopy import HomotopyGrid, length_profile
+from .homotopy import HomotopyGrid, homotopy_frame, length_profile
 
 KIND_ALIASES = {
     "param": "param_H0",
@@ -147,27 +149,24 @@ class EnergyReport:
 
 
 def normal_speed_squared(C: HomotopyGrid, order=2):
-    """Per-sample m = |pi_N d_v C|^2 and the speeds |d_theta C|."""
-    speed, T = unit_tangent(C.d_theta(order), EPS_IMMERSED * C.scale_hint)
-    V = C.d_v(order)
-    return _normal_m(V, dot(V, T)), speed
+    """Per-sample m = |C_v*|^2 = |pi_N d_v C|^2 and the speeds |d_theta C|.
+
+    Both come from homotopy_frame, the one kernel that forms m.
+    """
+    frame = homotopy_frame(C, order)
+    return frame.m, frame.speed
 
 
-def _normal_m(V, tang):
-    """m = max(|V|^2 - (V . T)^2, 0) from V = d_v C and its part V . T."""
-    return np.maximum(dot(V, V) - tang * tang, 0.0)
-
-
-def _normal_slices(C: HomotopyGrid, m, speed, factor=None, lengths=None):
-    """Per-slice int m ds, times phi(lengths) when a factor is given.
+def _normal_slices(C: HomotopyGrid, m, speed, factor=None):
+    """Per-slice int m ds, times phi(len) when a factor is given.
 
     This is the geom_H0 integrand, and with a factor the conformal
-    one; the homotopy flow assembles its energy trace here too.
+    one; the slice lengths are the theta-integrals of speed.
     """
     per_slice = C.integrate_theta(m * speed)
     if factor is None:
         return per_slice
-    return factor.value(lengths) * per_slice
+    return factor.value(C.integrate_theta(speed)) * per_slice
 
 
 def _curvature_sq_rows(C: HomotopyGrid):
@@ -181,21 +180,10 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
     if kind == "param_H0":
         V = C.d_v()
         return C.integrate_theta(dot(V, V))
-    if kind == "alpha_beta":
-        W = C.d_theta()
-        V = C.d_v()
-        w2 = dot(W, W)
-        v2 = dot(V, V)
-        vw = dot(V, W)
-        good = w2 > 0.0
-        perp2 = np.zeros_like(w2)
-        perp2[good] = np.maximum(v2[good] - vw[good] ** 2 / w2[good], 0.0)
-        integrand = np.zeros_like(w2)
-        integrand[good] = perp2[good] ** (spec.alpha / 2.0) * np.sqrt(w2[good]) ** (
-            spec.beta
-        )
-        return C.integrate_theta(integrand)
     m, speed = normal_speed_squared(C)
+    if kind == "alpha_beta":
+        # speed^beta vanishes where speed does, since beta > 0.
+        return C.integrate_theta(m ** (spec.alpha / 2.0) * speed**spec.beta)
     if kind == "geom_H0":
         return _normal_slices(C, m, speed)
     if kind in ("J", "MM") and not C.periodic:
@@ -206,7 +194,7 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
         kappa2 = _curvature_sq_rows(C)
         return C.integrate_theta((1.0 + spec.A * kappa2) * m * speed)
     if kind == "conformal":
-        return _normal_slices(C, m, speed, spec.factor, length_profile(C))
+        return _normal_slices(C, m, speed, spec.factor)
     raise InputDataError(f"kind {kind} has no homotopy energy")
 
 
@@ -274,12 +262,9 @@ def scaling_check(C: HomotopyGrid, eps: float):
 
 
 def area_swept(C: HomotopyGrid) -> float:
-    """Area swept with multiplicity, via |V x W| = sqrt(|V|^2|W|^2 - <V,W>^2)."""
-    W = C.d_theta()
-    V = C.d_v()
-    gram = dot(V, V) * dot(W, W) - dot(V, W) ** 2
-    integrand = np.sqrt(np.maximum(gram, 0.0))
-    return float(C.integrate_v(C.integrate_theta(integrand)))
+    """Area swept with multiplicity, via |V x W| = |pi_N V| |W| = sqrt(m) speed."""
+    m, speed = normal_speed_squared(C)
+    return float(C.integrate_v(C.integrate_theta(np.sqrt(m) * speed)))
 
 
 def area_swept_bound_check(C: HomotopyGrid) -> bool:

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from .curves import (
-    EPS_IMMERSED,
     SampledCurve,
     _resample_rows,
     curvature_kernel,
@@ -26,19 +25,17 @@ from .curves import (
     open_derivative,
     periodic_derivative,
     scale,
-    unit_tangent,
 )
 from .energies import (
     ConformalFactor,
     EnergySpec,
-    _normal_m,
     _normal_slices,
     energy,
     normal_speed_squared,
     stable_lambda,
 )
 from .errors import CFLError, InputDataError, NotImmersedError, NumericalFailureError
-from .homotopy import HomotopyGrid
+from .homotopy import HomotopyGrid, homotopy_frame
 
 
 def mm_normal_speed(kappa, A):
@@ -111,8 +108,12 @@ class VStarField:
     m = |C_v*|^2 per point; big_m its per-slice arclength integral;
     lengths the slice lengths; l_vstar the per-slice value of
     d_v len = -int C_v* . C_ss ds. c_v, speed and tangential carry
-    d_v C, |d_theta C| and (C_v . C_s) for reuse by the steppers and
-    the flow's energy trace.
+    d_v C, |d_theta C| and (C_v . C_s) for reuse by the steppers.
+    c_s, c_vstar, m, c_v, speed and tangential are the fields of
+    homotopy.homotopy_frame, the one kernel that forms m, so m and
+    big_m are those of energy() and stable_lambda bit for bit; big_m
+    (times phi for the conformal flow) is the per-slice energy the
+    flow's trace integrates.
     """
 
     c_v: np.ndarray
@@ -128,19 +129,11 @@ class VStarField:
     tangential: np.ndarray
 
 
-def _speed_tangent(C: HomotopyGrid, order=2):
-    floor = EPS_IMMERSED * C.scale_hint
-    speed, T = unit_tangent(C.d_theta(order), floor)
-    if np.any(speed <= floor):
-        raise NotImmersedError("the v* calculus needs immersed slices")
-    return speed, T
-
-
 def d_s(C: HomotopyGrid, f, order=2, speed=None):
     """Arclength derivative of a per-grid-point field (scalar or vector)."""
     f = np.asarray(f, dtype=float)
     if speed is None:
-        speed, _T = _speed_tangent(C, order)
+        speed = homotopy_frame(C, order).require_immersed("the v* calculus").speed
     df = periodic_derivative(f, C.dtheta, axis=1, order=order)
     return df / speed if f.ndim == 2 else scale(df, speed, divide=True)
 
@@ -149,8 +142,8 @@ def d_vstar(C: HomotopyGrid, f, order=2, speed=None, tangential=None):
     """Geometric v-derivative d_v f - (C_v . C_s) d_s f of a field."""
     f = np.asarray(f, dtype=float)
     if speed is None or tangential is None:
-        speed, T = _speed_tangent(C, order)
-        tangential = dot(C.d_v(order), T)
+        frame = homotopy_frame(C, order).require_immersed("the v* calculus")
+        speed, tangential = frame.speed, frame.tangential
     fv = open_derivative(f, C.dv, axis=0, order=order)
     fs = d_s(C, f, order=order, speed=speed)
     return fv - (tangential * fs if f.ndim == 2 else scale(fs, tangential))
@@ -160,31 +153,25 @@ def vstar_calculus(C: HomotopyGrid, order=2) -> VStarField:
     """All v* fields of the grid by finite differences."""
     if not C.periodic:
         raise InputDataError("the v* calculus needs periodic slices")
-    speed, T = _speed_tangent(C, order)
-    c_v = C.d_v(order)
-    tangential = dot(c_v, T)
-    c_vstar = c_v - scale(T, tangential)
-    T_theta = periodic_derivative(T, C.dtheta, axis=1, order=order)
+    frame = homotopy_frame(C, order).require_immersed("the v* calculus")
+    speed = frame.speed
+    T_theta = periodic_derivative(frame.T, C.dtheta, axis=1, order=order)
     c_ss = scale(T_theta, speed, divide=True)
     c_vstar_vstar = d_vstar(
-        C, c_vstar, order=order, speed=speed, tangential=tangential
+        C, frame.c_vstar, order=order, speed=speed, tangential=frame.tangential
     )
-    m = dot(c_vstar, c_vstar)
-    big_m = C.integrate_theta(m * speed)
-    lengths = C.integrate_theta(speed)
-    l_vstar = C.integrate_theta(-dot(c_vstar, c_ss) * speed)
     return VStarField(
-        c_v=c_v,
-        c_s=T,
-        c_vstar=c_vstar,
+        c_v=frame.V,
+        c_s=frame.T,
+        c_vstar=frame.c_vstar,
         c_ss=c_ss,
         c_vstar_vstar=c_vstar_vstar,
-        m=m,
-        big_m=big_m,
-        lengths=lengths,
-        l_vstar=l_vstar,
+        m=frame.m,
+        big_m=_normal_slices(C, frame.m, speed),
+        lengths=C.integrate_theta(speed),
+        l_vstar=C.integrate_theta(-dot(frame.c_vstar, c_ss) * speed),
         speed=speed,
-        tangential=tangential,
+        tangential=frame.tangential,
     )
 
 
@@ -399,11 +386,9 @@ def _homotopy_flow_loop(
     if kind == "conformal":
         spec = EnergySpec(kind="conformal", factor=factor)
         step_factor = factor
-        energy_factor = factor
     else:
         spec = EnergySpec(kind="geom_H0")
         step_factor = ConformalFactor.identity()
-        energy_factor = None
     lam_value = step_factor.lam
 
     energies = []
@@ -427,9 +412,8 @@ def _homotopy_flow_loop(
         except NumericalFailureError:
             blew_up = True
             break
-        m = _normal_m(fields.c_v, fields.tangential)
-        per_slice = _normal_slices(C, m, fields.speed, energy_factor, fields.lengths)
-        energies.append(float(C.integrate_v(per_slice)))
+        # phi is all ones for h0, and 1.0 * M is M bit for bit.
+        energies.append(float(C.integrate_v(terms[0] * fields.big_m)))
         displacement = float(np.max(np.abs(new.values - C.values)))
         C = new
         t += current_dt
@@ -464,8 +448,7 @@ def _conformal_energy_o4(C: HomotopyGrid, factor: ConformalFactor) -> float:
     use order-4 stencils rather than the order-2 energy quadrature.
     """
     m, speed = normal_speed_squared(C, order=4)
-    per_slice = _normal_slices(C, m, speed, factor, C.integrate_theta(speed))
-    return float(C.integrate_v(per_slice))
+    return float(C.integrate_v(_normal_slices(C, m, speed, factor)))
 
 
 def _conformal_gradient_o4(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarray:
@@ -521,13 +504,11 @@ def energy_derivative_check(
 
     rng = np.random.default_rng(seed)
     G = _conformal_gradient_o4(C, factor)
-    W = C.d_theta(order=4)
-    speed = np.sqrt(dot(W, W))
+    _m, speed = normal_speed_squared(C, order=4)
     worst = 0.0
     for _ in range(trials):
         P = _smooth_perturbation(C, rng)
-        integrand = dot(P, G) * speed
-        analytic = -float(np.trapezoid(np.sum(integrand, axis=1) * C.dtheta, dx=C.dv))
+        analytic = -float(C.integrate_v(C.integrate_theta(dot(P, G) * speed)))
         plus = HomotopyGrid(values=C.values + step * P, periodic=True)
         minus = HomotopyGrid(values=C.values - step * P, periodic=True)
         fd = (

@@ -22,6 +22,7 @@ from .curves import (
     dot,
     open_derivative,
     periodic_derivative,
+    scale,
     theta_grid,
     unit_tangent,
 )
@@ -141,23 +142,52 @@ def linear_homotopy(c0: SampledCurve, c1: SampledCurve, n_v: int) -> HomotopyGri
     return HomotopyGrid(values=values, periodic=True)
 
 
+@dataclass
+class HomotopyFrame:
+    """Tangent frame and normal speed of a homotopy, per sample.
+
+    speed = |d_theta C|; T = d_theta C / speed, zero where speed <=
+    floor = EPS_IMMERSED * scale_hint; V = d_v C; tangential = V . T;
+    c_vstar = V - (V . T) T, the normal motion C_v*; m = |C_v*|^2. The
+    energies, lambda, reparameterizations and v* calculus all read m
+    from here.
+    """
+
+    speed: np.ndarray
+    T: np.ndarray
+    V: np.ndarray
+    tangential: np.ndarray
+    c_vstar: np.ndarray
+    m: np.ndarray
+    floor: float
+
+    def require_immersed(self, what):
+        """This frame, or NotImmersedError naming the first degenerate slice."""
+        bad = np.flatnonzero(np.any(self.speed <= self.floor, axis=1))
+        if bad.size:
+            raise NotImmersedError(
+                f"{what} needs immersed slices; slice {bad[0]} is degenerate"
+            )
+        return self
+
+
+def _frame(W, V, scale_hint) -> HomotopyFrame:
+    """The frame of stacks W = d_theta C and V = d_v C of shape (rows, N_theta, n)."""
+    floor = EPS_IMMERSED * scale_hint
+    speed, T = unit_tangent(W, floor)
+    tangential = dot(V, T)
+    c_vstar = V - scale(T, tangential)
+    return HomotopyFrame(speed, T, V, tangential, c_vstar, dot(c_vstar, c_vstar), floor)
+
+
+def homotopy_frame(C: HomotopyGrid, order=2) -> HomotopyFrame:
+    """The frame of the grid from its order-2 or order-4 derivatives."""
+    return _frame(C.d_theta(order), C.d_v(order), C.scale_hint)
+
+
 def length_profile(C: HomotopyGrid) -> np.ndarray:
     """Arclength l_j = len(C(., v_j)) of every slice, an (N_v,) array."""
-    return C.integrate_theta(slice_speeds(C))
-
-
-def slice_speeds(C: HomotopyGrid):
-    """Per-sample derivative magnitudes |d_theta C| as an (N_v, N_theta) array."""
-    W = C.d_theta()
-    return np.sqrt(dot(W, W))
-
-
-def _require_immersed_slices(C: HomotopyGrid, what):
-    speed = slice_speeds(C)
-    floor = EPS_IMMERSED * C.scale_hint
-    bad = np.where(np.any(speed <= floor, axis=1))[0]
-    if bad.size:
-        raise NotImmersedError(f"{what} needs immersed slices; slice {bad[0]} is degenerate")
+    return C.integrate_theta(homotopy_frame(C).speed)
 
 
 def periodic_interp(values, tau, dtheta, kind="cubic"):
@@ -202,7 +232,7 @@ def reparam_arclength(C: HomotopyGrid) -> HomotopyGrid:
     """
     if not C.periodic:
         raise InputDataError("arclength reparameterization needs periodic slices")
-    _require_immersed_slices(C, "arclength reparameterization")
+    homotopy_frame(C).require_immersed("arclength reparameterization")
     values = _resample_rows(C.values, C.n_theta, C.scale_hint)
     return HomotopyGrid(values=values, periodic=True)
 
@@ -221,22 +251,15 @@ class HorizontalResult:
     residual: float
 
 
-def _tangential_rate(points, dtheta, d_v, scale):
-    """Field -<d_v C, T> / |dC/dtheta| used by the horizontal ODE.
-
-    points and d_v are (N_rows, N_theta, n) stacks of slices.
-    """
-    floor = EPS_IMMERSED * scale
-    speed, T = unit_tangent(periodic_derivative(points, dtheta, axis=1), floor)
-    if np.any(speed <= floor):
-        raise NotImmersedError("horizontal reparameterization met a degenerate slice")
-    return -dot(d_v, T) / speed
+def _tangential_rate(frame: HomotopyFrame, what):
+    """Field -<d_v C, T> / |dC/dtheta| used by the horizontal ODE."""
+    frame.require_immersed(what)
+    return -frame.tangential / frame.speed
 
 
 def max_tangential_speed(C: HomotopyGrid) -> float:
     """max over the grid of |<d_v C, T>|, the tangential motion magnitude."""
-    _speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
-    return float(np.max(np.abs(dot(C.d_v(), T))))
+    return float(np.max(np.abs(homotopy_frame(C).tangential)))
 
 
 def reparam_horizontal(C: HomotopyGrid) -> HorizontalResult:
@@ -250,17 +273,19 @@ def reparam_horizontal(C: HomotopyGrid) -> HorizontalResult:
     """
     if not C.periodic:
         raise InputDataError("horizontal reparameterization needs periodic slices")
-    _require_immersed_slices(C, "horizontal reparameterization")
-    scale = C.scale_hint
     dtheta = C.dtheta
     dv = C.dv
     thetas = theta_grid(C.n_theta)
     values = C.values
 
-    rate_rows = _tangential_rate(values, dtheta, C.d_v(), scale)
+    rate_rows = _tangential_rate(homotopy_frame(C), "horizontal reparameterization")
+    # Half-step slice j lies midway between slices j and j + 1.
     mid_points = 0.5 * (values[:-1] + values[1:])
     mid_dv = (values[1:] - values[:-1]) / dv
-    rate_mids = _tangential_rate(mid_points, dtheta, mid_dv, scale)
+    mid_frame = _frame(
+        periodic_derivative(mid_points, dtheta, axis=1), mid_dv, C.scale_hint
+    )
+    rate_mids = _tangential_rate(mid_frame, "the horizontal half-step")
 
     phi = np.empty((C.n_v, C.n_theta))
     phi[0] = thetas
@@ -310,11 +335,9 @@ def optimal_unwind_shift(C: HomotopyGrid):
     """
     if not C.periodic:
         raise InputDataError("shift unwinding needs periodic slices")
-    _require_immersed_slices(C, "optimal unwinding shift")
-    speed, T = unit_tangent(C.d_theta(), EPS_IMMERSED * C.scale_hint)
-    tangential = dot(C.d_v(), T)
-    numer = C.integrate_theta(tangential * speed)
-    denom = C.integrate_theta(speed * speed)
+    frame = homotopy_frame(C).require_immersed("optimal unwinding shift")
+    numer = C.integrate_theta(frame.tangential * frame.speed)
+    denom = C.integrate_theta(frame.speed * frame.speed)
     rate = -numer / denom
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1]) * C.dv)])
     return phi

@@ -181,6 +181,4 @@ def sup_speed_length(C: HomotopyGrid) -> float:
     agrees with it for rigid translations.
     """
     m, _speed = normal_speed_squared(C)
-    per_slice = np.sqrt(np.max(m, axis=1))
-    v = C.v_grid()
-    return float(np.trapezoid(per_slice, v))
+    return float(C.integrate_v(np.sqrt(np.max(m, axis=1))))

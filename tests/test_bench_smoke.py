@@ -59,5 +59,7 @@ def test_perfbench_toy_cli_batch_runs_clean():
     # come out of curveio's readers.
     assert metrics["cli.errors"]["value"] == 7
     assert metrics["curveio.errors"]["value"] == 4
-    # The total size of every file the curveio writers produce.
-    assert metrics["curveio.bytes_written"]["value"] == 622370
+    # The total size of every file the curveio writers produce. It
+    # moves when a %.17g number written there changes in its last
+    # digits: m = |C_v*|^2 replaced |V|^2 - (V . T)^2 in the energies.
+    assert metrics["curveio.bytes_written"]["value"] == 622374

@@ -6,7 +6,7 @@ import pytest
 from curvemetrics import cli, counterexamples, curveio, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
-from curvemetrics.energies import EnergySpec, inner_product
+from curvemetrics.energies import ConformalFactor, EnergySpec, inner_product
 from curvemetrics.errors import LevelSetError
 from curvemetrics.flows import run_homotopy_flow, stable_lambda
 from curvemetrics.homotopy import sample_homotopy
@@ -100,6 +100,50 @@ def test_inner_subcommand(tmp_path, capsys):
     printed = float(parse_kv(capsys.readouterr().out)["inner"])
     expected = inner_product(c, h, k, EnergySpec(kind="geom_H0"))
     assert printed == expected
+
+
+@pytest.mark.parametrize(
+    "alias, kind",
+    [
+        ("mm", "MM"),
+        ("enbend", "MM"),
+        ("Mm", "MM"),
+        ("Conformal", "conformal"),
+        ("h0", "geom_H0"),
+        ("param", "param_H0"),
+        ("Intermediate", "intermediate"),
+    ],
+)
+def test_inner_keeps_a_and_factor_for_every_metric_spelling(tmp_path, capsys, alias, kind):
+    c = unit_circle(n=48)
+    curve_path = tmp_path / "c.json"
+    curveio.save_curve_json(curve_path, c)
+    rng = np.random.default_rng(1)
+    h = rng.normal(size=(48, 2))
+    k = rng.normal(size=(48, 2))
+    curveio.save_pointset_csv(tmp_path / "h.csv", h)
+    curveio.save_pointset_csv(tmp_path / "k.csv", k)
+    argv = ["inner", "--curve", str(curve_path), "--h", str(tmp_path / "h.csv"),
+            "--k", str(tmp_path / "k.csv"), "--A", "2.0", "--factor", "length"]
+    assert main(argv + ["--metric", alias]) == 0
+    printed = float(parse_kv(capsys.readouterr().out)["inner"])
+    spec = EnergySpec(kind=kind, A=2.0, factor=ConformalFactor.length())
+    assert printed == inner_product(c, h, k, spec)
+
+
+@pytest.mark.parametrize("name", ["winding", "wiggle", "tessellation", "zigzag", "pulley"])
+def test_counterexample_rejects_non_integer_values(capsys, name):
+    assert main(["counterexample", "--name", name, "--values", "1,2.5,3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InputDataError: ")
+    assert "'2.5'" in err
+
+
+def test_counterexample_accepts_whole_float_values(capsys):
+    assert main(["counterexample", "--name", "wiggle", "--values", "1,2"]) == 0
+    ints = capsys.readouterr().out
+    assert main(["counterexample", "--name", "wiggle", "--values", "1.0,2.0"]) == 0
+    assert capsys.readouterr().out == ints
 
 
 def test_reparam_subcommand(tmp_path, capsys):

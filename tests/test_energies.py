@@ -22,7 +22,9 @@ from curvemetrics.energies import (
     stable_lambda,
 )
 from curvemetrics.errors import InputDataError, NotImmersedError, StalledHomotopyError
-from curvemetrics.homotopy import HomotopyGrid, sample_homotopy
+from curvemetrics.flows import vstar_calculus
+from curvemetrics.homotopy import HomotopyGrid, homotopy_frame, sample_homotopy, shift_unwind
+from curvemetrics.shapedist import sup_speed_length
 
 from helpers import (
     constant_grid,
@@ -105,7 +107,9 @@ def test_alpha_beta_21_equals_geom_h0():
     C = smooth_random_grid(seed=3)
     ab = energy(C, EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0))
     en = energy(C, EnergySpec(kind="geom_H0"))
-    assert ab.total == pytest.approx(en.total, rel=1e-12)
+    # m^1 * speed^1 is m * speed bit for bit.
+    assert ab.total == en.total
+    assert np.array_equal(ab.per_slice, en.per_slice)
 
 
 def test_alpha_beta_on_open_graph_grid():
@@ -307,3 +311,51 @@ def test_degenerate_slice_contributes_nothing():
     report = energy(C, EnergySpec(kind="geom_H0"))
     assert np.isfinite(report.total)
     assert report.total > 0.0
+
+
+GEOMETRIC_SPECS = [
+    EnergySpec(kind="geom_H0"),
+    EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(0.3)),
+    EnergySpec(kind="J"),
+    EnergySpec(kind="MM", A=0.5),
+    EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0),
+    EnergySpec(kind="alpha_beta", alpha=1.0, beta=2.0),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    offset=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    shift=st.integers(-40, 40),
+)
+def test_geometric_energies_invariant_under_rigid_motion_and_sample_shift(
+    seed, angle, offset, shift
+):
+    C = smooth_random_grid(n_theta=48, n_v=9, seed=seed)
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    moved = HomotopyGrid(values=C.values @ rot.T + np.asarray(offset))
+    # A whole number of samples, the same on every slice: a relabeling.
+    shifted = shift_unwind(C, np.full(C.n_v, shift * C.dtheta))
+    for spec in GEOMETRIC_SPECS:
+        base = energy(C, spec).total
+        assert energy(moved, spec).total == pytest.approx(base, rel=1e-12, abs=0.0)
+        assert energy(shifted, spec).total == pytest.approx(base, rel=1e-12, abs=0.0)
+
+
+def test_energy_lambda_vstar_and_sup_speed_share_one_m():
+    C = smooth_random_grid(seed=5)
+    frame = homotopy_frame(C)
+    big_m = C.integrate_theta(frame.m * frame.speed)
+    fields = vstar_calculus(C)
+    assert np.array_equal(fields.m, frame.m)
+    assert np.array_equal(fields.big_m, big_m)
+    assert energy(C, EnergySpec(kind="geom_H0")).total == float(C.integrate_v(big_m))
+    factor = ConformalFactor.exp_length(0.3)
+    conformal = energy(C, EnergySpec(kind="conformal", factor=factor)).total
+    phi = factor.value(C.integrate_theta(frame.speed))
+    assert conformal == float(C.integrate_v(phi * big_m))
+    assert stable_lambda(C) == float(np.max(frame.m / big_m[:, None]))
+    sup = float(C.integrate_v(np.sqrt(np.max(frame.m, axis=1))))
+    assert sup_speed_length(C) == sup

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from curvemetrics.errors import GridTooCoarseError, InputDataError, NotImmersedError
 from curvemetrics.homotopy import (
     HomotopyGrid,
+    homotopy_frame,
     length_profile,
     linear_homotopy,
     max_tangential_speed,
@@ -17,7 +18,6 @@ from curvemetrics.homotopy import (
     reparam_horizontal,
     sample_homotopy,
     shift_unwind,
-    slice_speeds,
 )
 
 from helpers import as_grid, ellipse, smooth_random_grid, translating_circle, unit_circle
@@ -164,10 +164,10 @@ def test_reparam_arclength_uniformizes_speed():
     c0 = ellipse(n=256, a=2.0, b=1.0)
     c1 = ellipse(n=256, a=2.5, b=0.8)
     C = linear_homotopy(c0, c1, n_v=9)
-    before = slice_speeds(C)
+    before = homotopy_frame(C).speed
     cv_before = np.std(before, axis=1) / np.mean(before, axis=1)
     out = reparam_arclength(C)
-    after = slice_speeds(out)
+    after = homotopy_frame(out).speed
     cv_after = np.std(after, axis=1) / np.mean(after, axis=1)
     assert np.all(cv_after < 0.01)
     assert np.all(cv_after < cv_before / 10.0)
@@ -179,8 +179,18 @@ def test_reparam_arclength_uniformizes_speed():
 def test_reparam_arclength_rejects_degenerate_slice():
     circle = unit_circle(n=64).points
     C = as_grid([circle, np.zeros_like(circle)])
-    with pytest.raises(NotImmersedError):
+    with pytest.raises(NotImmersedError, match="slice 1 is degenerate"):
         reparam_arclength(C)
+
+
+def test_two_slice_grid_has_the_frame_of_its_line():
+    # Two slices define only the linear homotopy between them, so d_v is
+    # its slope on both rows and the frame needs no third slice.
+    circle = unit_circle(n=64).points
+    C = as_grid([circle, 2.0 * circle])
+    frame = homotopy_frame(C)
+    assert np.array_equal(frame.V, np.stack([circle, circle]))
+    np.testing.assert_allclose(length_profile(C), [2.0 * np.pi, 4.0 * np.pi], rtol=1e-2)
 
 
 def test_max_tangential_speed_translating_circle():
