@@ -204,15 +204,26 @@ class SampledCurve:
 
 @dataclass
 class TangentFrame:
-    """Unit tangents of a curve with the induced projectors.
+    """Speeds and unit tangents of an (..., N, n) stack of theta-derivatives.
 
-    T is zero at samples whose discrete derivative is below the
-    immersion threshold; there the normal projector is the identity and
-    the tangential projector is zero.
+    speed = |d_theta C|; T = d_theta C / speed, zero where speed <=
+    floor = EPS_IMMERSED * scale_hint, and there the normal projector
+    is the identity and the tangential one zero. Curves and homotopy
+    grids (HomotopyFrame) share this frame.
     """
 
-    T: np.ndarray
     speed: np.ndarray
+    T: np.ndarray
+    floor: float
+
+    def require_immersed(self, what):
+        """This frame, or NotImmersedError naming the first degenerate slice or sample."""
+        bad = self.speed <= self.floor
+        if bad.any():
+            where = "an immersed curve; sample" if bad.ndim == 1 else "immersed slices; slice"
+            first = np.argwhere(bad)[0, 0]
+            raise NotImmersedError(f"{what} needs {where} {first} is degenerate")
+        return self
 
     def project_normal(self, vectors):
         v = _match_deformation(vectors, self.T)
@@ -290,21 +301,20 @@ def _per_speed(f, speed, floor):
     return scale(f, speed, divide=True, where=speed > floor)
 
 
-def unit_tangent(deriv, floor):
-    """Speeds |deriv| and unit tangents of an (..., n) derivative array.
+def derivative_frame(deriv, scale_hint) -> TangentFrame:
+    """The frame of an (..., N, n) stack of theta-derivatives.
 
-    T is zero at samples whose speed is at or below floor, so callers
-    that need immersion check the speeds themselves.
+    The one place speeds and unit tangents are formed; the floor is
+    EPS_IMMERSED * scale_hint.
     """
-    deriv = np.asarray(deriv, dtype=float)
+    floor = EPS_IMMERSED * scale_hint
     speed = np.sqrt(dot(deriv, deriv))
-    return speed, _per_speed(deriv, speed, floor)
+    return TangentFrame(speed=speed, T=_per_speed(deriv, speed, floor), floor=floor)
 
 
 def tangent_frame(c: SampledCurve) -> TangentFrame:
-    """Unit tangents by central differences, zero below the immersion threshold."""
-    speed, T = unit_tangent(c.derivative(), EPS_IMMERSED * c.scale_hint)
-    return TangentFrame(T=T, speed=speed)
+    """The frame of a curve's central-difference derivative."""
+    return derivative_frame(c.derivative(), c.scale_hint)
 
 
 def project(frame: TangentFrame, vectors, which: str):
@@ -318,25 +328,20 @@ def project(frame: TangentFrame, vectors, which: str):
 
 def arclength(c: SampledCurve) -> float:
     """Curve length, the periodic trapezoid of the derivative magnitude."""
-    deriv = c.derivative()
-    return float(np.sum(np.sqrt(dot(deriv, deriv))) * c.dtheta)
+    return float(np.sum(tangent_frame(c).speed) * c.dtheta)
 
 
-def curvature_kernel(points, dtheta, scale_hint):
-    """Shared discrete curvature computation.
+def curvature_kernel(frame: TangentFrame, dtheta, order=2):
+    """Curvature vector H = d_s T = d_theta T / speed of a frame.
 
-    Returns (H, T, speed) where H = d_s T with the convention that both
-    T and H vanish at samples below the immersion threshold. points is
-    an (..., N, n) array whose periodic sample axis is the second to
-    last, so one (N, n) curve and a whole (N_v, N, n) homotopy grid go
-    in the same way. The same kernel backs curvature(), the curve
-    flows, and the bending energy, so their values agree exactly where
-    they overlap.
+    H is zero where T is. The frame's stack has its periodic sample
+    axis second to last, so one (N, n) curve and a whole (N_v, N, n)
+    homotopy grid go in the same way. curvature(), the curve flows,
+    the bending energies and the v* calculus all take H from here, so
+    their values agree exactly where they overlap.
     """
-    floor = EPS_IMMERSED * scale_hint
-    speed, T = unit_tangent(periodic_derivative(points, dtheta, axis=-2), floor)
-    H = _per_speed(periodic_derivative(T, dtheta, axis=-2), speed, floor)
-    return H, T, speed
+    T_theta = periodic_derivative(frame.T, dtheta, axis=-2, order=order)
+    return _per_speed(T_theta, frame.speed, frame.floor)
 
 
 def planar_normal(T):
@@ -364,10 +369,11 @@ def curvature(c: SampledCurve) -> CurvatureField:
     """Curvature vector, planar signed curvature, and turning-angle mass."""
     if not immersed(c):
         raise NotImmersedError("curvature needs an immersed curve")
-    H, T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
+    frame = tangent_frame(c).require_immersed("curvature")
+    H = curvature_kernel(frame, c.dtheta)
     kappa = None
     if c.dim == 2:
-        kappa = dot(H, planar_normal(T))
+        kappa = dot(H, planar_normal(frame.T))
     return CurvatureField(H=H, kappa=kappa, total_mass=_turning_mass(c.points))
 
 

@@ -15,25 +15,19 @@ The menu of kinds mirrors the metrics the library supports:
 Every geometric kind (geom_H0, conformal, J, MM, alpha_beta) reads the
 squared normal speed m = |C_v*|^2 = |pi_N d_v C|^2 and the speed
 |d_theta C| from the one frame kernel, homotopy.homotopy_frame, as do
-stable_lambda and the v* calculus of the flows. Degenerate samples
-(|d_theta C| = 0) contribute nothing to geometric integrands because
-the arclength weight vanishes there; this lets energies of homotopies
-with a collapsing slice, such as cones, be evaluated without special
-casing.
+stable_lambda and the v* calculus of the flows; J and MM take the
+curvature H from that same frame through curves.curvature_kernel.
+Degenerate samples (|d_theta C| = 0) contribute nothing to geometric
+integrands because the arclength weight vanishes there; this lets
+energies of homotopies with a collapsing slice, such as cones, be
+evaluated without special casing.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (
-    SampledCurve,
-    arclength,
-    curvature_kernel,
-    dot,
-    immersed,
-    tangent_frame,
-)
+from .curves import SampledCurve, curvature_kernel, dot, immersed, tangent_frame
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
 from .homotopy import HomotopyGrid, homotopy_frame, length_profile
 
@@ -169,33 +163,29 @@ def _normal_slices(C: HomotopyGrid, m, speed, factor=None):
     return factor.value(C.integrate_theta(speed)) * per_slice
 
 
-def _curvature_sq_rows(C: HomotopyGrid):
-    H, _T, _speed = curvature_kernel(C.values, C.dtheta, C.scale_hint)
-    return dot(H, H)
-
-
 def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
     """theta-integrals of the chosen integrand, one value per slice."""
     kind = spec.kind
     if kind == "param_H0":
         V = C.d_v()
         return C.integrate_theta(dot(V, V))
-    m, speed = normal_speed_squared(C)
+    frame = homotopy_frame(C)
+    m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.
         return C.integrate_theta(m ** (spec.alpha / 2.0) * speed**spec.beta)
     if kind == "geom_H0":
         return _normal_slices(C, m, speed)
-    if kind in ("J", "MM") and not C.periodic:
-        raise InputDataError(f"kind {kind} needs periodic slices for curvature")
-    if kind == "J":
-        return C.integrate_theta(_curvature_sq_rows(C) * m * speed)
-    if kind == "MM":
-        kappa2 = _curvature_sq_rows(C)
-        return C.integrate_theta((1.0 + spec.A * kappa2) * m * speed)
     if kind == "conformal":
         return _normal_slices(C, m, speed, spec.factor)
-    raise InputDataError(f"kind {kind} has no homotopy energy")
+    if kind not in ("J", "MM"):
+        raise InputDataError(f"kind {kind} has no homotopy energy")
+    if not C.periodic:
+        raise InputDataError(f"kind {kind} needs periodic slices for curvature")
+    H = curvature_kernel(frame, C.dtheta)
+    kappa2 = dot(H, H)
+    weight = kappa2 if kind == "J" else 1.0 + spec.A * kappa2
+    return C.integrate_theta(weight * m * speed)
 
 
 def energy(C: HomotopyGrid, spec: EnergySpec) -> EnergyReport:
@@ -239,12 +229,13 @@ def inner_product(c: SampledCurve, h, k, metric) -> float:
     if kind == "geom_H0":
         return float(np.sum(ndots * frame.speed) * c.dtheta)
     if kind == "MM":
-        H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
+        H = curvature_kernel(frame, c.dtheta)
         kappa2 = dot(H, H)
         return float(np.sum((1.0 + spec.A * kappa2) * ndots * frame.speed) * c.dtheta)
     # conformal
     base = float(np.sum(ndots * frame.speed) * c.dtheta)
-    return float(spec.factor.value(arclength(c))) * base
+    length = float(np.sum(frame.speed) * c.dtheta)
+    return float(spec.factor.value(length)) * base
 
 
 def scaling_check(C: HomotopyGrid, eps: float):

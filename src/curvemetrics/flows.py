@@ -25,6 +25,7 @@ from .curves import (
     open_derivative,
     periodic_derivative,
     scale,
+    tangent_frame,
 )
 from .energies import (
     ConformalFactor,
@@ -44,21 +45,34 @@ def mm_normal_speed(kappa, A):
     return kappa / (1.0 + A * kappa * kappa)
 
 
+def _heat_dt(frame, dtheta) -> float:
+    """0.2 min(ds)^2 of a curve frame."""
+    ds_min = float(np.min(frame.speed)) * dtheta
+    return 0.2 * ds_min * ds_min
+
+
 def heat_cfl_dt(c: SampledCurve) -> float:
     """Largest stable explicit step for the heat flow, 0.2 min(ds)^2."""
-    deriv = periodic_derivative(c.points, c.dtheta, axis=0)
-    ds_min = float(np.min(np.sqrt(dot(deriv, deriv)))) * c.dtheta
-    return 0.2 * ds_min * ds_min
+    return _heat_dt(tangent_frame(c), c.dtheta)
+
+
+def _curve_flow_H(c: SampledCurve, dt: float, what):
+    """H of c for a curve-flow step of size dt; one frame gives H and the CFL bound.
+
+    A sample whose central-difference speed vanishes raises NotImmersedError.
+    """
+    frame = tangent_frame(c).require_immersed(what)
+    dt_max = _heat_dt(frame, c.dtheta)
+    if dt > dt_max * (1.0 + 1e-12):
+        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
+    return curvature_kernel(frame, c.dtheta)
 
 
 def heat_flow_step(c: SampledCurve, dt: float) -> SampledCurve:
     """Explicit Euler step of the geometric heat flow c <- c + dt C_ss."""
     if not immersed(c):
         raise NotImmersedError("heat flow needs an immersed curve")
-    dt_max = heat_cfl_dt(c)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
+    H = _curve_flow_H(c, dt, "heat flow")
     return SampledCurve(points=c.points + dt * H, scale_hint=c.scale_hint)
 
 
@@ -74,12 +88,8 @@ def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve
         raise NotImmersedError("the arclength flow needs an immersed curve")
     if c.dim != 2:
         raise InputDataError("the bounded arclength flow is planar")
-    dt_max = heat_cfl_dt(c)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    H, _T, _speed = curvature_kernel(c.points, c.dtheta, c.scale_hint)
-    kappa_sq = dot(H, H)
-    step = scale(H, 1.0 + A * kappa_sq, divide=True)
+    H = _curve_flow_H(c, dt, "the arclength flow")
+    step = scale(H, 1.0 + A * dot(H, H), divide=True)
     return SampledCurve(points=c.points + dt * step, scale_hint=c.scale_hint)
 
 
@@ -113,7 +123,8 @@ class VStarField:
     homotopy.homotopy_frame, the one kernel that forms m, so m and
     big_m are those of energy() and stable_lambda bit for bit; big_m
     (times phi for the conformal flow) is the per-slice energy the
-    flow's trace integrates.
+    flow's trace integrates. c_ss is curves.curvature_kernel of that
+    frame, the H of the J and MM energies.
     """
 
     c_v: np.ndarray
@@ -155,8 +166,7 @@ def vstar_calculus(C: HomotopyGrid, order=2) -> VStarField:
         raise InputDataError("the v* calculus needs periodic slices")
     frame = homotopy_frame(C, order).require_immersed("the v* calculus")
     speed = frame.speed
-    T_theta = periodic_derivative(frame.T, C.dtheta, axis=1, order=order)
-    c_ss = scale(T_theta, speed, divide=True)
+    c_ss = curvature_kernel(frame, C.dtheta, order)
     c_vstar_vstar = d_vstar(
         C, frame.c_vstar, order=order, speed=speed, tangential=frame.tangential
     )

@@ -15,18 +15,18 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (
-    EPS_IMMERSED,
     SampledCurve,
+    TangentFrame,
     _bbox_diagonal,
     _resample_rows,
+    derivative_frame,
     dot,
     open_derivative,
     periodic_derivative,
     scale,
     theta_grid,
-    unit_tangent,
 )
-from .errors import GridTooCoarseError, InputDataError, NotImmersedError
+from .errors import GridTooCoarseError, InputDataError
 
 
 @dataclass
@@ -143,41 +143,30 @@ def linear_homotopy(c0: SampledCurve, c1: SampledCurve, n_v: int) -> HomotopyGri
 
 
 @dataclass
-class HomotopyFrame:
-    """Tangent frame and normal speed of a homotopy, per sample.
+class HomotopyFrame(TangentFrame):
+    """The tangent frame of d_theta C with the normal speed of a homotopy.
 
-    speed = |d_theta C|; T = d_theta C / speed, zero where speed <=
-    floor = EPS_IMMERSED * scale_hint; V = d_v C; tangential = V . T;
-    c_vstar = V - (V . T) T, the normal motion C_v*; m = |C_v*|^2. The
-    energies, lambda, reparameterizations and v* calculus all read m
-    from here.
+    To the frame's speed, T and floor it adds V = d_v C, tangential =
+    V . T, c_vstar = V - (V . T) T, the normal motion C_v*, and m =
+    |C_v*|^2. The energies, lambda, reparameterizations and v*
+    calculus all read m from here.
     """
 
-    speed: np.ndarray
-    T: np.ndarray
     V: np.ndarray
     tangential: np.ndarray
     c_vstar: np.ndarray
     m: np.ndarray
-    floor: float
-
-    def require_immersed(self, what):
-        """This frame, or NotImmersedError naming the first degenerate slice."""
-        bad = np.flatnonzero(np.any(self.speed <= self.floor, axis=1))
-        if bad.size:
-            raise NotImmersedError(
-                f"{what} needs immersed slices; slice {bad[0]} is degenerate"
-            )
-        return self
 
 
 def _frame(W, V, scale_hint) -> HomotopyFrame:
     """The frame of stacks W = d_theta C and V = d_v C of shape (rows, N_theta, n)."""
-    floor = EPS_IMMERSED * scale_hint
-    speed, T = unit_tangent(W, floor)
-    tangential = dot(V, T)
-    c_vstar = V - scale(T, tangential)
-    return HomotopyFrame(speed, T, V, tangential, c_vstar, dot(c_vstar, c_vstar), floor)
+    frame = derivative_frame(W, scale_hint)
+    tangential = dot(V, frame.T)
+    c_vstar = V - scale(frame.T, tangential)
+    return HomotopyFrame(
+        **vars(frame), V=V, tangential=tangential, c_vstar=c_vstar,
+        m=dot(c_vstar, c_vstar),
+    )
 
 
 def homotopy_frame(C: HomotopyGrid, order=2) -> HomotopyFrame:
@@ -187,7 +176,7 @@ def homotopy_frame(C: HomotopyGrid, order=2) -> HomotopyFrame:
 
 def length_profile(C: HomotopyGrid) -> np.ndarray:
     """Arclength l_j = len(C(., v_j)) of every slice, an (N_v,) array."""
-    return C.integrate_theta(homotopy_frame(C).speed)
+    return C.integrate_theta(derivative_frame(C.d_theta(), C.scale_hint).speed)
 
 
 def periodic_interp(values, tau, dtheta, kind="cubic"):
@@ -232,7 +221,9 @@ def reparam_arclength(C: HomotopyGrid) -> HomotopyGrid:
     """
     if not C.periodic:
         raise InputDataError("arclength reparameterization needs periodic slices")
-    homotopy_frame(C).require_immersed("arclength reparameterization")
+    derivative_frame(C.d_theta(), C.scale_hint).require_immersed(
+        "arclength reparameterization"
+    )
     values = _resample_rows(C.values, C.n_theta, C.scale_hint)
     return HomotopyGrid(values=values, periodic=True)
 

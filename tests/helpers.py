@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from curvemetrics.curves import SampledCurve, theta_grid
+from curvemetrics.curves import (
+    EPS_IMMERSED,
+    SampledCurve,
+    dot,
+    periodic_derivative,
+    scale,
+    theta_grid,
+)
 from curvemetrics.homotopy import HomotopyGrid, sample_homotopy
 
 
@@ -85,6 +92,16 @@ def smooth_random_grid(n_theta=64, n_v=33, seed=0, amplitude=0.08):
     return sample_homotopy(fn, n_theta, n_v)
 
 
+def wobbled(th, v):
+    """A wobbling circle translating right by 1/2 as v runs over [0, 1]."""
+    r = 1.0 + 0.05 * (1.0 - v) * np.cos(3.0 * th) + 0.04 * v * np.sin(2.0 * th)
+    return np.stack([0.5 * v + r * np.cos(th), r * np.sin(th)], axis=1)
+
+
+def wobbled_grid(n_theta=64, n_v=9):
+    return sample_homotopy(wobbled, n_theta, n_v)
+
+
 def constant_grid(n_theta=64, n_v=9):
     """The trivial homotopy: every slice is the same unit circle."""
 
@@ -104,3 +121,21 @@ def figure_eight(n=128):
 
 def as_grid(rows, periodic=True):
     return HomotopyGrid(values=np.asarray(rows, dtype=float), periodic=periodic)
+
+
+def reference_curvature(points, dtheta, scale_hint, order=2):
+    """(H, T, speed) of an (..., N, n) stack straight from its points.
+
+    The standalone curvature kernel the library had before curvature
+    was read from the tangent frame: its own d_theta of the points,
+    its own unit tangent, then a second d_theta pass for H = d_s T,
+    with T and H zero where the speed is at or below the immersion
+    floor. Tests hold the frame-based values to it bit for bit.
+    """
+    floor = EPS_IMMERSED * scale_hint
+    deriv = periodic_derivative(points, dtheta, axis=-2, order=order)
+    speed = np.sqrt(dot(deriv, deriv))
+    T = scale(deriv, speed, divide=True, where=speed > floor)
+    T_theta = periodic_derivative(T, dtheta, axis=-2, order=order)
+    H = scale(T_theta, speed, divide=True, where=speed > floor)
+    return H, T, speed

@@ -11,7 +11,7 @@ from curvemetrics.errors import LevelSetError
 from curvemetrics.flows import run_homotopy_flow, stable_lambda
 from curvemetrics.homotopy import sample_homotopy
 
-from helpers import translating_circle, unit_circle
+from helpers import translating_circle, unit_circle, wobbled
 
 
 def write_circle(tmp_path, name="circle.json", n=64, center=(0.0, 0.0)):
@@ -344,11 +344,6 @@ def test_cli_is_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(["energy", "--grid", grid]) == 0
     assert capsys.readouterr().out == first
-
-
-def wobbled(th, v):
-    r = 1.0 + 0.05 * (1.0 - v) * np.cos(3.0 * th) + 0.04 * v * np.sin(2.0 * th)
-    return np.stack([0.5 * v + r * np.cos(th), r * np.sin(th)], axis=1)
 
 
 def test_flow_output_does_not_depend_on_dumps(tmp_path, capsys):

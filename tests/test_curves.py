@@ -12,6 +12,7 @@ from curvemetrics.curves import (
     arclength,
     curvature,
     curvature_kernel,
+    derivative_frame,
     dot,
     immersed,
     lift_direction,
@@ -23,7 +24,6 @@ from curvemetrics.curves import (
     scale,
     tangent_frame,
     theta_grid,
-    unit_tangent,
     unlift_direction,
 )
 from curvemetrics.errors import InputDataError, NotImmersedError
@@ -312,42 +312,59 @@ def test_curvature_requires_immersion():
 
 def test_curvature_kernel_degenerate_samples_vanish():
     pts = np.full((16, 2), 0.5)
-    H, T, speed = curvature_kernel(pts, 2.0 * np.pi / 16, scale_hint=1.0)
+    dtheta = 2.0 * np.pi / 16
+    frame = derivative_frame(periodic_derivative(pts, dtheta), scale_hint=1.0)
+    H = curvature_kernel(frame, dtheta)
     assert np.all(H == 0.0)
-    assert np.all(T == 0.0)
-    assert np.all(speed == 0.0)
+    assert np.all(frame.T == 0.0)
+    assert np.all(frame.speed == 0.0)
 
 
-def test_unit_tangent_zeroes_degenerate_samples():
+def test_derivative_frame_zeroes_degenerate_samples():
     # Speeds 5, 0, 1e-12 (below the floor), 0.5 (at it) and 2.
     deriv = np.array([[3.0, 4.0], [0.0, 0.0], [1e-12, 0.0], [0.5, 0.0], [0.0, -2.0]])
-    speed, T = unit_tangent(deriv, floor=0.5)
-    np.testing.assert_array_equal(speed, [5.0, 0.0, 1e-12, 0.5, 2.0])
+    # A scale_hint of 5e8 puts the floor at EPS_IMMERSED * 5e8 = 0.5 exactly.
+    frame = derivative_frame(deriv, scale_hint=5e8)
+    assert frame.floor == 0.5
+    np.testing.assert_array_equal(frame.speed, [5.0, 0.0, 1e-12, 0.5, 2.0])
     np.testing.assert_array_equal(
-        T, [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
+        frame.T, [[0.6, 0.8], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, -1.0]]
     )
     grid = np.stack([deriv, 4.0 * deriv, np.zeros_like(deriv)])
-    speed3, T3 = unit_tangent(grid, floor=0.5)
-    assert speed3.shape == (3, 5) and T3.shape == (3, 5, 2)
-    np.testing.assert_array_equal(T3[0], T)
+    frame3 = derivative_frame(grid, scale_hint=5e8)
+    assert frame3.speed.shape == (3, 5) and frame3.T.shape == (3, 5, 2)
+    np.testing.assert_array_equal(frame3.T[0], frame.T)
     # Scaled by 4 the sample at the floor (now speed 2) becomes a unit tangent.
-    np.testing.assert_array_equal(T3[1, 3], [1.0, 0.0])
-    np.testing.assert_array_equal(T3[1, 2], [0.0, 0.0])
-    assert np.all(T3[2] == 0.0)
+    np.testing.assert_array_equal(frame3.T[1, 3], [1.0, 0.0])
+    np.testing.assert_array_equal(frame3.T[1, 2], [0.0, 0.0])
+    assert np.all(frame3.T[2] == 0.0)
+
+
+def test_require_immersed_names_the_sample_or_the_slice():
+    deriv = np.array([[3.0, 4.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    assert derivative_frame(deriv[[0, 2]], 1.0).require_immersed("x").floor == 1e-9
+    with pytest.raises(NotImmersedError, match="x needs an immersed curve; sample 1 is"):
+        derivative_frame(deriv, 1.0).require_immersed("x")
+    grid = np.stack([deriv[[0, 2, 0]], deriv[[2, 2, 3]], deriv[[1, 0, 0]]])
+    with pytest.raises(NotImmersedError, match="y needs immersed slices; slice 1 is"):
+        derivative_frame(grid, 1.0).require_immersed("y")
 
 
 @pytest.mark.parametrize("name", ["cone", "random"])
 def test_curvature_kernel_grid_matches_per_slice(name):
     grid = v4_cone(n_theta=64, n_v=9) if name == "cone" else smooth_random_grid(seed=4)
-    H, T, speed = curvature_kernel(grid.values, grid.dtheta, grid.scale_hint)
+    frame = derivative_frame(grid.d_theta(), grid.scale_hint)
+    H = curvature_kernel(frame, grid.dtheta)
     for j in range(grid.n_v):
-        Hj, Tj, sj = curvature_kernel(grid.values[j], grid.dtheta, grid.scale_hint)
-        assert np.array_equal(H[j], Hj)
-        assert np.array_equal(T[j], Tj)
-        assert np.array_equal(speed[j], sj)
+        fj = derivative_frame(
+            periodic_derivative(grid.values[j], grid.dtheta), grid.scale_hint
+        )
+        assert np.array_equal(H[j], curvature_kernel(fj, grid.dtheta))
+        assert np.array_equal(frame.T[j], fj.T)
+        assert np.array_equal(frame.speed[j], fj.speed)
     if name == "cone":
         # The first slice is a point, so all its samples are zeroed.
-        assert np.all(T[0] == 0.0) and np.all(H[0] == 0.0)
+        assert np.all(frame.T[0] == 0.0) and np.all(H[0] == 0.0)
 
 
 def test_planar_normal_is_left_of_tangent():

@@ -33,6 +33,7 @@ from helpers import (
     translating_circle,
     unit_circle,
     v4_cone,
+    wobbled_grid,
 )
 
 
@@ -216,13 +217,29 @@ def test_inner_product_needs_immersion_for_geometric_kinds():
     a=st.floats(min_value=-1.0, max_value=1.0),
     b=st.floats(min_value=-1.0, max_value=1.0),
     scale=st.floats(min_value=0.1, max_value=3.0),
+    stretch=st.floats(min_value=0.5, max_value=2.0),
+    wobble=st.floats(min_value=-0.15, max_value=0.15),
+    lobes=st.integers(min_value=2, max_value=5),
+    phase=st.floats(min_value=0.0, max_value=2.0 * np.pi),
 )
-def test_inner_product_is_symmetric_bilinear(a, b, scale):
-    c = unit_circle(n=64)
+def test_inner_product_is_symmetric_bilinear(a, b, scale, stretch, wobble, lobes, phase):
+    # A stretched, wobbled circle: kappa and the length are not those
+    # of the unit circle, so MM's H and conformal's length both count.
     thetas = theta_grid(64)
+    r = 1.0 + wobble * np.cos(lobes * thetas + phase)
+    c = SampledCurve(
+        points=np.stack([stretch * r * np.cos(thetas), r * np.sin(thetas)], axis=1)
+    )
     h = np.stack([np.cos(2 * thetas) + a, np.sin(thetas)], axis=1)
     k = np.stack([b * np.sin(3 * thetas), np.cos(thetas) - b], axis=1)
-    for kind in ("param_H0", "intermediate", "geom_H0"):
+    metrics = (
+        "param_H0",
+        "intermediate",
+        "geom_H0",
+        EnergySpec(kind="MM", A=0.7),
+        EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(0.3)),
+    )
+    for kind in metrics:
         hk = inner_product(c, h, k, kind)
         assert inner_product(c, k, h, kind) == pytest.approx(hk, abs=1e-12)
         assert inner_product(c, scale * h, k, kind) == pytest.approx(
@@ -234,13 +251,15 @@ def test_inner_product_is_symmetric_bilinear(a, b, scale):
 
 
 def test_scaling_ratios_are_exact():
-    C = translating_circle(n_theta=128, n_v=17)
-    for eps in (0.5, 2.0):
-        ratio_en, ratio_j = scaling_check(C, eps)
-        assert ratio_en == pytest.approx(eps**3, rel=1e-12)
-        assert ratio_j == pytest.approx(eps, rel=1e-12)
+    grids = [translating_circle(n_theta=128, n_v=17), wobbled_grid()]
+    grids += [smooth_random_grid(seed=seed) for seed in (0, 3, 8)]
+    for C in grids:
+        for eps in (0.5, 2.0, 0.3, 3.0):
+            ratio_en, ratio_j = scaling_check(C, eps)
+            assert ratio_en == pytest.approx(eps**3, rel=1e-12)
+            assert ratio_j == pytest.approx(eps, rel=1e-12)
     with pytest.raises(InputDataError):
-        scaling_check(C, -1.0)
+        scaling_check(grids[0], -1.0)
 
 
 def test_area_swept_translating_circle():

@@ -1,11 +1,27 @@
 """Tests for curve flows, the v* calculus, and the homotopy flows."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from curvemetrics import curves, flows
-from curvemetrics.curves import SampledCurve, resample_arclength, theta_grid
-from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
+from curvemetrics import curves, curveio, flows
+from curvemetrics.cli import main
+from curvemetrics.curves import (
+    SampledCurve,
+    curvature,
+    dot,
+    resample_arclength,
+    scale,
+    theta_grid,
+)
+from curvemetrics.energies import (
+    ConformalFactor,
+    EnergySpec,
+    energy,
+    inner_product,
+    stable_lambda,
+)
 from curvemetrics.errors import (
     CFLError,
     InputDataError,
@@ -30,9 +46,21 @@ from curvemetrics.flows import (
     stability_margin,
     vstar_calculus,
 )
-from curvemetrics.homotopy import HomotopyGrid, linear_homotopy
+from curvemetrics.homotopy import (
+    HomotopyGrid,
+    homotopy_frame,
+    length_profile,
+    linear_homotopy,
+)
 
-from helpers import smooth_random_grid, translating_circle, unit_circle
+from helpers import (
+    reference_curvature,
+    smooth_random_grid,
+    translating_circle,
+    unit_circle,
+    v4_cone,
+    wobbled_grid,
+)
 
 
 def test_mm_normal_speed_values():
@@ -54,6 +82,32 @@ def test_heat_cfl_bound():
     points[1] = points[0]
     with pytest.raises(NotImmersedError):
         heat_flow_step(SampledCurve(points=points), 1e-6)
+
+
+def test_zero_central_speed_is_rejected_naming_the_sample(tmp_path, capsys):
+    # With pts[5] = pts[3] every polygon edge is long, yet the
+    # central-difference speed at sample 4 is zero.
+    pts = unit_circle(n=32).points.copy()
+    pts[5] = pts[3]
+    c = SampledCurve(points=pts)
+    assert curves.immersed(c) and np.min(c.edge_lengths()) > 0.19
+    assert heat_cfl_dt(c) == 0.0
+    for run in (
+        lambda: curvature(c),
+        lambda: heat_flow_step(c, 0.0),
+        lambda: mm_arclength_flow_step(c, 0.5, 0.0),
+        # The CFL step is 0, so without the check this never advances.
+        lambda: integrate_heat_flow(c, 0.01),
+    ):
+        with pytest.raises(NotImmersedError, match="sample 4 is degenerate"):
+            run()
+    path = tmp_path / "spike.csv"
+    curveio.save_curve_csv(path, c)
+    for kind in ("heat", "mm"):
+        argv = ["flow", "--kind", kind, "--curve", str(path), "--steps", "20"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "NotImmersedError" in err and "sample 4 is degenerate" in err
 
 
 def test_heat_flow_radius_ode():
@@ -386,3 +440,76 @@ def test_energy_derivative_mismatch_converges_in_dv():
     e256 = energy_derivative_check(grid(256), "h0", trials=4)
     assert 3.0 < e64 / e128 < 5.5
     assert 3.0 < e128 / e256 < 5.5
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of curves.<name> at every curvemetrics import site."""
+    original = getattr(curves, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("curvemetrics") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_curvature_takes_one_derivative_pass_over_the_frame(monkeypatch):
+    periodic = _count_calls(monkeypatch, "periodic_derivative")
+    opened = _count_calls(monkeypatch, "open_derivative")
+    C = smooth_random_grid(seed=2)
+    c = C.slice_curve(5)
+    dt = heat_cfl_dt(c)
+    h = np.cos(c.points)
+    runs = {
+        "energy J": lambda: energy(C, EnergySpec(kind="J")),
+        "energy MM": lambda: energy(C, EnergySpec(kind="MM", A=0.5)),
+        "heat step": lambda: heat_flow_step(c, dt),
+        "mm step": lambda: mm_arclength_flow_step(c, 0.5, dt),
+        "inner MM": lambda: inner_product(c, h, h, EnergySpec(kind="MM", A=0.5)),
+    }
+    for name, run in runs.items():
+        periodic[0] = 0
+        run()
+        assert periodic[0] == 2, name
+    periodic[0] = opened[0] = 0
+    length_profile(C)
+    assert (periodic[0], opened[0]) == (1, 0)
+
+
+@pytest.mark.parametrize("name", ["cone", "random", "wobbled"])
+def test_frame_curvature_matches_the_standalone_kernel(name):
+    C = {
+        "cone": v4_cone(n_theta=64, n_v=9),
+        "random": smooth_random_grid(seed=4),
+        "wobbled": wobbled_grid(),
+    }[name]
+    H, _T, _speed = reference_curvature(C.values, C.dtheta, C.scale_hint)
+    frame = homotopy_frame(C)
+    kappa2 = dot(H, H)
+    j_rows = C.integrate_theta(kappa2 * frame.m * frame.speed)
+    mm_rows = C.integrate_theta((1.0 + 0.7 * kappa2) * frame.m * frame.speed)
+    assert np.array_equal(energy(C, EnergySpec(kind="J")).per_slice, j_rows)
+    assert np.array_equal(energy(C, EnergySpec(kind="MM", A=0.7)).per_slice, mm_rows)
+
+    # The cone's apex slice is a point; its curves and calculus start at slice 1.
+    first = 1 if name == "cone" else 0
+    for j in range(first, C.n_v):
+        c = C.slice_curve(j)
+        Hj, _Tj, _sj = reference_curvature(c.points, c.dtheta, c.scale_hint)
+        assert np.array_equal(curvature(c).H, Hj)
+        dt = heat_cfl_dt(c)
+        assert np.array_equal(heat_flow_step(c, dt).points, c.points + dt * Hj)
+        bounded = scale(Hj, 1.0 + 0.3 * dot(Hj, Hj), divide=True)
+        assert np.array_equal(
+            mm_arclength_flow_step(c, 0.3, dt).points, c.points + dt * bounded
+        )
+    immersed_part = HomotopyGrid(values=C.values[first:])
+    for order in (2, 4):
+        H_o, _T_o, _s_o = reference_curvature(
+            immersed_part.values, C.dtheta, immersed_part.scale_hint, order=order
+        )
+        assert np.array_equal(vstar_calculus(immersed_part, order=order).c_ss, H_o)
