@@ -220,7 +220,7 @@ def inner_product(c: SampledCurve, h, k, metric) -> float:
         return float(np.sum(dots) * c.dtheta)
     if not immersed(c):
         raise NotImmersedError("geometric inner products need an immersed curve")
-    frame = tangent_frame(c)
+    frame = tangent_frame(c).require_immersed("the geometric inner product")
     if kind == "intermediate":
         return float(np.sum(dots * frame.speed) * c.dtheta)
     hn = frame.project_normal(h)

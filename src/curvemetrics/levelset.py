@@ -18,7 +18,7 @@ div(grad psi / |grad psi|) |grad psi|. Endpoint slices are pinned:
 their rows never receive updates and reinitialization skips them.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -31,7 +31,12 @@ from .homotopy import HomotopyGrid, linear_homotopy
 
 @dataclass
 class LevelSetGrid:
-    """Scalar field psi[j, iy, ix] on a uniform box grid, one slice per v."""
+    """Scalar field psi[j, iy, ix] on a uniform box grid, one slice per v.
+
+    A grid is one state of the flow: the library never writes into psi,
+    every step and reinitialization returns a new grid. The zero
+    segments of a state are marched once and kept with it (_march).
+    """
 
     psi: np.ndarray
     xs: np.ndarray
@@ -41,6 +46,7 @@ class LevelSetGrid:
     lam: Optional[float] = None
     band_width: float = 6.0
     full_grid: bool = False
+    _segments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.psi.ndim != 3:
@@ -120,64 +126,155 @@ def _check_embedded(points, label):
         )
 
 
-def _point_in_polygon(px, py, poly):
-    """Even-odd rule for arrays of query points against one closed polygon."""
+def _grid_inside(xs, ys, poly):
+    """Even-odd rule for every node of the grid xs x ys against one closed polygon.
+
+    The nodes of a row share their y, so only the (row, edge) pairs whose
+    edge spans that y need a crossing abscissa; every other pair cannot
+    toggle the parity. Returns (len(ys), len(xs)) booleans.
+    """
     ax, ay = poly[:, 0], poly[:, 1]
     bx, by = np.roll(ax, -1), np.roll(ay, -1)
-    x = px.ravel()
-    y = py.ravel()
-    # Only the (point, edge) pairs whose edge spans the point's y need a
-    # crossing abscissa; every other pair cannot toggle the parity.
-    i, e = np.nonzero((ay > y[:, None]) != (by > y[:, None]))
-    x_int = ax[e] + (y[i] - ay[e]) * (bx - ax)[e] / (by - ay)[e]
-    crossings = np.bincount(i[x[i] < x_int], minlength=x.size)
-    return (crossings % 2 == 1).reshape(px.shape)
+    i, e = np.nonzero((ay > ys[:, None]) != (by > ys[:, None]))
+    x_int = ax[e] + (ys[i] - ay[e]) * (bx - ax)[e] / (by - ay)[e]
+    inside = np.zeros((len(ys), len(xs)), dtype=bool)
+    np.logical_xor.at(inside, i, xs < x_int[:, None])
+    return inside
 
 
-def _distance_to_segments(px, py, a, b):
-    """Distance from query points to the nearest segment a[k] -> b[k], exact.
+def _segment_sq_dist(x, y, ax, ay, bx, by):
+    """Squared distances from points (x, y) to segments a -> b, exact per pair.
 
-    Works on (N, S) arrays per coordinate, in place where it can, and
-    takes one square root per point: sqrt is monotone, so sqrt(min)
-    equals min(sqrt) bit for bit.
+    The segment end coordinates ax, ay, bx, by share one shape, and x
+    and y broadcast against it. Works in place where it can. This is
+    the one point-to-segment formula of the level set.
     """
-    x = px.reshape(-1, 1)
-    y = py.reshape(-1, 1)
-    ax, ay = a[:, 0], a[:, 1]
-    dx = b[:, 0] - ax
-    dy = b[:, 1] - ay
+    dx = bx - ax
+    dy = by - ay
     len_sq = np.maximum(dx * dx + dy * dy, 1e-300)
     # tpar = clip(((x - ax) dx + (y - ay) dy) / len_sq, 0, 1)
     tpar = x - ax
     tpar *= dx
-    ey = y - ay
-    ey *= dy
-    tpar += ey
+    buf = y - ay
+    buf *= dy
+    tpar += buf
     tpar /= len_sq
     np.clip(tpar, 0.0, 1.0, out=tpar)
-    # (ex, ey) = (x, y) - (a + tpar d)
-    ex = tpar * dx
+    # (ex, ey) = (x, y) - (a + tpar d), ex in buf and ey over tpar
+    ex = np.multiply(tpar, dx, out=buf)
     ex += ax
     np.subtract(x, ex, out=ex)
-    np.multiply(tpar, dy, out=ey)
+    ey = tpar
+    ey *= dy
     ey += ay
     np.subtract(y, ey, out=ey)
     ex *= ex
     ey *= ey
     ex += ey
-    return np.sqrt(ex.min(axis=1)).reshape(px.shape)
+    return ex
+
+
+def _distance_to_segments(px, py, a, b):
+    """Distance from query points to the nearest segment a[k] -> b[k], exact.
+
+    Measures every (point, segment) pair and takes one square root per
+    point: sqrt is monotone, so sqrt(min) equals min(sqrt) bit for bit.
+    """
+    d2 = _segment_sq_dist(
+        px.reshape(-1, 1), py.reshape(-1, 1), a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    )
+    return np.sqrt(d2.min(axis=1)).reshape(px.shape)
+
+
+# Grid nodes are measured in blocks of _BLOCK x _BLOCK (see _grid_distance).
+_BLOCK = 4
+# Pruning slack of _grid_distance per unit of the largest coordinate
+# magnitude R. A computed distance is within a few ulps of R of the
+# exact one, so 1e-12 R covers the rounding a thousand times over.
+_PRUNE_ROUNDING = 1e-12
+# Columns of (node, segment) pairs _grid_distance measures at a time.
+_CHUNK = 1024
+
+
+def _grid_distance(xs, ys, a, b, group):
+    """Distance from every grid node to the nearest segment of each group.
+
+    a and b are (S, 2) segment ends and group numbers each segment's
+    group 0..G-1, every group nonempty. Returns (G, len(ys), len(xs)),
+    equal bit for bit to _distance_to_segments over each group's
+    segments.
+
+    The grid is cut into _BLOCK x _BLOCK blocks of nodes (clipped at
+    the far edges, where nodes repeat), each with centre c and radius
+    rho, the largest distance from c to its nodes. A node p of the block
+    has |p - c| <= rho, so a segment s with d(c, s) > min_s' d(c, s') +
+    2 rho is farther from p than the segment nearest to c, and cannot be
+    nearest to p. Only the other segments are measured, each pair by
+    _segment_sq_dist as in the all-pairs path, and a minimum over a
+    superset of the argmin is the same float. _PRUNE_ROUNDING widens the
+    bound by the rounding of the computed distances.
+    """
+    ny, nx = len(ys), len(xs)
+    n_groups = int(group.max()) + 1
+    iy = np.minimum(np.arange(0, ny, _BLOCK)[:, None] + np.arange(_BLOCK), ny - 1)
+    ix = np.minimum(np.arange(0, nx, _BLOCK)[:, None] + np.arange(_BLOCK), nx - 1)
+    nby, nbx = len(iy), len(ix)
+    n_blocks = nby * nbx
+    # Nodes of block by * nbx + bx, row r and column c, at row r * _BLOCK + c.
+    shape = (_BLOCK, _BLOCK, nby, nbx)
+    node_x = np.broadcast_to(xs[ix].T[None, :, None, :], shape).reshape(_BLOCK**2, n_blocks)
+    node_y = np.broadcast_to(ys[iy].T[:, None, :, None], shape).reshape(_BLOCK**2, n_blocks)
+    node = (iy.T[:, None, :, None] * nx + ix.T[None, :, None, :]).reshape(_BLOCK**2, n_blocks)
+    lo_x, hi_x = node_x.min(axis=0), node_x.max(axis=0)
+    lo_y, hi_y = node_y.min(axis=0), node_y.max(axis=0)
+    rho = np.hypot(0.5 * (hi_x - lo_x), 0.5 * (hi_y - lo_y))
+    slack = _PRUNE_ROUNDING * max(
+        np.abs(xs).max(), np.abs(ys).max(), np.abs(a).max(), np.abs(b).max()
+    )
+
+    # Each group's segments as one row, padded by repeating its first
+    # segment: a repeat changes no minimum and is never kept twice.
+    count = np.bincount(group, minlength=n_groups)
+    order = np.argsort(group, kind="stable")
+    width = np.arange(count.max())
+    valid = width < count[:, None]
+    rows = order[(np.cumsum(count) - count)[:, None] + np.where(valid, width, 0)]
+    ends = (a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    d_c = np.sqrt(
+        _segment_sq_dist(
+            (0.5 * (lo_x + hi_x))[:, None], (0.5 * (lo_y + hi_y))[:, None],
+            *[e[rows][:, None] for e in ends],
+        )
+    )
+    bound = d_c.min(axis=2) + (2.0 * rho + slack)
+    g, blk, k = np.nonzero((d_c <= bound[..., None]) & valid[:, None, :])
+    seg = rows[g, k]
+    runs = np.bincount(g * n_blocks + blk, minlength=n_groups * n_blocks)
+
+    # Kept (node, segment) pairs as C-contiguous (_BLOCK**2, K) arrays,
+    # each block's segments one run of columns, measured in chunks of
+    # whole blocks about _CHUNK columns wide so the temporaries stay in
+    # cache and are reused rather than mapped afresh.
+    start = np.concatenate([[0], np.cumsum(runs)])
+    cuts = np.unique(np.searchsorted(start, np.arange(0, len(seg), _CHUNK), "right") - 1)
+    cuts = np.append(cuts, len(runs))
+    dist = np.empty((_BLOCK**2, len(runs)))
+    for b0, b1 in zip(cuts[:-1], cuts[1:]):
+        cols = slice(start[b0], start[b1])
+        d2 = _segment_sq_dist(
+            np.take(node_x, blk[cols], axis=1), np.take(node_y, blk[cols], axis=1),
+            *[e[seg[cols]] for e in ends],
+        )
+        dist[:, b0:b1] = np.minimum.reduceat(d2, start[b0:b1] - start[b0], axis=1)
+    np.sqrt(dist, out=dist)
+    out = np.empty((n_groups, ny * nx))
+    out[:, node] = dist.reshape(_BLOCK**2, n_groups, n_blocks).transpose(1, 0, 2)
+    return out.reshape(n_groups, ny, nx)
 
 
 def _distance_to_polyline(px, py, poly):
     """Distance from query points to a closed polyline, exact per segment."""
     return _distance_to_segments(px, py, poly, np.roll(poly, -1, axis=0))
-
-
-def _signed_distance_slice(xs, ys, poly):
-    gx, gy = np.meshgrid(xs, ys)
-    dist = _distance_to_polyline(gx, gy, poly)
-    inside = _point_in_polygon(gx, gy, poly)
-    return np.where(inside, -dist, dist)
 
 
 def embed(
@@ -216,10 +313,12 @@ def embed(
     vs = C.v_grid()
 
     psi = np.empty((C.n_v, ny, nx))
+    one_group = np.zeros(C.n_theta, dtype=np.int64)
     for j in range(C.n_v):
         poly = C.values[j]
         _check_embedded(poly, f"slice {j}")
-        psi[j] = _signed_distance_slice(xs, ys, poly)
+        dist = _grid_distance(xs, ys, poly, np.roll(poly, -1, axis=0), one_group)[0]
+        psi[j] = np.where(_grid_inside(xs, ys, poly), -dist, dist)
     return LevelSetGrid(
         psi=psi, xs=xs, ys=ys, vs=vs, band_width=band_width, full_grid=full_grid
     )
@@ -357,6 +456,17 @@ def _zero_segments(psi, xs, ys):
     return sl, p, q, p_id, q_id, key
 
 
+def _march(L: LevelSetGrid):
+    """_zero_segments of L's psi, marched once per state and kept on L.
+
+    The measurement at a reinitialization step and the evolution step
+    after it read the same state, so they share one march.
+    """
+    if L._segments is None or L._segments[0] is not L.psi:
+        L._segments = (L.psi, _zero_segments(L.psi, L.xs, L.ys))
+    return L._segments[1]
+
+
 def _bilinear(field, xs, ys, pts, *lead):
     """Sample a field at points by bilinear interpolation.
 
@@ -394,7 +504,7 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
     energies depend on these rules.
     """
     nv = L.psi.shape[0]
-    sl, p, q, p_id, q_id, key = _zero_segments(L.psi, L.xs, L.ys)
+    sl, p, q, p_id, q_id, key = _march(L)
     n = len(sl)
     by_start = np.argsort(p_id)
     at = by_start[np.minimum(np.searchsorted(p_id, q_id, sorter=by_start), n - 1)]
@@ -437,36 +547,58 @@ def _loop_length(poly):
     return float(np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)))
 
 
+def _gradient(f, h, axis):
+    """np.gradient(f, h, axis=axis) by slicing, with numpy's formulas.
+
+    Central differences (f[i+1] - f[i-1]) / (2 h) inside, one-sided
+    (f[1] - f[0]) / h and (f[-1] - f[-2]) / h at the two ends.
+    """
+    lead = (slice(None),) * axis
+    out = np.empty_like(f)
+    np.subtract(f[lead + (slice(2, None),)], f[lead + (slice(None, -2),)],
+                out=out[lead + (slice(1, -1),)])
+    out[lead + (slice(1, -1),)] /= 2.0 * h
+    out[lead + (0,)] = (f[lead + (1,)] - f[lead + (0,)]) / h
+    out[lead + (-1,)] = (f[lead + (-1,)] - f[lead + (-2,)]) / h
+    return out
+
+
+def _second_difference(f, h, axis):
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 inside, the edges copied inward."""
+    lead = (slice(None),) * axis
+    out = np.empty_like(f)
+    inner = out[lead + (slice(1, -1),)]
+    np.multiply(f[lead + (slice(1, -1),)], 2, out=inner)
+    np.subtract(f[lead + (slice(2, None),)], inner, out=inner)
+    inner += f[lead + (slice(None, -2),)]
+    inner /= h**2
+    out[lead + (0,)] = out[lead + (1,)]
+    out[lead + (-1,)] = out[lead + (-2,)]
+    return out
+
+
 class _EvolutionFields:
-    """One shared pass of all the finite differences an evolution step needs."""
+    """One shared pass of all the finite differences an evolution step needs.
+
+    psi_x, psi_y, psi_v, m and S cover every slice, because the CFL
+    bound and lambda read them there; the second derivatives and the
+    update terms are taken on the interior slices only, the pinned
+    endpoints never being updated.
+    """
 
     def __init__(self, L: LevelSetGrid, lam: Optional[float] = None):
         if lam is None:
             lam = L.lam
         psi = L.psi
-        dx, dy, dv = L.dx, L.dy, L.dv
-
-        self.psi_x = np.gradient(psi, dx, axis=2)
-        self.psi_y = np.gradient(psi, dy, axis=1)
-        self.psi_v = np.gradient(psi, dv, axis=0)
-        psi_xx = (np.roll(psi, -1, axis=2) - 2 * psi + np.roll(psi, 1, axis=2)) / dx**2
-        psi_yy = (np.roll(psi, -1, axis=1) - 2 * psi + np.roll(psi, 1, axis=1)) / dy**2
-        # np.roll wraps the domain edges; those rows and columns sit far
-        # outside the band and never feed an update, but keep them sane.
-        psi_xx[:, :, 0] = psi_xx[:, :, 1]
-        psi_xx[:, :, -1] = psi_xx[:, :, -2]
-        psi_yy[:, 0, :] = psi_yy[:, 1, :]
-        psi_yy[:, -1, :] = psi_yy[:, -2, :]
-        self.psi_xx = psi_xx
-        self.psi_yy = psi_yy
-        self.psi_xy = np.gradient(self.psi_x, dy, axis=1)
-        psi_vv = np.zeros_like(psi)
-        psi_vv[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dv**2
-        self.psi_vv = psi_vv
-
-        self.g2_raw = self.psi_x**2 + self.psi_y**2
+        self.psi_x = _gradient(psi, L.dx, 2)
+        self.psi_y = _gradient(psi, L.dy, 1)
+        self.psi_v = _gradient(psi, L.dv, 0)
+        self.psi_x2 = self.psi_x**2
+        self.psi_y2 = self.psi_y**2
+        self.psi_v2 = self.psi_v**2
+        self.g2_raw = self.psi_x2 + self.psi_y2
         self.g2 = np.maximum(self.g2_raw, 0.09)
-        self.m = self.psi_v**2 / self.g2
+        self.m = self.psi_v2 / self.g2
 
         self.band = L.band_mask()
         self.interior_band = self.band.copy()
@@ -476,7 +608,7 @@ class _EvolutionFields:
         # Lengths and the midpoint-rule S(v) are sums over the zero
         # segments, so no slice needs its polylines chained.
         nv = psi.shape[0]
-        sl, p, q = _zero_segments(psi, L.xs, L.ys)[:3]
+        sl, p, q = _march(L)[:3]
         counts = np.bincount(sl, minlength=nv)
         neg = psi < 0.0
         leaves_box = (
@@ -500,7 +632,7 @@ class _EvolutionFields:
             sl, weights=_bilinear(self.m, L.xs, L.ys, mids, sl) * seg, minlength=nv
         )
         L_v = np.zeros(nv)
-        L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * dv)
+        L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * L.dv)
         self.L_v = L_v
         self.lam = lam
         self.L = L
@@ -513,35 +645,51 @@ class _EvolutionFields:
             raise LevelSetError(
                 "|grad psi| degenerated inside the band; reinitialize more often"
             )
-        psi_vx = np.gradient(self.psi_v, L.dx, axis=2)
-        psi_vy = np.gradient(self.psi_v, L.dy, axis=1)
-        cross_term = -(2.0 * self.psi_v / self.g2) * (
-            psi_vx * self.psi_x + psi_vy * self.psi_y
-        )
-        hess_gg = (
-            self.psi_xx * self.psi_x**2
-            + 2.0 * self.psi_xy * self.psi_x * self.psi_y
-            + self.psi_yy * self.psi_y**2
-        )
-        ray_term = (self.psi_v**2 / self.g2**2) * hess_gg
-        curv_g = (
-            self.psi_xx * self.psi_y**2
-            - 2.0 * self.psi_xy * self.psi_x * self.psi_y
-            + self.psi_yy * self.psi_x**2
-        ) / self.g2
+        mid = slice(1, -1)
+        psi = L.psi[mid]
+        psi_x, psi_y, psi_v = self.psi_x[mid], self.psi_y[mid], self.psi_v[mid]
+        psi_x2, psi_y2, g2 = self.psi_x2[mid], self.psi_y2[mid], self.g2[mid]
+        psi_xx = _second_difference(psi, L.dx, 2)
+        psi_yy = _second_difference(psi, L.dy, 1)
+        # psi_xy psi_x psi_y, shared by both terms; 2 (psi_xy psi_x psi_y)
+        # equals (2 psi_xy) psi_x psi_y, as doubling is exact.
+        xy_xy = _gradient(psi_x, L.dy, 1)
+        xy_xy *= psi_x
+        xy_xy *= psi_y
+
+        cross_term = _gradient(psi_v, L.dx, 2)
+        cross_term *= psi_x
+        vy_y = _gradient(psi_v, L.dy, 1)
+        vy_y *= psi_y
+        cross_term += vy_y
+        cross_term *= -(2.0 * psi_v / g2)
+
+        hess_gg = psi_xx * psi_x2
+        hess_gg += 2.0 * xy_xy
+        hess_gg += psi_yy * psi_y2
+        ray_term = self.psi_v2[mid] / g2**2
+        ray_term *= hess_gg
+
+        curv_g = psi_xx * psi_y2
+        curv_g -= 2.0 * xy_xy
+        curv_g += psi_yy * psi_x2
+        curv_g /= g2
         curv_coef = -0.5 * (self.m - self.lam * self.S[:, None, None])
-        curvature_term = curv_coef * curv_g
+        curvature_term = curv_coef[mid] * curv_g
 
-        a = self.lam * self.L_v
-        psi = L.psi
-        fwd = np.zeros_like(psi)
-        bwd = np.zeros_like(psi)
-        fwd[:-1] = (psi[1:] - psi[:-1]) / L.dv
-        bwd[1:] = (psi[1:] - psi[:-1]) / L.dv
-        transport = a[:, None, None] * np.where(a[:, None, None] > 0.0, fwd, bwd)
+        # Upwind v-difference, forward where a = lam L_v > 0.
+        a = (self.lam * self.L_v)[mid, None, None]
+        step_v = (L.psi[1:] - L.psi[:-1]) / L.dv
+        transport = a * np.where(a > 0.0, step_v[1:], step_v[:-1])
 
-        psi_t = self.psi_vv + cross_term + ray_term + curvature_term + transport
-        psi_t = np.where(self.interior_band, psi_t, 0.0)
+        # psi_vv, then the other terms in the order of the formula.
+        rate = L.psi[2:] - 2 * psi
+        rate += L.psi[:-2]
+        rate /= L.dv**2
+        for term in (cross_term, ray_term, curvature_term, transport):
+            rate += term
+        psi_t = np.zeros_like(L.psi)
+        psi_t[mid] = np.where(self.interior_band[mid], rate, 0.0)
         info = {
             "lengths": self.lengths,
             "S": self.S,
@@ -618,21 +766,23 @@ def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     Distances are measured straight to the zero segments of each slice
     (_zero_segments), so the interface moves by less than half a cell.
     The nearest segment does not depend on how segments chain into
-    polylines, so none are chained.
+    polylines, so none are chained; all interior slices go through one
+    _grid_distance pass.
     Pinned endpoint slices are left untouched. Raises when a slice has
     lost its zero set entirely.
     """
-    psi = L.psi.copy()
-    gx, gy = np.meshgrid(L.xs, L.ys)
-    sl, p, q = _zero_segments(L.psi, L.xs, L.ys)[:3]
-    for j in range(1, L.psi.shape[0] - 1):
-        mine = sl == j
-        if not mine.any():
+    nv = L.psi.shape[0]
+    sl, p, q = _march(L)[:3]
+    counts = np.bincount(sl, minlength=nv)
+    for j in range(1, nv - 1):
+        if counts[j] == 0:
             raise LevelSetError(
                 f"slice {j} has an empty zero set; the curve vanished"
             )
-        dist = _distance_to_segments(gx, gy, p[mine], q[mine])
-        psi[j] = np.where(L.psi[j] < 0.0, -dist, dist)
+    mine = (sl > 0) & (sl < nv - 1)
+    dist = _grid_distance(L.xs, L.ys, p[mine], q[mine], sl[mine] - 1)
+    psi = L.psi.copy()
+    psi[1:-1] = np.where(L.psi[1:-1] < 0.0, -dist, dist)
     return replace(L, psi=psi)
 
 
@@ -758,7 +908,8 @@ def run_geodesic(
             # would only let reinitialization wander the zero set.
             lam = 0.0
             stationary = True
-    L = replace(L, lam=float(lam))
+    # Set in place, not by replace(): L keeps the march lambda made.
+    L.lam = float(lam)
     factor = ConformalFactor.exp_length(float(lam))
     measure_every = reinit_every if reinit_every else 10
 

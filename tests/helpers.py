@@ -139,3 +139,179 @@ def reference_curvature(points, dtheta, scale_hint, order=2):
     T_theta = periodic_derivative(T, dtheta, axis=-2, order=order)
     H = scale(T_theta, speed, divide=True, where=speed > floor)
     return H, T, speed
+
+
+def reference_distance_to_segments(px, py, a, b):
+    """Distance from query points to the nearest segment a[k] -> b[k], all pairs.
+
+    The level set's distance kernel before block pruning, kept
+    verbatim: every (point, segment) pair is measured. The pruned
+    kernel must match it bit for bit.
+    """
+    x = px.reshape(-1, 1)
+    y = py.reshape(-1, 1)
+    ax, ay = a[:, 0], a[:, 1]
+    dx = b[:, 0] - ax
+    dy = b[:, 1] - ay
+    len_sq = np.maximum(dx * dx + dy * dy, 1e-300)
+    tpar = x - ax
+    tpar *= dx
+    ey = y - ay
+    ey *= dy
+    tpar += ey
+    tpar /= len_sq
+    np.clip(tpar, 0.0, 1.0, out=tpar)
+    ex = tpar * dx
+    ex += ax
+    np.subtract(x, ex, out=ex)
+    np.multiply(tpar, dy, out=ey)
+    ey += ay
+    np.subtract(y, ey, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    return np.sqrt(ex.min(axis=1)).reshape(px.shape)
+
+
+class ReferenceEvolutionFields:
+    """The level-set evolution fields as full-grid np.gradient / np.roll passes.
+
+    The implementation before the slice-based step, kept verbatim: every
+    difference covers every slice, and the update terms are masked to
+    the interior band afterwards. The library's step must match it bit
+    for bit over the whole grid.
+    """
+
+    def __init__(self, L, lam=None):
+        from curvemetrics.levelset import _bilinear, _zero_segments
+        from curvemetrics.errors import LevelSetError
+
+        if lam is None:
+            lam = L.lam
+        psi = L.psi
+        dx, dy, dv = L.dx, L.dy, L.dv
+
+        self.psi_x = np.gradient(psi, dx, axis=2)
+        self.psi_y = np.gradient(psi, dy, axis=1)
+        self.psi_v = np.gradient(psi, dv, axis=0)
+        psi_xx = (np.roll(psi, -1, axis=2) - 2 * psi + np.roll(psi, 1, axis=2)) / dx**2
+        psi_yy = (np.roll(psi, -1, axis=1) - 2 * psi + np.roll(psi, 1, axis=1)) / dy**2
+        psi_xx[:, :, 0] = psi_xx[:, :, 1]
+        psi_xx[:, :, -1] = psi_xx[:, :, -2]
+        psi_yy[:, 0, :] = psi_yy[:, 1, :]
+        psi_yy[:, -1, :] = psi_yy[:, -2, :]
+        self.psi_xx = psi_xx
+        self.psi_yy = psi_yy
+        self.psi_xy = np.gradient(self.psi_x, dy, axis=1)
+        psi_vv = np.zeros_like(psi)
+        psi_vv[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dv**2
+        self.psi_vv = psi_vv
+
+        self.g2_raw = self.psi_x**2 + self.psi_y**2
+        self.g2 = np.maximum(self.g2_raw, 0.09)
+        self.m = self.psi_v**2 / self.g2
+
+        self.band = L.band_mask()
+        self.interior_band = self.band.copy()
+        self.interior_band[0] = False
+        self.interior_band[-1] = False
+
+        nv = psi.shape[0]
+        sl, p, q = _zero_segments(psi, L.xs, L.ys)[:3]
+        counts = np.bincount(sl, minlength=nv)
+        neg = psi < 0.0
+        leaves_box = (
+            np.any(neg[:, [0, -1], 1:] != neg[:, [0, -1], :-1], axis=(1, 2))
+            | np.any(neg[:, 1:, [0, -1]] != neg[:, :-1, [0, -1]], axis=(1, 2))
+        )
+        for j in range(nv):
+            if counts[j] == 0:
+                raise LevelSetError(f"slice {j} has an empty zero set; the curve vanished")
+            if leaves_box[j]:
+                raise LevelSetError(
+                    f"slice {j}: the zero set crosses the box boundary; "
+                    "the box is too small for this homotopy"
+                )
+        seg = np.linalg.norm(q - p, axis=1)
+        mids = 0.5 * (p + q)
+        self.lengths = np.bincount(sl, weights=seg, minlength=nv)
+        self.S = np.bincount(
+            sl, weights=_bilinear(self.m, L.xs, L.ys, mids, sl) * seg, minlength=nv
+        )
+        L_v = np.zeros(nv)
+        L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * dv)
+        self.L_v = L_v
+        self.lam = lam
+        self.L = L
+
+    def rhs(self):
+        from curvemetrics.errors import InputDataError, LevelSetError
+
+        if self.lam is None:
+            raise InputDataError("evolution needs lambda (set it or pass it)")
+        L = self.L
+        if np.any(self.g2_raw[self.interior_band] < 0.09):
+            raise LevelSetError(
+                "|grad psi| degenerated inside the band; reinitialize more often"
+            )
+        psi_vx = np.gradient(self.psi_v, L.dx, axis=2)
+        psi_vy = np.gradient(self.psi_v, L.dy, axis=1)
+        cross_term = -(2.0 * self.psi_v / self.g2) * (
+            psi_vx * self.psi_x + psi_vy * self.psi_y
+        )
+        hess_gg = (
+            self.psi_xx * self.psi_x**2
+            + 2.0 * self.psi_xy * self.psi_x * self.psi_y
+            + self.psi_yy * self.psi_y**2
+        )
+        ray_term = (self.psi_v**2 / self.g2**2) * hess_gg
+        curv_g = (
+            self.psi_xx * self.psi_y**2
+            - 2.0 * self.psi_xy * self.psi_x * self.psi_y
+            + self.psi_yy * self.psi_x**2
+        ) / self.g2
+        curv_coef = -0.5 * (self.m - self.lam * self.S[:, None, None])
+        curvature_term = curv_coef * curv_g
+
+        a = self.lam * self.L_v
+        psi = L.psi
+        fwd = np.zeros_like(psi)
+        bwd = np.zeros_like(psi)
+        fwd[:-1] = (psi[1:] - psi[:-1]) / L.dv
+        bwd[1:] = (psi[1:] - psi[:-1]) / L.dv
+        transport = a[:, None, None] * np.where(a[:, None, None] > 0.0, fwd, bwd)
+
+        psi_t = self.psi_vv + cross_term + ray_term + curvature_term + transport
+        psi_t = np.where(self.interior_band, psi_t, 0.0)
+        info = {
+            "lengths": self.lengths,
+            "S": self.S,
+            "L_v": self.L_v,
+            "curv_coef": curv_coef,
+        }
+        return psi_t, info
+
+    def cfl_dt(self):
+        L = self.L
+        if not np.any(self.interior_band):
+            return 0.2 * L.dv * L.dv
+        m = self.m[self.interior_band]
+        s_max = float(np.max(self.S))
+        plane_coef = float(
+            np.max(m + 0.5 * np.abs(m - self.lam * s_max) + 2.0 * np.sqrt(m))
+        )
+        plane_coef = max(plane_coef, 1e-6)
+        dt = 0.2 * min(L.dv * L.dv, min(L.dx, L.dy) ** 2 / plane_coef)
+        a_max = float(np.max(np.abs(self.lam * self.L_v)))
+        if a_max > 0.0:
+            dt = min(dt, 0.5 * L.dv / a_max)
+        return dt
+
+    def lam_ratio(self):
+        """levelset_lambda's value: the band maximum of m / S."""
+        from curvemetrics.errors import LevelSetError
+
+        if np.any(self.S <= 1e-12):
+            raise LevelSetError("a slice has no normal motion; lambda is undefined")
+        ratio = self.m / self.S[:, None, None]
+        return float(np.max(ratio[self.band]))

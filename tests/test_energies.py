@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from curvemetrics import curveio
+from curvemetrics.cli import main
 from curvemetrics.curves import SampledCurve, tangent_frame, theta_grid
 from curvemetrics.energies import (
     ConformalFactor,
@@ -210,6 +212,29 @@ def test_inner_product_needs_immersion_for_geometric_kinds():
     assert inner_product(pinched, h, h, "param_H0") == pytest.approx(4.0 * np.pi)
     with pytest.raises(NotImmersedError):
         inner_product(pinched, h, h, "geom_H0")
+
+
+def test_inner_product_rejects_zero_central_speed_naming_the_sample(tmp_path, capsys):
+    # Every polygon edge is long, so immersed() passes, but the
+    # central-difference speed at sample 4 is zero: curvature() rejects
+    # this curve, and so must every geometric inner product.
+    pts = unit_circle(n=32).points.copy()
+    pts[5] = pts[3]
+    c = SampledCurve(points=pts)
+    h = np.ones_like(pts)
+    assert np.isfinite(inner_product(c, h, h, "param_H0"))
+    for metric in ("geom_H0", "intermediate", "conformal", EnergySpec(kind="MM", A=1.0)):
+        with pytest.raises(NotImmersedError, match="sample 4 is degenerate"):
+            inner_product(c, h, h, metric)
+    curve_path = tmp_path / "spike.csv"
+    curveio.save_curve_csv(curve_path, c)
+    np.savetxt(tmp_path / "h.csv", h, delimiter=",")
+    for metric in ("geom_H0", "conformal", "MM"):
+        argv = ["inner", "--curve", str(curve_path), "--h", str(tmp_path / "h.csv"),
+                "--k", str(tmp_path / "h.csv"), "--metric", metric, "--A", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "NotImmersedError" in err and "sample 4 is degenerate" in err
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,10 +1,13 @@
 """Tests for the level-set embedding, evolution, and geodesic driver."""
 
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curvemetrics.curves import SampledCurve, theta_grid
 from curvemetrics import levelset
@@ -24,13 +27,21 @@ from curvemetrics.levelset import (
     run_geodesic,
 )
 from curvemetrics.levelset import (
+    _BLOCK,
+    _CHUNK,
     _EvolutionFields,
     _bilinear,
     _distance_to_polyline,
-    _point_in_polygon,
+    _grid_distance,
+    _grid_inside,
 )
 
-from helpers import figure_eight, unit_circle
+from helpers import (
+    ReferenceEvolutionFields,
+    figure_eight,
+    reference_distance_to_segments,
+    unit_circle,
+)
 
 
 # Reference: marching squares as a per-cell walk that chains segments
@@ -453,7 +464,8 @@ def test_point_in_polygon_matches_edge_loop():
     poly = three_lobes()
     # Query rows at every vertex y-level, where the half-open rule
     # decides which of two edges meeting at a vertex counts.
-    px, py = np.meshgrid(np.linspace(-1.5, 1.5, 61), poly[:, 1])
+    xs = np.linspace(-1.5, 1.5, 61)
+    px, py = np.meshgrid(xs, poly[:, 1])
     inside = np.zeros(px.shape, dtype=bool)
     for (ax, ay), (bx, by) in zip(poly, np.roll(poly, -1, axis=0)):
         cond = (ay > py) != (by > py)
@@ -461,7 +473,7 @@ def test_point_in_polygon_matches_edge_loop():
             x_int = ax + (py - ay) * (bx - ax) / (by - ay)
         inside ^= cond & (px < x_int)
     assert inside.any() and not inside.all()
-    assert np.array_equal(_point_in_polygon(px, py, poly), inside)
+    assert np.array_equal(_grid_inside(xs, poly[:, 1], poly), inside)
 
 
 def test_distance_to_polyline_matches_norm_reference():
@@ -742,3 +754,191 @@ def test_run_geodesic_blob_to_lobes_descends_conformal_energy():
     assert np.max(np.diff(conf)) < 2e-3 * conf[0]
     assert abs(result.energy_trace[-1] / result.energy_trace[0] - 1.0) < 1e-2
     assert result.contours.flagged == []
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def off_block_size():
+    return st.integers(2 * _BLOCK + 1, 7 * _BLOCK).filter(lambda n: n % _BLOCK)
+
+
+@st.composite
+def segment_soups(draw):
+    """A grid (sizes off the block size, nx != ny, dx != dy) and a grouped soup.
+
+    Besides free segments the soup holds zero-length ones, some sitting
+    on a grid node, and segments along a grid row or column, whose
+    interior nodes lie exactly on them.
+    """
+    nx = draw(off_block_size())
+    ny = draw(off_block_size().filter(lambda n: n != nx))
+    dx = draw(st.floats(0.05, 0.5))
+    dy = draw(st.floats(0.05, 0.5).filter(lambda d: d != dx))
+    xs = draw(st.floats(-3.0, 3.0)) + dx * np.arange(nx)
+    ys = draw(st.floats(-3.0, 3.0)) + dy * np.arange(ny)
+    free_x = st.floats(xs[0] - 1.0, xs[-1] + 1.0)
+    free_y = st.floats(ys[0] - 1.0, ys[-1] + 1.0)
+    node_i, node_j = st.integers(0, nx - 1), st.integers(0, ny - 1)
+    ends = []
+    for kind in draw(st.lists(st.sampled_from("fpnrc"), min_size=1, max_size=24)):
+        if kind == "f":  # free
+            a = (draw(free_x), draw(free_y))
+            b = (draw(free_x), draw(free_y))
+        elif kind == "p":  # zero length, anywhere
+            a = b = (draw(free_x), draw(free_y))
+        elif kind == "n":  # zero length on a node
+            a = b = (xs[draw(node_i)], ys[draw(node_j)])
+        elif kind == "r":  # along a grid row
+            j = draw(node_j)
+            a, b = (xs[draw(node_i)], ys[j]), (xs[draw(node_i)], ys[j])
+        else:  # along a grid column
+            i = draw(node_i)
+            a, b = (xs[i], ys[draw(node_j)]), (xs[i], ys[draw(node_j)])
+        ends.append((a, b))
+    ends = np.array(ends, dtype=float)
+    n_groups = draw(st.integers(1, min(3, len(ends))))
+    group = np.arange(len(ends)) % n_groups
+    return xs, ys, ends[:, 0], ends[:, 1], group
+
+
+@settings(max_examples=150, deadline=None)
+@given(segment_soups())
+def test_grid_distance_matches_all_pairs_reference(case):
+    xs, ys, a, b, group = case
+    dist = _grid_distance(xs, ys, a, b, group)
+    gx, gy = np.meshgrid(xs, ys)
+    assert dist.shape == (group.max() + 1, len(ys), len(xs))
+    for g in range(group.max() + 1):
+        mine = group == g
+        assert_same_bits(dist[g], reference_distance_to_segments(gx, gy, a[mine], b[mine]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2 * (37 // _BLOCK) - 1),
+    st.integers(0, 2 * (29 // _BLOCK) - 1),
+    st.floats(0.05, 0.3),
+    st.floats(0.05, 0.3),
+    st.floats(4.0, 12.0),
+    st.booleans(),
+)
+# Draws that need the rounding slack: without it they lose the far edge.
+@example(8, 9, 0.27977215490845564, 0.2567063323891803, 11.084162133679573, True)
+@example(12, 1, 0.07613588960823538, 0.10047686188236259, 11.075597389506349, True)
+def test_grid_distance_keeps_the_ties_of_a_polygon_around_a_node(ci, cj, dx, dy, cells, pair):
+    # A regular 256-gon centred on a block-corner node p: every edge is
+    # at the same distance from p, and the edge whose outward normal
+    # points from p away from the block centre c sits exactly at the
+    # pruning bound, d(c, s) = min d(c, s') + 2 rho. Only the rounding
+    # slack keeps it, and p needs it as much as any other edge. With
+    # only that edge and the opposite one (pair), the two tie at p.
+    xs = -1.0 + dx * np.arange(37)
+    ys = 0.5 + dy * np.arange(29)
+    i = _BLOCK * (ci // 2) + (_BLOCK - 1) * (ci % 2)
+    j = _BLOCK * (cj // 2) + (_BLOCK - 1) * (cj % 2)
+    centre = np.array([xs[i], ys[j]])
+    bi, bj = i - i % _BLOCK, j - j % _BLOCK
+    towards_c = np.array([xs[bi + 1] + xs[bi + 2], ys[bj + 1] + ys[bj + 2]]) / 2.0 - centre
+    phase = np.arctan2(towards_c[1], towards_c[0]) + np.pi - np.pi / 256
+    theta = phase + theta_grid(256)
+    poly = centre + cells * max(dx, dy) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    nxt = np.roll(poly, -1, axis=0)
+    if pair:
+        poly, nxt = poly[[0, 128]], nxt[[0, 128]]
+    dist = _grid_distance(xs, ys, poly, nxt, np.zeros(len(poly), dtype=np.int64))[0]
+    gx, gy = np.meshgrid(xs, ys)
+    assert_same_bits(dist, reference_distance_to_segments(gx, gy, poly, nxt))
+
+
+def test_grid_distance_measures_a_block_run_wider_than_a_chunk():
+    # Centred on the centre of the first block, a regular polygon with
+    # more edges than a chunk of columns holds ties every edge there,
+    # so that block keeps all of them and is measured as a chunk alone.
+    xs = np.linspace(-1.0, 1.3, 11)
+    ys = np.linspace(-0.7, 1.1, 10)
+    centre = np.array([xs[1] + xs[2], ys[1] + ys[2]]) / 2.0
+    theta = theta_grid(2 * _CHUNK + 1)
+    poly = centre + 0.8 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    nxt = np.roll(poly, -1, axis=0)
+    dist = _grid_distance(xs, ys, poly, nxt, np.zeros(len(poly), dtype=np.int64))[0]
+    gx, gy = np.meshgrid(xs, ys)
+    assert_same_bits(dist, reference_distance_to_segments(gx, gy, poly, nxt))
+
+
+def lobes_pair():
+    return unit_circle(), SampledCurve(points=three_lobes())
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the LevelSetError it raised."""
+    try:
+        return fn(*args)
+    except LevelSetError as e:
+        return ("LevelSetError", str(e))
+
+
+@pytest.mark.parametrize(
+    "make, last_step",
+    [
+        pytest.param(lambda: embed(circle_pair(), nx=40, ny=36, nv=9), 30, id="circles"),
+        pytest.param(lambda: embed(lobes_pair(), nx=48, ny=44, nv=9), 30, id="lobes"),
+        # Reinitialized, the single-node loops of the saddle field put
+        # nodes with a vanishing central gradient inside the band, so
+        # step 11 raises; both implementations must raise it alike.
+        pytest.param(lambda: scaled_slices(*saddle_field()), 11, id="saddles"),
+    ],
+)
+def test_evolution_matches_reference_fields(make, last_step):
+    L = make()
+    lam = levelset_lambda(L)
+    assert_same_bits(lam, ReferenceEvolutionFields(L, 0.0).lam_ratio())
+    L = replace(L, lam=lam)
+    for step in range(1, 31):
+        ref = ReferenceEvolutionFields(L)
+        want = outcome(ref.rhs)
+        if isinstance(want[0], str):
+            assert step == last_step
+            for run in (psi_time_derivative, evolve_step):
+                with pytest.raises(LevelSetError, match=re.escape(want[1])):
+                    run(L)
+            return
+        want_t, want_info = want
+        got_t, got_info = psi_time_derivative(L)
+        assert_same_bits(got_t, want_t)
+        assert got_info.keys() == want_info.keys()
+        for key in want_info:
+            assert_same_bits(got_info[key], want_info[key])
+        dt = ref.cfl_dt()
+        assert_same_bits(levelset_cfl_dt(L), dt)
+        want_lam = outcome(ReferenceEvolutionFields(L, 0.0).lam_ratio)
+        assert outcome(levelset_lambda, L) == want_lam
+        stepped = evolve_step(L)
+        assert_same_bits(stepped.psi, L.psi + dt * want_t)
+        assert_same_bits(stepped.t, L.t + dt)
+        L = stepped
+        if step % 10 == 0:
+            L = reinitialize(L)
+    assert last_step == 30
+
+
+def test_run_geodesic_marches_each_state_once(monkeypatch):
+    # 100 steps with a reinitialization every 10 make 111 states: the
+    # embedding, 100 step results and 10 reinitialized fields. lambda,
+    # the first extraction and the first step share the embedding's
+    # march; each extraction shares its state's march with the next step.
+    calls = []
+    original = levelset._zero_segments
+
+    def counting(psi, xs, ys):
+        calls.append(psi)
+        return original(psi, xs, ys)
+
+    monkeypatch.setattr(levelset, "_zero_segments", counting)
+    c0, c1 = circle_pair()
+    result = run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=100, tol=0.0, reinit_every=10)
+    assert result.steps == 100 and not result.converged
+    assert len(calls) == 111
