@@ -178,6 +178,29 @@ def _whole(tok):
     return int(x)
 
 
+def _auto_or_number(flag, positive=False):
+    """Converter of a flag that takes `auto` (None) or a finite number.
+
+    With positive the number must also be > 0. Any other token raises
+    InputDataError naming the flag, on the command line and in a
+    --config file alike.
+    """
+
+    def convert(token):
+        if token == "auto":
+            return None
+        try:
+            value = float(token)
+        except ValueError:
+            value = np.nan
+        if not (np.isfinite(value) and (value > 0.0 or not positive)):
+            need = "a finite number > 0" if positive else "a finite number"
+            raise InputDataError(f"{flag} takes auto or {need}, got {token!r}")
+        return value
+
+    return convert
+
+
 def _unit_circle(n=256) -> SampledCurve:
     th = theta_grid(n)
     return SampledCurve(points=np.stack([np.cos(th), np.sin(th)], axis=1))
@@ -244,22 +267,18 @@ def _cmd_reparam(args):
 
 
 def _cmd_flow(args):
-    dt = None if args.dt == "auto" else float(args.dt)
     dump_every = args.dump_every
     prefix = args.out_prefix
 
     if args.kind in ("heat", "mm"):
         c = _load_curve(args.curve)
-        lengths = [arclength(c)]
-        for step in range(1, args.steps + 1):
-            step_dt = flows.heat_cfl_dt(c) if dt is None else dt
-            if args.kind == "heat":
-                c = flows.heat_flow_step(c, step_dt)
-            else:
-                c = flows.mm_arclength_flow_step(c, args.A, step_dt)
-            lengths.append(arclength(c))
+        loop = flows._curve_flow_loop(c, None if args.kind == "heat" else args.A, args.dt)
+        lengths = []
+        for step, (length, c) in zip(range(1, args.steps + 1), loop):
+            lengths.append(length)
             if prefix and dump_every and step % dump_every == 0:
                 curveio.save_curve_csv(f"{prefix}{step:06d}.csv", c)
+        lengths.append(arclength(c))
         print(
             f"kind={args.kind} steps={args.steps} "
             f"length_initial={_fmt(lengths[0])} length_final={_fmt(lengths[-1])}"
@@ -272,10 +291,9 @@ def _cmd_flow(args):
     # Without --factor the conformal run uses e^(lam L), lam from --lam
     # or stable_lambda; state.lam is the lambda the run used.
     factor = _factor_from_args(args)
-    lam = None if args.lam == "auto" else float(args.lam)
     # One run; the dumps read its grids, so they cannot change its output.
     loop = flows._homotopy_flow_loop(
-        C, args.kind, args.steps, dt, factor, lam, args.drop_magnitude,
+        C, args.kind, args.steps, args.dt, factor, args.lam, args.drop_magnitude,
         args.renormalize_every, args.stop_displacement,
     )
     for k, grid, state in loop:
@@ -552,9 +570,9 @@ def build_parser(config=None):
     helper.add(p, "--curve", help="input for heat and mm kinds")
     helper.add(p, "--grid", help="input for h0 and conformal kinds")
     helper.add(p, "--steps", type=int, default=100)
-    helper.add(p, "--dt", default="auto")
+    helper.add(p, "--dt", type=_auto_or_number("--dt", positive=True), default="auto")
     helper.add(p, "--A", type=float, default=0.0)
-    helper.add(p, "--lam", default="auto")
+    helper.add(p, "--lam", type=_auto_or_number("--lam"), default="auto")
     helper.add(p, "--factor", default=None,
                choices=["identity", "exp_length", "length"],
                help="conformal factor; default e^(lam L)")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, periodic_derivative, theta_grid
+from .curves import SampledCurve, tangent_frame, theta_grid
 from .errors import InputDataError
 from .homotopy import HomotopyGrid, shift_unwind
 
@@ -195,9 +195,7 @@ def zigzag_cone(k: int, c1: SampledCurve, n_v: int = 65) -> ZigzagCone:
     radii = np.linalg.norm(c1.points, axis=1)
     if np.max(np.abs(radii - 1.0)) > 1e-6:
         raise InputDataError("zigzag cone needs |c1| = 1 (unit sphere curve)")
-    speed = np.linalg.norm(
-        periodic_derivative(c1.points, c1.dtheta, axis=0), axis=1
-    )
+    speed = tangent_frame(c1).speed
     if np.max(np.abs(speed - 1.0)) > 1e-3:
         raise InputDataError("zigzag cone needs unit speed |dc1/dtheta| = 1")
 

@@ -326,9 +326,14 @@ def project(frame: TangentFrame, vectors, which: str):
     raise InputDataError(f"projection must be 'normal' or 'tangent', got {which!r}")
 
 
+def frame_length(frame: TangentFrame, dtheta) -> float:
+    """Length of a curve from its frame, the periodic trapezoid of the speed."""
+    return float(np.sum(frame.speed) * dtheta)
+
+
 def arclength(c: SampledCurve) -> float:
     """Curve length, the periodic trapezoid of the derivative magnitude."""
-    return float(np.sum(tangent_frame(c).speed) * c.dtheta)
+    return frame_length(tangent_frame(c), c.dtheta)
 
 
 def curvature_kernel(frame: TangentFrame, dtheta, order=2):
@@ -388,13 +393,14 @@ def lift_direction(c: SampledCurve) -> DirectionFunctionSample:
         raise InputDataError("direction functions are defined for planar curves only")
     if not immersed(c):
         raise NotImmersedError("direction lift needs an immersed curve")
-    length = arclength(c)
+    deriv = c.derivative()
+    frame = derivative_frame(deriv, c.scale_hint)
+    length = frame_length(frame, c.dtheta)
     if abs(length - 2.0 * np.pi) > 0.01 * 2.0 * np.pi:
         raise InputDataError(
             f"curve length {length:.6g} is not 2*pi; normalize before lifting"
         )
-    deriv = c.derivative()
-    speed = np.sqrt(dot(deriv, deriv))
+    speed = frame.speed
     mean = float(np.mean(speed))
     if (speed.max() - speed.min()) > 0.01 * mean:
         raise InputDataError("direction lift needs uniform arclength sampling")

@@ -21,6 +21,7 @@ from .curves import (
     _resample_rows,
     curvature_kernel,
     dot,
+    frame_length,
     immersed,
     open_derivative,
     periodic_derivative,
@@ -56,24 +57,15 @@ def heat_cfl_dt(c: SampledCurve) -> float:
     return _heat_dt(tangent_frame(c), c.dtheta)
 
 
-def _curve_flow_H(c: SampledCurve, dt: float, what):
-    """H of c for a curve-flow step of size dt; one frame gives H and the CFL bound.
-
-    A sample whose central-difference speed vanishes raises NotImmersedError.
-    """
-    frame = tangent_frame(c).require_immersed(what)
-    dt_max = _heat_dt(frame, c.dtheta)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    return curvature_kernel(frame, c.dtheta)
+def _require_dt(dt):
+    """A caller-given step must be a finite number > 0; None means the CFL step."""
+    if dt is not None and not 0.0 < dt < np.inf:
+        raise InputDataError(f"dt must be a finite number > 0, got {dt!r}")
 
 
 def heat_flow_step(c: SampledCurve, dt: float) -> SampledCurve:
     """Explicit Euler step of the geometric heat flow c <- c + dt C_ss."""
-    if not immersed(c):
-        raise NotImmersedError("heat flow needs an immersed curve")
-    H = _curve_flow_H(c, dt, "heat flow")
-    return SampledCurve(points=c.points + dt * H, scale_hint=c.scale_hint)
+    return next(_curve_flow_loop(c, None, dt))[1]
 
 
 def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve:
@@ -82,30 +74,48 @@ def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve
     A = 0 is the heat flow; A > 0 caps the speed at 1 / (2 sqrt(A)), so
     fine necks stop collapsing faster than wide arcs.
     """
-    if A < 0.0:
-        raise InputDataError("the arclength flow needs A >= 0")
-    if not immersed(c):
-        raise NotImmersedError("the arclength flow needs an immersed curve")
-    if c.dim != 2:
-        raise InputDataError("the bounded arclength flow is planar")
-    H = _curve_flow_H(c, dt, "the arclength flow")
-    step = scale(H, 1.0 + A * dot(H, H), divide=True)
-    return SampledCurve(points=c.points + dt * step, scale_hint=c.scale_hint)
+    return next(_curve_flow_loop(c, A, dt))[1]
+
+
+def _curve_flow_loop(c: SampledCurve, A, dt, t_end=np.inf):
+    """Euler steps c + dt H / (1 + A |H|^2), the last clamped to end at t_end.
+
+    Each step takes the CFL dt (dt None), the length (arclength bit for
+    bit), H and the update from one frame of the curve it starts from,
+    and yields (that length, the new curve). A = None is the heat flow:
+    A = 0 in any dimension, without the A >= 0 and planarity checks.
+    """
+    what = "heat flow" if A is None else "the arclength flow"
+    t = 0.0
+    while t < t_end - 1e-15:
+        frame = tangent_frame(c)
+        dt_max = _heat_dt(frame, c.dtheta)
+        step = min(dt_max if dt is None else dt, t_end - t)
+        if A is not None and A < 0.0:
+            raise InputDataError("the arclength flow needs A >= 0")
+        if not immersed(c):
+            raise NotImmersedError(f"{what} needs an immersed curve")
+        if A is not None and c.dim != 2:
+            raise InputDataError("the bounded arclength flow is planar")
+        frame.require_immersed(what)
+        if step > dt_max * (1.0 + 1e-12):
+            raise CFLError(f"dt = {step:.3e} exceeds the stable bound {dt_max:.3e}")
+        H = curvature_kernel(frame, c.dtheta)
+        H = scale(H, 1.0 + (A or 0.0) * dot(H, H), divide=True)
+        c = SampledCurve(points=c.points + step * H, scale_hint=c.scale_hint)
+        t += step
+        yield frame_length(frame, c.dtheta), c
 
 
 def integrate_heat_flow(c: SampledCurve, t_end: float, dt: Optional[float] = None):
-    """March the heat flow to t_end with adaptive CFL steps.
+    """March the heat flow to t_end with adaptive CFL steps, or a given dt > 0.
 
-    Returns the final curve and the array of lengths after each step
+    Returns the final curve and the polygon lengths after each step
     (index 0 is the initial length).
     """
+    _require_dt(dt)
     lengths = [float(np.sum(c.edge_lengths()))]
-    t = 0.0
-    while t < t_end - 1e-15:
-        step = heat_cfl_dt(c) if dt is None else dt
-        step = min(step, t_end - t)
-        c = heat_flow_step(c, step)
-        t += step
+    for _length, c in _curve_flow_loop(c, None, dt, t_end):
         lengths.append(float(np.sum(c.edge_lengths())))
     return c, np.array(lengths)
 
@@ -366,7 +376,8 @@ def run_homotopy_flow(
     identity factor. Every trace entry but the last is the energy of
     the grid a step started from, taken from that step's fields with
     the formula of energies.energy; the last is one energy() call on
-    the final grid.
+    the final grid. A given dt caps the CFL step; it must be a finite
+    number > 0.
     """
     for _k, _grid, state in _homotopy_flow_loop(
         C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
@@ -389,6 +400,7 @@ def _homotopy_flow_loop(
     """
     if kind not in ("h0", "conformal"):
         raise InputDataError(f"unknown homotopy flow kind {kind!r}")
+    _require_dt(dt)
     if kind == "conformal" and factor is None:
         if lam is None:
             lam = stable_lambda(C)

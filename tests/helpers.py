@@ -141,6 +141,37 @@ def reference_curvature(points, dtheta, scale_hint, order=2):
     return H, T, speed
 
 
+def reference_curve_flow(c, A=None, dt=None, steps=None, t_end=np.inf):
+    """The curve flows as the public-step loop they ran before one generator.
+
+    The loop of integrate_heat_flow (the t_end clamp) and of the CLI
+    heat/mm branch (a step count), kept as it was: each step takes its
+    CFL dt from heat_cfl_dt, then calls heat_flow_step (A None) or
+    mm_arclength_flow_step, which build the curve frame again. Returns
+    every curve, index 0 the input. The shared loop must match it bit
+    for bit; the single steps are held to reference_curvature.
+    """
+    from curvemetrics.flows import heat_cfl_dt, heat_flow_step, mm_arclength_flow_step
+
+    curves = [c]
+    t = 0.0
+    while (steps is None or len(curves) <= steps) and t < t_end - 1e-15:
+        step = heat_cfl_dt(c) if dt is None else dt
+        step = min(step, t_end - t)
+        if A is None:
+            c = heat_flow_step(c, step)
+        else:
+            c = mm_arclength_flow_step(c, A, step)
+        t += step
+        curves.append(c)
+    return curves
+
+
+def bits(x):
+    """The uint64 view of a float array, for bit-for-bit comparisons."""
+    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
 def reference_distance_to_segments(px, py, a, b):
     """Distance from query points to the nearest segment a[k] -> b[k], all pairs.
 

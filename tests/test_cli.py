@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -452,3 +454,91 @@ def test_dirshape_rejects_non_finite_direction_with_exit_3(tmp_path, capsys):
     path.write_text("0,0\n1,1\n2,2\n3,3\n6.28,nan\n")
     assert main(["dirshape", "--d1", str(path)]) == 3
     assert "must be finite" in capsys.readouterr().err
+
+
+def _subparsers(parser):
+    return next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+def _value_options(parser):
+    """The option strings of every option of parser that takes a value."""
+    return [
+        a.option_strings[0] for a in parser._actions
+        if a.option_strings and a.nargs != 0
+    ]
+
+
+def test_every_option_given_a_malformed_value_exits_2_or_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    curve, grid = write_circle(tmp_path), write_grid(tmp_path)
+    curveio.save_curve_json(tmp_path / "c1.json", unit_circle(n=64, center=(0.3, 0.0)))
+    curveio.save_pointset_csv(tmp_path / "h.csv", unit_circle(n=64).points)
+    s = np.linspace(0.0, 2.0 * np.pi, 65)
+    curveio.save_direction_csv(tmp_path / "d.csv", DirectionFunctionSample(theta_of_s=s, winding=1))
+    # Valid inputs per command, chosen so that every option is read.
+    baseline = {
+        "energy": ["--grid", grid],
+        "inner": ["--curve", curve, "--h", "h.csv", "--k", "h.csv"],
+        "reparam": ["--grid", grid, "--out", "out.csv"],
+        "flow": ["--kind", "h0", "--grid", grid, "--steps", "1"],
+        "geodesic": ["--c0", curve, "--c1", "c1.json", "--out", "geo",
+                     "--nx", "24", "--ny", "24", "--nv", "5", "--steps", "1"],
+        "counterexample": ["--name", "winding", "--values", "1"],
+        "dirshape": ["--mode", "distance", "--d1", "d.csv", "--d2", "d.csv"],
+        "hausdorff": ["--a", "h.csv", "--b", "h.csv"],
+        "selfcheck": [],
+    }
+    context = {
+        ("flow", "--curve"): ["--kind", "heat", "--curve", curve, "--steps", "1"],
+        ("counterexample", "--eps"): ["--name", "stretch"],
+        ("counterexample", "--lam-values"): ["--name", "stretch"],
+    }
+    # Any name is a valid output path.
+    outputs = {"--out", "--out-prefix"}
+    parser, _helper = cli.build_parser()
+    commands = _subparsers(parser)
+    assert set(commands) == set(baseline)
+    for command, argv in baseline.items():
+        if command != "selfcheck":
+            assert main([command, *argv]) == 0, command
+    capsys.readouterr()
+    runs = [([option, "abc", "selfcheck"], option) for option in _value_options(parser)]
+    for command, sub in commands.items():
+        for option in _value_options(sub):
+            if option not in outputs:
+                extra = context.get((command, option), [])
+                runs.append(([command, *baseline[command], *extra, option, "abc"], option))
+    assert len(runs) > 40
+    for argv, option in runs:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (2, 3), argv
+        # argparse names the option; a typed error names its class.
+        assert (f"argument {option}" if code == 2 else "Error: ") in err, argv
+
+
+@pytest.mark.parametrize(
+    "flag, token",
+    [("--dt", "abc"), ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--dt", "inf"),
+     ("--lam", "abc"), ("--lam", "nan"), ("--lam", "-inf")],
+)
+@pytest.mark.parametrize("kind", ["heat", "h0", "conformal"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_flow_dt_and_lam_take_auto_or_a_finite_number(tmp_path, capsys, flag, token, kind, from_config):
+    source = ["--curve", write_circle(tmp_path)] if kind == "heat" else ["--grid", write_grid(tmp_path)]
+    argv = ["flow", "--kind", kind, *source, "--steps", "2"]
+    if from_config:
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(f"{flag.lstrip('-')}={token}\n")
+        argv = ["--config", str(cfg), *argv]
+    else:
+        argv += [f"{flag}={token}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("InputDataError: ") and flag in err and repr(token) in err
+

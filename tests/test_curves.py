@@ -28,7 +28,7 @@ from curvemetrics.curves import (
 )
 from curvemetrics.errors import InputDataError, NotImmersedError
 
-from helpers import ellipse, figure_eight, smooth_random_grid, unit_circle, v4_cone
+from helpers import bits, ellipse, figure_eight, smooth_random_grid, unit_circle, v4_cone
 
 
 def test_theta_grid_spacing_and_no_endpoint():
@@ -96,7 +96,7 @@ def test_periodic_derivative_matches_the_roll_formula_bit_for_bit(shape, axis, o
     expected = _periodic_derivative_by_roll(values, 0.0491, axis, order)
     got = periodic_derivative(values, 0.0491, axis=axis, order=order)
     assert got.shape == expected.shape
-    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 def test_periodic_derivative_rejects_bad_arguments():
@@ -130,7 +130,7 @@ def test_open_derivative_matches_the_plain_stencil_bit_for_bit(shape, axis):
     expected[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
     expected[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
     got = open_derivative(values, h, axis=axis)
-    np.testing.assert_array_equal(_bits(got), _bits(np.moveaxis(expected, 0, axis)))
+    np.testing.assert_array_equal(bits(got), bits(np.moveaxis(expected, 0, axis)))
 
 
 def test_open_derivative_rejects_bad_order():
@@ -167,10 +167,6 @@ def test_scale_hint_default_matches_the_reduction(n):
     assert SampledCurve(points=np.ones((5, n))).scale_hint == 1.0
 
 
-def _bits(x):
-    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("shape", [(7,), (33, 65)])
 def test_dot_matches_numpy_reductions_bit_for_bit(n, shape):
@@ -183,9 +179,9 @@ def test_dot_matches_numpy_reductions_bit_for_bit(n, shape):
     # A row of -0.0 products: np.sum gives +0.0 there.
     a[0] = -0.0
     b[0] = 1.0
-    np.testing.assert_array_equal(_bits(dot(a, b)), _bits(np.sum(a * b, axis=-1)))
+    np.testing.assert_array_equal(bits(dot(a, b)), bits(np.sum(a * b, axis=-1)))
     np.testing.assert_array_equal(
-        _bits(np.sqrt(dot(a, a))), _bits(np.linalg.norm(a, axis=-1))
+        bits(np.sqrt(dot(a, a))), bits(np.linalg.norm(a, axis=-1))
     )
     assert not np.signbit(dot(a, b)[0]).any()
 
@@ -212,7 +208,7 @@ def test_scale_matches_the_broadcast_form_bit_for_bit(n, divide):
                 (scale(V, per_row[:, None]), per_row[:, None, None] * V),
             ]
     for got, expected in pairs:
-        np.testing.assert_array_equal(_bits(got), _bits(expected))
+        np.testing.assert_array_equal(bits(got), bits(expected))
 
 
 def test_per_speed_zeroes_degenerate_samples_bit_for_bit():
@@ -226,7 +222,7 @@ def test_per_speed_zeroes_degenerate_samples_bit_for_bit():
     good = (speed > floor)[..., None]
     expected = np.divide(f, speed[..., None], out=np.zeros_like(f), where=good)
     got = _per_speed(f, speed, floor)
-    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    np.testing.assert_array_equal(bits(got), bits(expected))
     assert not np.signbit(got[~good[..., 0]]).any()
 
 
@@ -471,12 +467,12 @@ def test_resample_rows_matches_the_per_row_reference(dim, n_samples, m):
     stack = _random_immersed_stack(rng, 6, n_samples, dim)
     expected = np.stack([_resample_reference(p, m, 3.0) for p in stack])
     got = _resample_rows(stack, m, 3.0)
-    np.testing.assert_array_equal(_bits(got), _bits(expected))
+    np.testing.assert_array_equal(bits(got), bits(expected))
     # Leading axes are kept, and one curve is a stack of one.
     nested = _resample_rows(stack.reshape(2, 3, n_samples, dim), m, 3.0)
-    np.testing.assert_array_equal(_bits(nested), _bits(expected.reshape(2, 3, m, dim)))
+    np.testing.assert_array_equal(bits(nested), bits(expected.reshape(2, 3, m, dim)))
     single = resample_arclength(SampledCurve(points=stack[4], scale_hint=3.0), m)
-    np.testing.assert_array_equal(_bits(single.points), _bits(expected[4]))
+    np.testing.assert_array_equal(bits(single.points), bits(expected[4]))
     assert single.scale_hint == 3.0
 
 

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvemetrics import curves, curveio, flows
 from curvemetrics.cli import main
@@ -54,6 +56,8 @@ from curvemetrics.homotopy import (
 )
 
 from helpers import (
+    bits,
+    reference_curve_flow,
     reference_curvature,
     smooth_random_grid,
     translating_circle,
@@ -140,6 +144,109 @@ def test_mm_step_reduces_to_heat_at_zero_A():
     ring3d = np.concatenate([c.points, np.zeros((128, 1))], axis=1)
     with pytest.raises(InputDataError):
         mm_arclength_flow_step(SampledCurve(points=ring3d), 4.0, dt)
+
+
+def _wobbly_curve(n, modes, amps, phases, sx, sy):
+    """A smooth star-shaped curve r = 1 + sum of modes 2..modes, scaled per axis."""
+    th = theta_grid(n)
+    r = np.ones(n)
+    for p, (a, ph) in enumerate(zip(amps[: modes - 1], phases), start=2):
+        r += a / (p * p) * np.cos(p * th + ph)
+    return SampledCurve(points=np.stack([sx * r * np.cos(th), sy * r * np.sin(th)], axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(32, 256),
+    modes=st.integers(2, 6),
+    amps=st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5),
+    phases=st.lists(st.floats(0.0, 2.0 * np.pi), min_size=5, max_size=5),
+    sx=st.floats(0.2, 5.0),
+    sy=st.floats(0.2, 5.0),
+    A=st.sampled_from([None, 0.5, 4.0]),
+)
+def test_curve_flow_step_at_the_cfl_dt_never_lengthens(n, modes, amps, phases, sx, sy, A):
+    c = _wobbly_curve(n, modes, amps, phases, sx, sy)
+    dt = heat_cfl_dt(c)
+    new = heat_flow_step(c, dt) if A is None else mm_arclength_flow_step(c, A, dt)
+    assert np.sum(new.edge_lengths()) <= np.sum(c.edge_lengths())
+    assert curves.arclength(new) <= curves.arclength(c)
+
+
+@pytest.mark.parametrize("A", [None, 0.0, 0.5])
+@pytest.mark.parametrize("given_dt", [False, True])
+def test_curve_flow_loop_matches_the_public_step_loop(A, given_dt):
+    c = _wobbly_curve(96, 4, [0.3, -0.4, 0.2], [0.1, 1.0, 2.0], 1.5, 0.8)
+    dt = 0.7 * heat_cfl_dt(c) if given_dt else None
+    # t_end ends mid-step, so the last step is clamped.
+    t_end = 7.5 * heat_cfl_dt(c)
+    reference = reference_curve_flow(c, A, dt, t_end=t_end)
+    assert len(reference) > 3
+    items = list(flows._curve_flow_loop(c, A, dt, t_end))
+    assert len(items) == len(reference) - 1
+    for (length, new), before, after in zip(items, reference, reference[1:]):
+        assert bits(length) == bits(curves.arclength(before))
+        np.testing.assert_array_equal(bits(new.points), bits(after.points))
+        assert new.scale_hint == after.scale_hint
+    if A is None:
+        final, lengths = integrate_heat_flow(c, t_end, dt)
+        np.testing.assert_array_equal(bits(final.points), bits(reference[-1].points))
+        expected = [np.sum(r.edge_lengths()) for r in reference]
+        np.testing.assert_array_equal(bits(lengths), bits(expected))
+
+
+@pytest.mark.parametrize("kind, A", [("heat", None), ("mm", 0.0), ("mm", 0.5)])
+@pytest.mark.parametrize("dt", ["auto", "1e-4"])
+@pytest.mark.parametrize("steps", [0, 7])
+def test_cli_curve_flow_matches_the_public_step_loop(tmp_path, capsys, kind, A, dt, steps):
+    c = _wobbly_curve(64, 3, [0.4, 0.2], [0.5, 1.5], 1.0, 0.6)
+    path = tmp_path / "c.csv"
+    curveio.save_curve_csv(path, c)
+    prefix = str(tmp_path / "run_")
+    argv = ["flow", "--kind", kind, "--curve", str(path), "--steps", str(steps),
+            "--dt", dt, "--A", str(A or 0.0), "--dump-every", "2", "--out-prefix", prefix]
+    assert main(argv) == 0
+    reference = reference_curve_flow(
+        c, A, None if dt == "auto" else float(dt), steps=steps
+    )
+    first, last = (curveio._fmt(curves.arclength(r)) for r in (reference[0], reference[-1]))
+    assert capsys.readouterr().out == (
+        f"kind={kind} steps={steps} length_initial={first} length_final={last}\n"
+    )
+    expect = tmp_path / "expect.csv"
+    for k, r in enumerate(reference):
+        name = "final" if k == steps else f"{k:06d}"
+        if k == steps or (k and k % 2 == 0):
+            curveio.save_curve_csv(expect, r)
+            assert (tmp_path / f"run_{name}.csv").read_bytes() == expect.read_bytes()
+        else:
+            assert not (tmp_path / f"run_{name}.csv").exists()
+
+
+def test_curve_flows_build_one_frame_per_step(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.csv"
+    curveio.save_curve_csv(path, unit_circle(n=128))
+    periodic = _count_calls(monkeypatch, "periodic_derivative")
+    for kind in ("heat", "mm"):
+        periodic[0] = 0
+        assert main(["flow", "--kind", kind, "--curve", str(path), "--steps", "50"]) == 0
+        # One frame and one d_theta T per step, one frame for the final length.
+        assert periodic[0] == 2 * 50 + 1, kind
+    periodic[0] = 0
+    _final, lengths = integrate_heat_flow(unit_circle(n=128), 0.125)
+    assert len(lengths) - 1 == 299
+    assert periodic[0] == 2 * 299
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-4, np.nan, np.inf, -np.inf])
+def test_caller_dt_must_be_a_finite_positive_number(dt):
+    c = unit_circle(n=64)
+    with pytest.raises(InputDataError, match="dt must be a finite number > 0"):
+        integrate_heat_flow(c, 0.01, dt=dt)
+    C = wobbled_grid()
+    for kind in ("h0", "conformal"):
+        with pytest.raises(InputDataError, match="dt must be a finite number > 0"):
+            run_homotopy_flow(C, kind=kind, steps=3, dt=dt)
 
 
 def test_vstar_fields_translating_circle():
