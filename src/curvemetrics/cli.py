@@ -6,10 +6,10 @@ constructions, direction-function shape distances, Hausdorff
 distances, and a quick self check.
 
 Exit codes: 0 on success, 2 for usage errors (argparse), 3 for
-malformed inputs (InputDataError, NotImmersedError, unreadable files),
-4 for numerical failures (CFL violations, coarse grids, stalled or
-blown-up flows, flat sets, level-set degeneration). The failing error
-class is named on stderr.
+malformed inputs (InputDataError, NotImmersedError, and any file that
+cannot be read or written, reported as InputDataError), 4 for numerical
+failures (CFL violations, coarse grids, stalled or blown-up flows, flat
+sets, level-set degeneration). The failing error class is named on stderr.
 
 A --config file holds key=value lines (# comments allowed) that seed
 the defaults of every matching option; explicit flags override them.
@@ -51,20 +51,17 @@ MIN_CLI_SAMPLES = 16
 
 def _read_config(path):
     config = {}
-    try:
-        with open(path) as f:
-            for line_no, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InputDataError(
-                        f"{path}:{line_no}: expected key=value, got {line!r}"
-                    )
-                key, value = line.split("=", 1)
-                config[key.strip().replace("-", "_")] = value.strip()
-    except OSError as e:
-        raise InputDataError(f"cannot read config {path}: {e}")
+    with open(path) as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InputDataError(
+                    f"{path}:{line_no}: expected key=value, got {line!r}"
+                )
+            key, value = line.split("=", 1)
+            config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
@@ -104,10 +101,7 @@ class _ArgHelper:
 
 
 def _load_curve(path) -> SampledCurve:
-    try:
-        c = curveio.load_curve(path)
-    except OSError as e:
-        raise InputDataError(f"cannot read {path}: {e}")
+    c = curveio.load_curve(path)
     if c.n_samples < MIN_CLI_SAMPLES:
         raise InputDataError(
             f"{path}: need at least {MIN_CLI_SAMPLES} samples, got {c.n_samples}"
@@ -115,20 +109,10 @@ def _load_curve(path) -> SampledCurve:
     return c
 
 
-def _load_grid(path) -> homotopy.HomotopyGrid:
-    try:
-        return curveio.load_grid(path)
-    except OSError as e:
-        raise InputDataError(f"cannot read {path}: {e}")
-
-
 def _load_array(path) -> np.ndarray:
     if str(path).endswith(".json"):
         return curveio.load_curve_json(path).points
-    try:
-        return curveio.load_pointset_csv(path)
-    except OSError as e:
-        raise InputDataError(f"cannot read {path}: {e}")
+    return curveio.load_pointset_csv(path)
 
 
 def _save_grid(path, C):
@@ -201,6 +185,21 @@ def _auto_or_number(flag, positive=False):
     return convert
 
 
+def _count(flag):
+    """Converter of a flag that takes a whole number >= 0, as _auto_or_number."""
+
+    def convert(token):
+        try:
+            value = int(token)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise InputDataError(f"{flag} takes a whole number >= 0, got {token!r}")
+        return value
+
+    return convert
+
+
 def _unit_circle(n=256) -> SampledCurve:
     th = theta_grid(n)
     return SampledCurve(points=np.stack([np.cos(th), np.sin(th)], axis=1))
@@ -226,7 +225,7 @@ def _write_table(out, header, rows, title):
 
 
 def _cmd_energy(args):
-    C = _load_grid(args.grid)
+    C = curveio.load_grid(args.grid)
     spec = _spec_from_args(args)
     report = energy(C, spec)
     print(
@@ -250,7 +249,7 @@ def _cmd_inner(args):
 
 
 def _cmd_reparam(args):
-    C = _load_grid(args.grid)
+    C = curveio.load_grid(args.grid)
     if args.mode == "arclength":
         result = homotopy.reparam_arclength(C)
         print(f"mode=arclength residual={_fmt(homotopy.max_tangential_speed(result))}")
@@ -287,7 +286,7 @@ def _cmd_flow(args):
             curveio.save_curve_csv(f"{prefix}final.csv", c)
         return 0
 
-    C = _load_grid(args.grid)
+    C = curveio.load_grid(args.grid)
     # Without --factor the conformal run uses e^(lam L), lam from --lam
     # or stable_lambda; state.lam is the lambda the run used.
     factor = _factor_from_args(args)
@@ -327,11 +326,11 @@ def _cmd_geodesic(args):
     for j, loops in enumerate(result.contours.contours):
         if loops:
             curveio.save_svg(os.path.join(args.out, f"slice_{j:03d}.svg"), loops)
+    trace = np.column_stack([
+        np.arange(len(result.energy_trace)), result.energy_trace, result.conformal_trace
+    ])
     with open(os.path.join(args.out, "energy_trace.csv"), "w") as f:
-        f.write("# columns: snapshot,energy,conformal_energy\n")
-        rows = zip(result.energy_trace, result.conformal_trace)
-        for i, (e, ec) in enumerate(rows):
-            f.write(f"{i},{_fmt(e)},{_fmt(ec)}\n")
+        f.write("# columns: snapshot,energy,conformal_energy\n" + _format_block(trace))
     curveio.save_obj(os.path.join(args.out, "surface.obj"), result.homotopy)
     with open(os.path.join(args.out, "summary.txt"), "w") as f:
         f.write(f"converged={result.converged}\n")
@@ -354,7 +353,7 @@ def _cmd_counterexample(args):
     if name == "winding":
         ks = _values_list(args.values or "1,2,3", _whole)
         base = (
-            _load_grid(args.grid) if args.grid else _translating_circle()
+            curveio.load_grid(args.grid) if args.grid else _translating_circle()
         )
         rows = []
         for k in ks:
@@ -420,10 +419,7 @@ def _cmd_counterexample(args):
 
 
 def _cmd_dirshape(args):
-    try:
-        d1 = curveio.load_direction_csv(args.d1)
-    except OSError as e:
-        raise InputDataError(f"cannot read {args.d1}: {e}")
+    d1 = curveio.load_direction_csv(args.d1)
     if args.mode == "constraints":
         r = shapedist.dirfn_constraints(d1)
         print(f"residuals={_fmt(r[0])},{_fmt(r[1])},{_fmt(r[2])}")
@@ -436,10 +432,7 @@ def _cmd_dirshape(args):
     else:
         if not args.d2:
             raise InputDataError("distance mode needs --d2")
-        try:
-            d2 = curveio.load_direction_csv(args.d2)
-        except OSError as e:
-            raise InputDataError(f"cannot read {args.d2}: {e}")
+        d2 = curveio.load_direction_csv(args.d2)
         value = shapedist.dirfn_distance(d1, d2, mode=args.distance_mode)
         print(f"distance={_fmt(value)}")
     return 0
@@ -525,11 +518,12 @@ def build_parser(config=None):
         "reparameterizations, flows, geodesics, counterexamples.",
     )
     parser.add_argument("--config", help="key=value defaults file")
-    helper.add(parser, "--seed", type=int, default=0, help="seed for stochastic checks")
+    helper.add(parser, "--seed", type=_count("--seed"), default=0,
+               help="seed for stochastic checks")
     helper.add(
         parser,
         "--threads",
-        type=int,
+        type=_count("--threads"),
         default=1,
         help="accepted for interface compatibility; computations are single-threaded",
     )
@@ -569,7 +563,7 @@ def build_parser(config=None):
     helper.add(p, "--kind", default="heat", choices=["heat", "mm", "h0", "conformal"])
     helper.add(p, "--curve", help="input for heat and mm kinds")
     helper.add(p, "--grid", help="input for h0 and conformal kinds")
-    helper.add(p, "--steps", type=int, default=100)
+    helper.add(p, "--steps", type=_count("--steps"), default=100)
     helper.add(p, "--dt", type=_auto_or_number("--dt", positive=True), default="auto")
     helper.add(p, "--A", type=float, default=0.0)
     helper.add(p, "--lam", type=_auto_or_number("--lam"), default="auto")
@@ -578,21 +572,21 @@ def build_parser(config=None):
                help="conformal factor; default e^(lam L)")
     helper.add(p, "--factor-lam", type=float, default=0.0)
     helper.add(p, "--drop-magnitude", action="store_true")
-    helper.add(p, "--renormalize-every", type=int, default=10)
+    helper.add(p, "--renormalize-every", type=_count("--renormalize-every"), default=10)
     helper.add(p, "--stop-displacement", type=float, default=0.0)
-    helper.add(p, "--dump-every", type=int, default=0)
+    helper.add(p, "--dump-every", type=_count("--dump-every"), default=0)
     helper.add(p, "--out-prefix")
     p.set_defaults(handler=_cmd_flow)
 
     p = sub.add_parser("geodesic", help="level-set geodesic between two curves")
     helper.add(p, "--c0", required=True)
     helper.add(p, "--c1", required=True)
-    helper.add(p, "--nx", type=int, default=64)
-    helper.add(p, "--ny", type=int, default=64)
-    helper.add(p, "--nv", type=int, default=17)
-    helper.add(p, "--steps", type=int, default=1500)
+    helper.add(p, "--nx", type=_count("--nx"), default=64)
+    helper.add(p, "--ny", type=_count("--ny"), default=64)
+    helper.add(p, "--nv", type=_count("--nv"), default=17)
+    helper.add(p, "--steps", type=_count("--steps"), default=1500)
     helper.add(p, "--tol", type=float, default=1e-3)
-    helper.add(p, "--reinit-every", type=int, default=10)
+    helper.add(p, "--reinit-every", type=_count("--reinit-every"), default=10)
     helper.add(p, "--out", required=True)
     p.set_defaults(handler=_cmd_geodesic)
 
@@ -642,6 +636,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except _INPUT_ERRORS as e:
         print(f"{e.__class__.__name__}: {e}", file=sys.stderr)
+        return 3
+    except OSError as e:
+        print(f"InputDataError: {e.filename}: {e.strerror}", file=sys.stderr)
         return 3
     except _NUMERICAL_ERRORS as e:
         print(f"{e.__class__.__name__}: {e}", file=sys.stderr)

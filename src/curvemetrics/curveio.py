@@ -18,15 +18,15 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def _format_block(block) -> str:
-    """An (m, k) float block as m lines of k comma-separated "%.17g" fields.
+def _format_block(block, sep=",", lead="") -> str:
+    """An (m, k) float block as m lines of lead and k sep-separated "%.17g" fields.
 
     One %-format over the whole block; "%.17g" % x and _fmt(x) spell
-    every float alike.
+    every float alike, and an integer below 2**53 as f"{i}" does.
     """
     block = np.asarray(block, dtype=float)
     m, k = block.shape
-    line = ",".join(["%.17g"] * k) + "\n"
+    line = lead + sep.join(["%.17g"] * k) + "\n"
     return (line * m) % tuple(block.ravel().tolist())
 
 
@@ -242,8 +242,8 @@ def save_energy_report(path, report, spec):
         f.write(f"n_v={report.resolution[1]}\n")
         f.write(f"total={_fmt(report.total)}\n")
         f.write("per_slice:\n")
-        for j, value in enumerate(report.per_slice):
-            f.write(f"{j},{_fmt(value)}\n")
+        rows = report.per_slice
+        f.write(_format_block(np.column_stack([np.arange(len(rows)), rows])))
 
 
 def save_direction_csv(path, d: DirectionFunctionSample):
@@ -285,18 +285,12 @@ def save_obj(path, C: HomotopyGrid):
     if C.dim != 2:
         raise InputDataError("OBJ export lifts planar homotopies only")
     n_v, n_theta = C.n_v, C.n_theta
-    vs = C.v_grid()
+    xyv = np.column_stack([C.values.reshape(-1, 2), np.repeat(C.v_grid(), n_theta)])
+    # Quad (j, i) joins vertices i, i + 1 of slices j, j + 1 (1-based).
+    i = np.arange(n_theta if C.periodic else n_theta - 1)
+    i1 = (i + 1) % n_theta
+    row = n_theta * np.arange(n_v - 1)[:, None] + 1
+    quads = np.stack([row + i, row + i1, row + n_theta + i1, row + n_theta + i], axis=-1)
     with open(path, "w") as f:
         f.write(f"# swept homotopy surface: n_v={n_v} n_theta={n_theta}\n")
-        for j in range(n_v):
-            for i in range(n_theta):
-                x, y = C.values[j, i]
-                f.write(f"v {_fmt(x)} {_fmt(y)} {_fmt(vs[j])}\n")
-        last = n_theta if C.periodic else n_theta - 1
-        for j in range(n_v - 1):
-            for i in range(last):
-                a = j * n_theta + i + 1
-                b = j * n_theta + (i + 1) % n_theta + 1
-                c = (j + 1) * n_theta + (i + 1) % n_theta + 1
-                d = (j + 1) * n_theta + i + 1
-                f.write(f"f {a} {b} {c} {d}\n")
+        f.write(_format_block(xyv, " ", "v ") + _format_block(quads.reshape(-1, 4), " ", "f "))

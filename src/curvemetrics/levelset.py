@@ -312,16 +312,18 @@ def embed(
     ys = np.linspace(y0, y1, ny)
     vs = C.v_grid()
 
-    psi = np.empty((C.n_v, ny, nx))
+    # Built before psi is filled, so a grid too small is rejected first.
+    L = LevelSetGrid(
+        psi=np.empty((C.n_v, ny, nx)), xs=xs, ys=ys, vs=vs,
+        band_width=band_width, full_grid=full_grid,
+    )
     one_group = np.zeros(C.n_theta, dtype=np.int64)
     for j in range(C.n_v):
         poly = C.values[j]
         _check_embedded(poly, f"slice {j}")
         dist = _grid_distance(xs, ys, poly, np.roll(poly, -1, axis=0), one_group)[0]
-        psi[j] = np.where(_grid_inside(xs, ys, poly), -dist, dist)
-    return LevelSetGrid(
-        psi=psi, xs=xs, ys=ys, vs=vs, band_width=band_width, full_grid=full_grid
-    )
+        L.psi[j] = np.where(_grid_inside(xs, ys, poly), -dist, dist)
+    return L
 
 
 _EDGE_TABLE = {

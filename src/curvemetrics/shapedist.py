@@ -10,7 +10,6 @@ point sets.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .curves import DirectionFunctionSample
 from .energies import normal_speed_squared
@@ -151,11 +150,18 @@ def dirfn_distance(
 
 
 def hausdorff_distance(a: CompactSet, b: CompactSet) -> float:
-    """Hausdorff distance between two finite point sets."""
+    """Hausdorff distance between two finite point sets.
+
+    Squared distances summed one coordinate at a time, as cdist sums
+    them, then one sqrt of the reduced value: cdist's value bit for bit.
+    """
     if a.points.shape[1] != b.points.shape[1]:
         raise InputDataError("point sets live in different dimensions")
-    d = cdist(a.points, b.points)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    p, q = a.points, b.points
+    sq = (p[:, None, 0] - q[None, :, 0]) ** 2
+    for k in range(1, p.shape[1]):
+        sq += (p[:, None, k] - q[None, :, k]) ** 2
+    return float(np.sqrt(max(sq.min(axis=1).max(), sq.min(axis=0).max())))
 
 
 def hausdorff_path_length(sets) -> float:

@@ -1,6 +1,10 @@
 """End-to-end tests of the command-line interface, run in process."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +57,60 @@ def test_energy_missing_file_exits_3(tmp_path, capsys):
     code = main(["energy", "--grid", str(tmp_path / "nope.csv")])
     assert code == 3
     assert "InputDataError" in capsys.readouterr().err
+
+
+def _file_error_case(tmp_path, case):
+    """argv of a command that fails on a file, and the path it fails on."""
+    curve, grid = write_circle(tmp_path), write_grid(tmp_path)
+    (tmp_path / "a_file").write_text("")
+    h = str(tmp_path / "h.csv")
+    curveio.save_pointset_csv(h, unit_circle(n=64).points)
+    d = str(tmp_path / "d.csv")
+    s = np.linspace(0.0, 2.0 * np.pi, 65)
+    curveio.save_direction_csv(d, DirectionFunctionSample(theta_of_s=s, winding=1))
+    missing = str(tmp_path / "missing.json")
+    out = str(tmp_path / "no_dir" / "out")
+    flow = {"heat": ["--curve", curve], "mm": ["--curve", curve],
+            "h0": ["--grid", grid], "conformal": ["--grid", grid]}
+    if case in flow:
+        argv = ["flow", "--kind", case, *flow[case], "--steps", "1", "--out-prefix", out]
+        return argv, out + ("final.csv" if case in ("heat", "mm") else "final.npz")
+    geo = str(tmp_path / "a_file" / "geo")
+    return {
+        "inner": (["inner", "--curve", curve, "--h", missing, "--k", h], missing),
+        "hausdorff": (["hausdorff", "--a", missing, "--b", h], missing),
+        "energy": (["energy", "--grid", grid, "--out", out], out),
+        "reparam": (["reparam", "--grid", grid, "--out", out], out),
+        "counterexample": (["counterexample", "--name", "wiggle", "--values", "1",
+                            "--out", out], out),
+        "dirshape": (["dirshape", "--mode", "project", "--d1", d, "--out", out], out),
+        "geodesic": (["geodesic", "--c0", curve, "--c1", curve, "--out", geo, "--nx", "24",
+                      "--ny", "24", "--nv", "5", "--steps", "1"], geo),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["inner", "hausdorff", "energy", "reparam", "counterexample", "dirshape",
+     "heat", "mm", "h0", "conformal", "geodesic"],
+)
+def test_file_that_cannot_be_read_or_written_exits_3(tmp_path, capsys, case):
+    argv, path = _file_error_case(tmp_path, case)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {path}: ") and "Traceback" not in err
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, curvemetrics, curvemetrics.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(
@@ -462,12 +520,13 @@ def _subparsers(parser):
     ).choices
 
 
-def _value_options(parser):
-    """The option strings of every option of parser that takes a value."""
-    return [
-        a.option_strings[0] for a in parser._actions
-        if a.option_strings and a.nargs != 0
-    ]
+def _malformed_values(parser):
+    """(option, token) pairs: "abc" for every option that takes a value, -1 for integer ones."""
+    for a in parser._actions:
+        if a.option_strings and a.nargs != 0:
+            yield a.option_strings[0], "abc"
+            if a.type is int or "_count." in getattr(a.type, "__qualname__", ""):
+                yield a.option_strings[0], "-1"
 
 
 def test_every_option_given_a_malformed_value_exits_2_or_3(tmp_path, capsys, monkeypatch):
@@ -504,20 +563,24 @@ def test_every_option_given_a_malformed_value_exits_2_or_3(tmp_path, capsys, mon
         if command != "selfcheck":
             assert main([command, *argv]) == 0, command
     capsys.readouterr()
-    runs = [([option, "abc", "selfcheck"], option) for option in _value_options(parser)]
+    runs = [
+        ([option, token, "selfcheck"], option, token)
+        for option, token in _malformed_values(parser)
+    ]
     for command, sub in commands.items():
-        for option in _value_options(sub):
+        for option, token in _malformed_values(sub):
             if option not in outputs:
                 extra = context.get((command, option), [])
-                runs.append(([command, *baseline[command], *extra, option, "abc"], option))
-    assert len(runs) > 40
-    for argv, option in runs:
+                runs.append(([command, *baseline[command], *extra, option, token], option, token))
+    assert len(runs) > 50
+    for argv, option, token in runs:
         try:
             code = main(argv)
         except SystemExit as e:
             code = e.code
         err = capsys.readouterr().err
-        assert code in (2, 3), argv
+        # A negative count parses as an integer, so only the converter can reject it.
+        assert code in ((2, 3) if token == "abc" else (3,)), argv
         # argparse names the option; a typed error names its class.
         assert (f"argument {option}" if code == 2 else "Error: ") in err, argv
 
@@ -525,7 +588,8 @@ def test_every_option_given_a_malformed_value_exits_2_or_3(tmp_path, capsys, mon
 @pytest.mark.parametrize(
     "flag, token",
     [("--dt", "abc"), ("--dt", "0"), ("--dt", "-0.01"), ("--dt", "nan"), ("--dt", "inf"),
-     ("--lam", "abc"), ("--lam", "nan"), ("--lam", "-inf")],
+     ("--lam", "abc"), ("--lam", "nan"), ("--lam", "-inf"),
+     ("--steps", "-3"), ("--dump-every", "-1"), ("--renormalize-every", "-1")],
 )
 @pytest.mark.parametrize("kind", ["heat", "h0", "conformal"])
 @pytest.mark.parametrize("from_config", [False, True])

@@ -241,6 +241,9 @@ def test_embed_rejects_bad_input():
     )
     with pytest.raises(InputDataError):
         embed((helix, helix))
+    for nx in (0, 1):
+        with pytest.raises(InputDataError, match="too small"):
+            embed(circle_pair(), nx=nx)
 
 
 def test_extract_exact_circle_sdf():

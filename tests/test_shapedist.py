@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from curvemetrics.curves import DirectionFunctionSample
 from curvemetrics.errors import FlatSetError, InputDataError
@@ -15,7 +18,7 @@ from curvemetrics.shapedist import (
     sup_speed_length,
 )
 
-from helpers import translating_circle, unit_circle
+from helpers import bits, translating_circle, unit_circle
 
 
 def circle_dirfn(m=256):
@@ -123,6 +126,28 @@ def test_hausdorff_point_pair():
     b = CompactSet(points=np.array([[3.0, 4.0]]))
     assert hausdorff_distance(a, b) == 5.0
     assert hausdorff_distance(a, a) == 0.0
+
+
+SET_SIZE = st.one_of(st.just(1), st.integers(2, 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3, 5]),
+    log_scale=st.floats(-8.0, 6.0),
+    sizes=st.tuples(SET_SIZE, SET_SIZE).filter(lambda s: s[0] != s[1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hausdorff_matches_cdist_bit_for_bit(dim, log_scale, sizes, seed):
+    # scipy is the independent reference here, as scipy.integrate is for the quadratures.
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    pa, pb = (rng.normal(size=(m, dim)) * scale + rng.normal(size=dim) * scale for m in sizes)
+    d = cdist(pa, pb)
+    expected = max(d.min(axis=1).max(), d.min(axis=0).max())
+    a, b = CompactSet(points=pa), CompactSet(points=pb)
+    assert bits(hausdorff_distance(a, b)) == bits(expected)
+    assert bits(hausdorff_distance(b, a)) == bits(expected)
 
 
 def test_hausdorff_axioms_random_sets():
