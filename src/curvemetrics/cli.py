@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import counterexamples, curveio, flows, homotopy, levelset, shapedist
-from .curveio import _fmt, _format_block
+from .curveio import _fmt, _format_block, _read_text
 from .curves import SampledCurve, arclength, theta_grid
 from .energies import ConformalFactor, EnergySpec, energy, inner_product
 from .errors import (
@@ -51,17 +51,16 @@ MIN_CLI_SAMPLES = 16
 
 def _read_config(path):
     config = {}
-    with open(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InputDataError(
-                    f"{path}:{line_no}: expected key=value, got {line!r}"
-                )
-            key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
+    for line_no, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise InputDataError(
+                f"{path}:{line_no}: expected key=value, got {line!r}"
+            )
+        key, value = line.split("=", 1)
+        config[key.strip().replace("-", "_")] = value.strip()
     return config
 
 
@@ -75,7 +74,12 @@ def _scan_config(argv):
 
 
 class _ArgHelper:
-    """add_argument wrapper that lets a config file reset the defaults."""
+    """add_argument wrapper that lets a config file reset the defaults.
+
+    A parser of None stands for a subcommand that is not built: its
+    options are still known to the config check, and their config values
+    still converted, so a config file means the same for every command.
+    """
 
     def __init__(self, config):
         self.config = config
@@ -97,7 +101,8 @@ class _ArgHelper:
                         f"config value {dest}={raw!r} is not a valid "
                         f"{getattr(conv, '__name__', 'value')}"
                     )
-        parser.add_argument(*names, **kw)
+        if parser is not None:
+            parser.add_argument(*names, **kw)
 
 
 def _load_curve(path) -> SampledCurve:
@@ -509,7 +514,50 @@ def _cmd_selfcheck(args):
     return 0
 
 
-def build_parser(config=None):
+# Subcommand name: (help, handler), in the order --help lists them.
+_COMMANDS = {
+    "energy": ("evaluate a homotopy energy", _cmd_energy),
+    "inner": ("metric inner product of two deformations", _cmd_inner),
+    "reparam": ("reparameterize a homotopy", _cmd_reparam),
+    "flow": ("gradient flows of curves and homotopies", _cmd_flow),
+    "geodesic": ("level-set geodesic between two curves", _cmd_geodesic),
+    "counterexample": ("energy tables for the counterexamples", _cmd_counterexample),
+    "dirshape": ("direction-function preshape operations", _cmd_dirshape),
+    "hausdorff": ("Hausdorff distances between point sets", _cmd_hausdorff),
+    "selfcheck": ("run the built-in numerical battery", _cmd_selfcheck),
+}
+
+# The top-level options that take a value.
+_VALUE_OPTIONS = ("--config", "--seed", "--threads")
+
+
+def _command_of(argv):
+    """The subcommand argv runs, or None when only the full parser can tell.
+
+    Walks argv as the top-level parser does: --config, --seed and
+    --threads, or a prefix that names one of them alone, take the next
+    token, and the first token that is not an option is the command.
+    Help, '--' and any other option give None.
+    """
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            return token if token in _COMMANDS else None
+        if token.startswith("--") and "=" in token:
+            continue
+        named = [o for o in (*_VALUE_OPTIONS, "--help") if o.startswith(token)]
+        if not token.startswith("--") or len(named) != 1 or named[0] == "--help":
+            return None
+        next(tokens, None)
+    return None
+
+
+def build_parser(config=None, command=None):
+    """The argparse tree and its _ArgHelper, with only the subparser `command` names.
+
+    Every option is still registered with the helper, so the config check
+    and the usage line are those of the full tree.
+    """
     config = config or {}
     helper = _ArgHelper(config)
     parser = argparse.ArgumentParser(
@@ -527,9 +575,23 @@ def build_parser(config=None):
         default=1,
         help="accepted for interface compatibility; computations are single-threaded",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command if command in _COMMANDS else None
+    # With one subcommand built, the usage line still lists them all.
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if only is None else "{" + ",".join(_COMMANDS) + "}",
+    )
 
-    p = sub.add_parser("energy", help="evaluate a homotopy energy")
+    def add_command(name):
+        if only not in (None, name):
+            return None
+        help_text, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = add_command("energy")
     helper.add(p, "--grid", "--homotopy", dest="grid", required=True)
     helper.add(p, "--kind", default="geom_H0")
     helper.add(p, "--alpha", type=float, default=2.0)
@@ -539,9 +601,8 @@ def build_parser(config=None):
                choices=["identity", "exp_length", "length"])
     helper.add(p, "--factor-lam", type=float, default=0.0)
     helper.add(p, "--out")
-    p.set_defaults(handler=_cmd_energy)
 
-    p = sub.add_parser("inner", help="metric inner product of two deformations")
+    p = add_command("inner")
     helper.add(p, "--curve", required=True)
     helper.add(p, "--h", required=True)
     helper.add(p, "--k", required=True)
@@ -550,16 +611,14 @@ def build_parser(config=None):
     helper.add(p, "--factor", default="identity",
                choices=["identity", "exp_length", "length"])
     helper.add(p, "--factor-lam", type=float, default=0.0)
-    p.set_defaults(handler=_cmd_inner)
 
-    p = sub.add_parser("reparam", help="reparameterize a homotopy")
+    p = add_command("reparam")
     helper.add(p, "--grid", required=True)
     helper.add(p, "--mode", default="horizontal",
                choices=["arclength", "horizontal", "unwind"])
     helper.add(p, "--out", required=True)
-    p.set_defaults(handler=_cmd_reparam)
 
-    p = sub.add_parser("flow", help="gradient flows of curves and homotopies")
+    p = add_command("flow")
     helper.add(p, "--kind", default="heat", choices=["heat", "mm", "h0", "conformal"])
     helper.add(p, "--curve", help="input for heat and mm kinds")
     helper.add(p, "--grid", help="input for h0 and conformal kinds")
@@ -576,9 +635,8 @@ def build_parser(config=None):
     helper.add(p, "--stop-displacement", type=float, default=0.0)
     helper.add(p, "--dump-every", type=_count("--dump-every"), default=0)
     helper.add(p, "--out-prefix")
-    p.set_defaults(handler=_cmd_flow)
 
-    p = sub.add_parser("geodesic", help="level-set geodesic between two curves")
+    p = add_command("geodesic")
     helper.add(p, "--c0", required=True)
     helper.add(p, "--c1", required=True)
     helper.add(p, "--nx", type=_count("--nx"), default=64)
@@ -588,9 +646,8 @@ def build_parser(config=None):
     helper.add(p, "--tol", type=float, default=1e-3)
     helper.add(p, "--reinit-every", type=_count("--reinit-every"), default=10)
     helper.add(p, "--out", required=True)
-    p.set_defaults(handler=_cmd_geodesic)
 
-    p = sub.add_parser("counterexample", help="energy tables for the counterexamples")
+    p = add_command("counterexample")
     helper.add(p, "--name", "--family", dest="name", required=True,
                choices=["winding", "wiggle", "tessellation", "zigzag", "pulley", "stretch"])
     helper.add(p, "--values", "--k", dest="values",
@@ -599,25 +656,22 @@ def build_parser(config=None):
     helper.add(p, "--eps", default="0.1,0.25", help="stretch: comma list of eps")
     helper.add(p, "--lam-values", default="0.5,1,2", help="stretch: comma list of lambda")
     helper.add(p, "--out")
-    p.set_defaults(handler=_cmd_counterexample)
 
-    p = sub.add_parser("dirshape", help="direction-function preshape operations")
+    p = add_command("dirshape")
     helper.add(p, "--mode", default="constraints",
                choices=["constraints", "project", "distance"])
     helper.add(p, "--d1", required=True)
     helper.add(p, "--d2")
     helper.add(p, "--distance-mode", default="l2", choices=["l2", "quotient_shift"])
     helper.add(p, "--out")
-    p.set_defaults(handler=_cmd_dirshape)
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distances between point sets")
+    p = add_command("hausdorff")
     helper.add(p, "--a")
     helper.add(p, "--b")
-    p.add_argument("--path", nargs="+", help="point-set files forming a path")
-    p.set_defaults(handler=_cmd_hausdorff)
+    if p is not None:
+        p.add_argument("--path", nargs="+", help="point-set files forming a path")
 
-    p = sub.add_parser("selfcheck", help="run the built-in numerical battery")
-    p.set_defaults(handler=_cmd_selfcheck)
+    p = add_command("selfcheck")
 
     return parser, helper
 
@@ -626,7 +680,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         config = _scan_config(argv)
-        parser, helper = build_parser(config)
+        parser, helper = build_parser(config, _command_of(argv))
         unknown = set(config) - helper.known
         if unknown:
             raise InputDataError(

@@ -112,11 +112,6 @@ def _sawtooth(z, eps):
     return np.where(r <= eps, r, 2.0 * eps - r)
 
 
-def _sawtooth_slope(z, eps):
-    r = np.mod(z, 2.0 * eps)
-    return np.where(r <= eps, 1.0, -1.0)
-
-
 @dataclass
 class ZigzagCone:
     """Two-phase cone homotopy from the origin out to a unit-sphere curve.
@@ -133,38 +128,36 @@ class ZigzagCone:
     k: int
     epsilon: float
 
-    def _phase_fields(self, theta, v, phase):
-        if phase == 1:
-            Z = _sawtooth(theta, self.epsilon)
-            Zp = _sawtooth_slope(theta, self.epsilon)
-            rho = (2.0 * v / self.epsilon) * Z
-            d_v = (2.0 / self.epsilon) * Z
-            d_theta = (2.0 * v / self.epsilon) * Zp
-        else:
-            Z = _sawtooth(theta + self.epsilon, self.epsilon)
-            Zp = _sawtooth_slope(theta + self.epsilon, self.epsilon)
-            rho = 1.0 - (2.0 * (1.0 - v) / self.epsilon) * Z
-            d_v = (2.0 / self.epsilon) * Z
-            d_theta = -(2.0 * (1.0 - v) / self.epsilon) * Zp
-        return rho, d_v, d_theta
-
-    def _normal_integrand(self, theta, v, phase):
-        """|pi_N d_v C|^2 |dC/dtheta| for the cone over a unit-speed sphere curve."""
-        rho, d_v, d_theta = self._phase_fields(theta, v, phase)
-        speed_sq = rho * rho + d_theta * d_theta
-        out = np.zeros_like(speed_sq)
-        good = speed_sq > 0.0
-        out[good] = (d_v[good] ** 2) * (rho[good] ** 2) / np.sqrt(speed_sq[good])
-        return out
-
     def _quad(self, phase, v_lo, v_hi, n_theta, n_v):
+        """Midpoint rule for the integral of |pi_N d_v C|^2 |dC/dtheta|.
+
+        For the cone over a unit-speed sphere curve the integrand is
+        d_v^2 rho^2 / sqrt(rho^2 + d_theta^2), with rho = c Z (phase one)
+        or 1 - c Z (phase two) for the sawtooth Z of theta and a
+        coefficient c of v. d_v = (2 / eps) Z does not depend on v, and
+        d_theta = +-c because the sawtooth slope is +-1. The v rows are
+        summed one at a time, in order.
+        """
+        eps = self.epsilon
         per_seg = max(16, int(math.ceil(n_theta / (2 * self.k))))
         m_theta = 2 * self.k * per_seg
         thetas = (np.arange(m_theta) + 0.5) * (2.0 * np.pi / m_theta)
         vs = v_lo + (np.arange(n_v) + 0.5) * ((v_hi - v_lo) / n_v)
+        if phase == 1:
+            Z = _sawtooth(thetas, eps)
+            coefs = 2.0 * vs / eps
+        else:
+            Z = _sawtooth(thetas + eps, eps)
+            coefs = 2.0 * (1.0 - vs) / eps
+        dv_sq = ((2.0 / eps) * Z) ** 2
         total = 0.0
-        for v in vs:
-            total += float(np.sum(self._normal_integrand(thetas, v, phase)))
+        for c in coefs:
+            rho = c * Z if phase == 1 else 1.0 - c * Z
+            rho_sq = rho * rho
+            speed_sq = rho_sq + c * c
+            out = np.zeros(m_theta)
+            np.divide(dv_sq * rho_sq, np.sqrt(speed_sq), out=out, where=speed_sq > 0.0)
+            total += float(np.sum(out))
         return total * (2.0 * np.pi / m_theta) * ((v_hi - v_lo) / n_v)
 
     def first_phase_energy(self, n_theta=2048, n_v=256) -> float:
@@ -265,14 +258,39 @@ def _cap(center, r, bulge):
     return ("arc", np.asarray(center, dtype=float), r, -0.5 * math.pi, -1.5 * math.pi, math.pi * r)
 
 
-def _pulley_features(h, v, fillet):
+def _pulley_rails(h, fillet):
+    """The static filleted polylines of the channel, which no v moves.
+
+    Clamp to the upper tackle, the long detour between the tackles, and
+    the lower tackle back to the clamp.
+    """
+    delta = 0.5 / h
+    return (
+        _polyline_features([(2.0, 0.0), (-0.75, 0.0), (-0.75, 1.0), (0.0, 1.0)], fillet),
+        _polyline_features(
+            [
+                (0.0, 2.0 - delta),
+                (-1.0, 2.0 - delta),
+                (-1.0, -2.5),
+                (5.0, -2.5),
+                (5.0, -2.0 + delta),
+                (4.0, -2.0 + delta),
+            ],
+            fillet,
+        ),
+        _polyline_features([(4.0, -1.0), (4.75, -1.0), (4.75, 0.0), (2.0, 0.0)], fillet),
+    )
+
+
+def _pulley_features(h, v, rails):
     """Feature list of the block-and-tackle channel at parameter v, clamp first.
 
     Pre-scale geometry: clamp K = (2,0); a 2h-strand tackle above
     (moving caps on the right at x = p(v)), a long static detour, a
     mirrored 2h-strand tackle below (moving caps on the left), and the
-    return to the clamp. Strand lengths trade between the two tackles
-    so the total length is independent of v.
+    return to the clamp, with the static parts from _pulley_rails.
+    Strand lengths trade between the two tackles so the total length
+    is independent of v.
     """
     delta = 0.5 / h
     rc = 0.5 * delta
@@ -281,11 +299,9 @@ def _pulley_features(h, v, fillet):
     p = 1.0 / h + a
     q = 1.0 / h + amp - a
     w = 4.0 - q
+    to_upper, detour, to_clamp = rails
 
-    feats = []
-    feats += _polyline_features(
-        [(2.0, 0.0), (-0.75, 0.0), (-0.75, 1.0), (0.0, 1.0)], fillet
-    )
+    feats = list(to_upper)
     for k in range(2 * h):
         y = 1.0 + k * delta
         if k % 2 == 0:
@@ -296,17 +312,7 @@ def _pulley_features(h, v, fillet):
             feats.append(_seg((p, y), (0.0, y)))
             if k < 2 * h - 1:
                 feats.append(_cap((0.0, y + 0.5 * delta), rc, "left"))
-    feats += _polyline_features(
-        [
-            (0.0, 2.0 - delta),
-            (-1.0, 2.0 - delta),
-            (-1.0, -2.5),
-            (5.0, -2.5),
-            (5.0, -2.0 + delta),
-            (4.0, -2.0 + delta),
-        ],
-        fillet,
-    )
+    feats += detour
     for k in range(2 * h - 1, -1, -1):
         y = -1.0 - k * delta
         if k % 2 == 1:
@@ -316,9 +322,7 @@ def _pulley_features(h, v, fillet):
             feats.append(_seg((w, y), (4.0, y)))
             if k > 0:
                 feats.append(_cap((4.0, y + 0.5 * delta), rc, "right"))
-    feats += _polyline_features(
-        [(4.0, -1.0), (4.75, -1.0), (4.75, 0.0), (2.0, 0.0)], fillet
-    )
+    feats += to_clamp
     return feats
 
 
@@ -329,22 +333,22 @@ def _feature_positions(feats, s):
     total = cum[-1]
     s = np.clip(np.asarray(s, dtype=float), 0.0, total)
     idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(feats) - 1)
-    out = np.empty((s.size, 2))
-    for i, f in enumerate(feats):
-        mask = idx == i
-        if not np.any(mask):
-            continue
-        local = (s[mask] - cum[i]) / f[-1]
-        if f[0] == "seg":
-            _, p0, p1, _len = f
-            out[mask] = p0[None, :] + local[:, None] * (p1 - p0)[None, :]
-        else:
-            _, center, r, a0, a1, _len = f
-            ang = a0 + local * (a1 - a0)
-            out[mask] = center[None, :] + r * np.stack(
-                [np.cos(ang), np.sin(ang)], axis=1
-            )
-    return out
+    # Per-feature tables: the start point (a segment's first end, an
+    # arc's center), a segment's step, and an arc's radius, start angle
+    # and end angle; zeros where the kind does not apply.
+    is_seg = np.array([f[0] == "seg" for f in feats])
+    base = np.array([f[1] for f in feats])
+    step = np.array([f[2] - f[1] if f[0] == "seg" else (0.0, 0.0) for f in feats])
+    radius, a0, a1 = np.array(
+        [(0.0, 0.0, 0.0) if f[0] == "seg" else f[2:5] for f in feats]
+    ).T
+    sweep = a1 - a0
+    local = (s - cum[idx]) / lengths[idx]
+    start = base[idx]
+    ang = a0[idx] + local * sweep[idx]
+    on_arc = start + radius[idx, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    on_seg = start + local[:, None] * step[idx]
+    return np.where(is_seg[idx, None], on_seg, on_arc)
 
 
 @dataclass
@@ -385,7 +389,8 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     vs = np.linspace(0.0, 1.0, n_v)
     thetas = theta_grid(n_theta)
 
-    feats0 = _pulley_features(h, 0.0, fillet)
+    rails = _pulley_rails(h, fillet)
+    feats0 = _pulley_features(h, 0.0, rails)
     length = float(sum(f[-1] for f in feats0))
     scale = 2.0 * np.pi / length
 
@@ -400,20 +405,21 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     if s_probe is None:
         raise InputDataError("pulley construction lost its bottom rail")
 
-    s_samples = (thetas / (2.0 * np.pi)) * length
+    # The sample arclengths, then the probe's.
+    s_samples = np.append((thetas / (2.0 * np.pi)) * length, s_probe)
     values = np.empty((n_v, n_theta, 2))
     probe_dist = np.empty(n_v)
     clamp = np.array([2.0, 0.0])
     for j, v in enumerate(vs):
-        feats = _pulley_features(h, float(v), fillet)
+        feats = _pulley_features(h, float(v), rails)
         total = float(sum(f[-1] for f in feats))
         if abs(total - length) > 1e-9 * length:
             raise InputDataError(
                 f"pulley channel length drifted by {abs(total - length):.3e}"
             )
-        values[j] = scale * _feature_positions(feats, s_samples)
-        probe = _feature_positions(feats, np.array([s_probe]))[0]
-        probe_dist[j] = scale * float(np.linalg.norm(probe - clamp))
+        points = _feature_positions(feats, s_samples)
+        values[j] = scale * points[:-1]
+        probe_dist[j] = scale * float(np.linalg.norm(points[-1] - clamp))
 
     grid = HomotopyGrid(values=values, periodic=True)
     dv = 1.0 / (n_v - 1)

@@ -30,6 +30,15 @@ def _format_block(block, sep=",", lead="") -> str:
     return (line * m) % tuple(block.ravel().tolist())
 
 
+def _read_text(path) -> str:
+    """The contents of a text file, decoded as UTF-8 with universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError:
+        raise InputDataError(f"{path}: not UTF-8 text") from None
+
+
 def _floats(fields) -> np.ndarray:
     return np.fromiter(map(float, fields), dtype=float, count=len(fields))
 
@@ -82,11 +91,10 @@ def save_curve_json(path, c: SampledCurve):
 
 
 def load_curve_json(path) -> SampledCurve:
-    with open(path) as f:
-        try:
-            payload = json.load(f)
-        except json.JSONDecodeError as e:
-            raise InputDataError(f"{path}: invalid JSON ({e})")
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as e:
+        raise InputDataError(f"{path}: invalid JSON ({e})")
     if not isinstance(payload, dict) or "points" not in payload:
         raise InputDataError(f"{path}: expected an object with a 'points' array")
     try:
@@ -116,9 +124,7 @@ def save_curve_csv(path, c: SampledCurve):
 
 
 def load_curve_csv(path) -> SampledCurve:
-    with open(path) as f:
-        data = _parse_rows(f.read(), path)
-    return SampledCurve(points=data)
+    return SampledCurve(points=_parse_rows(_read_text(path), path))
 
 
 def load_curve(path) -> SampledCurve:
@@ -147,8 +153,7 @@ def save_grid_csv(path, C: HomotopyGrid):
 
 
 def load_grid_csv(path) -> HomotopyGrid:
-    with open(path) as f:
-        text = f.read()
+    text = _read_text(path)
     match = _GRID_HEADER.search(text)
     if not match:
         raise InputDataError(
@@ -177,6 +182,10 @@ def load_grid_npz(path) -> HomotopyGrid:
             periodic = bool(data["periodic"])
     except (OSError, KeyError, ValueError) as e:
         raise InputDataError(f"{path}: not a grid archive ({e})")
+    if values.dtype.kind not in "iuf":
+        raise InputDataError(
+            f"{path}: grid values must be integer or floating, not {values.dtype}"
+        )
     return HomotopyGrid(values=values, periodic=periodic)
 
 
@@ -254,8 +263,7 @@ def save_direction_csv(path, d: DirectionFunctionSample):
 
 
 def load_direction_csv(path) -> DirectionFunctionSample:
-    with open(path) as f:
-        data = _parse_rows(f.read(), path, columns=2)
+    data = _parse_rows(_read_text(path), path, columns=2)
     theta = data[:, 1]
     turns = (float(theta[-1]) - float(theta[0])) / (2.0 * np.pi)
     if not (np.all(np.isfinite(theta)) and np.isfinite(turns)):
@@ -272,8 +280,7 @@ def save_pointset_csv(path, points):
 
 
 def load_pointset_csv(path) -> np.ndarray:
-    with open(path) as f:
-        return _parse_rows(f.read(), path)
+    return _parse_rows(_read_text(path), path)
 
 
 def save_obj(path, C: HomotopyGrid):

@@ -7,6 +7,7 @@ Gauss-Newton sweep) and Hausdorff-type distances between compact
 point sets.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,18 +135,19 @@ def dirfn_distance(
     if mode != "quotient_shift":
         raise InputDataError(f"unknown distance mode '{mode}'")
 
+    # Shift k samples t2 from base point k on: body[k:], then body[:k]
+    # continued by one turn, then the closing sample. That is
+    # ext[k:k + m + 1] of the body followed by its one-turn continuation.
     m = d2.m_intervals
     body = t2[:-1]
+    ext = np.concatenate([body, body + 2.0 * np.pi * d2.winding])
     best = np.inf
+    diff = np.empty(m + 1)
     for k in range(m):
-        shifted_body = np.concatenate(
-            [body[k:], body[:k] + 2.0 * np.pi * d2.winding]
-        )
-        shifted = np.concatenate([shifted_body, [shifted_body[0] + 2.0 * np.pi * d2.winding]])
-        diff = t1 - shifted
-        b = float(w @ diff) / (2.0 * np.pi)
-        value = float(np.sqrt(w @ (diff - b) ** 2))
-        best = min(best, value)
+        np.subtract(t1, ext[k:k + m + 1], out=diff)
+        diff -= float(w @ diff) / (2.0 * np.pi)
+        diff *= diff
+        best = min(best, math.sqrt(w @ diff))
     return best
 
 

@@ -1,5 +1,7 @@
 """Shared curve and homotopy builders for the test suite."""
 
+import math
+
 import numpy as np
 
 from curvemetrics.curves import (
@@ -346,3 +348,103 @@ class ReferenceEvolutionFields:
             raise LevelSetError("a slice has no normal motion; lambda is undefined")
         ratio = self.m / self.S[:, None, None]
         return float(np.max(ratio[self.band]))
+
+
+def reference_feature_positions(feats, s):
+    """Points at arclengths s along a pulley feature chain, one masked pass per feature.
+
+    The implementation before the gathered per-feature tables, kept
+    verbatim. The library's _feature_positions must match it bit for bit.
+    """
+    lengths = np.array([f[-1] for f in feats])
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    total = cum[-1]
+    s = np.clip(np.asarray(s, dtype=float), 0.0, total)
+    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(feats) - 1)
+    out = np.empty((s.size, 2))
+    for i, f in enumerate(feats):
+        mask = idx == i
+        if not np.any(mask):
+            continue
+        local = (s[mask] - cum[i]) / f[-1]
+        if f[0] == "seg":
+            _, p0, p1, _len = f
+            out[mask] = p0[None, :] + local[:, None] * (p1 - p0)[None, :]
+        else:
+            _, center, r, a0, a1, _len = f
+            ang = a0 + local * (a1 - a0)
+            out[mask] = center[None, :] + r * np.stack(
+                [np.cos(ang), np.sin(ang)], axis=1
+            )
+    return out
+
+
+def reference_zigzag_quad(cone, phase, v_lo, v_hi, n_theta, n_v):
+    """ZigzagCone._quad with every field recomputed for each v row.
+
+    The implementation before Z and d_v were hoisted out of the row
+    loop, kept verbatim. The library's _quad must match it bit for bit.
+    """
+    from curvemetrics.counterexamples import _sawtooth
+
+    def sawtooth_slope(z, eps):
+        r = np.mod(z, 2.0 * eps)
+        return np.where(r <= eps, 1.0, -1.0)
+
+    def phase_fields(theta, v):
+        if phase == 1:
+            Z = _sawtooth(theta, cone.epsilon)
+            Zp = sawtooth_slope(theta, cone.epsilon)
+            rho = (2.0 * v / cone.epsilon) * Z
+            d_v = (2.0 / cone.epsilon) * Z
+            d_theta = (2.0 * v / cone.epsilon) * Zp
+        else:
+            Z = _sawtooth(theta + cone.epsilon, cone.epsilon)
+            Zp = sawtooth_slope(theta + cone.epsilon, cone.epsilon)
+            rho = 1.0 - (2.0 * (1.0 - v) / cone.epsilon) * Z
+            d_v = (2.0 / cone.epsilon) * Z
+            d_theta = -(2.0 * (1.0 - v) / cone.epsilon) * Zp
+        return rho, d_v, d_theta
+
+    def normal_integrand(theta, v):
+        rho, d_v, d_theta = phase_fields(theta, v)
+        speed_sq = rho * rho + d_theta * d_theta
+        out = np.zeros_like(speed_sq)
+        good = speed_sq > 0.0
+        out[good] = (d_v[good] ** 2) * (rho[good] ** 2) / np.sqrt(speed_sq[good])
+        return out
+
+    per_seg = max(16, int(math.ceil(n_theta / (2 * cone.k))))
+    m_theta = 2 * cone.k * per_seg
+    thetas = (np.arange(m_theta) + 0.5) * (2.0 * np.pi / m_theta)
+    vs = v_lo + (np.arange(n_v) + 0.5) * ((v_hi - v_lo) / n_v)
+    total = 0.0
+    for v in vs:
+        total += float(np.sum(normal_integrand(thetas, v)))
+    return total * (2.0 * np.pi / m_theta) * ((v_hi - v_lo) / n_v)
+
+
+def reference_quotient_shift(d1, d2):
+    """dirfn_distance(d1, d2, "quotient_shift") with each shift built by concatenation.
+
+    The implementation before the shifts became slices of one extended
+    array, kept verbatim. The library must match it bit for bit.
+    """
+    from curvemetrics.shapedist import _trapezoid_weights
+
+    w = _trapezoid_weights(d1.m_intervals)
+    t1 = d1.theta_of_s
+    t2 = d2.theta_of_s
+    m = d2.m_intervals
+    body = t2[:-1]
+    best = np.inf
+    for k in range(m):
+        shifted_body = np.concatenate(
+            [body[k:], body[:k] + 2.0 * np.pi * d2.winding]
+        )
+        shifted = np.concatenate([shifted_body, [shifted_body[0] + 2.0 * np.pi * d2.winding]])
+        diff = t1 - shifted
+        b = float(w @ diff) / (2.0 * np.pi)
+        value = float(np.sqrt(w @ (diff - b) ** 2))
+        best = min(best, value)
+    return best

@@ -4,6 +4,7 @@ import argparse
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from curvemetrics import cli, counterexamples, curveio, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
 from curvemetrics.energies import ConformalFactor, EnergySpec, inner_product
-from curvemetrics.errors import LevelSetError
+from curvemetrics.errors import InputDataError, LevelSetError
 from curvemetrics.flows import run_homotopy_flow, stable_lambda
 from curvemetrics.homotopy import sample_homotopy
 
@@ -101,6 +102,67 @@ def test_file_that_cannot_be_read_or_written_exits_3(tmp_path, capsys, case):
     assert err.startswith(f"InputDataError: {path}: ") and "Traceback" not in err
 
 
+def _non_utf8_case(tmp_path, case):
+    """argv of a command whose input `case` names is 300 bytes that are not UTF-8."""
+    curve, grid = write_circle(tmp_path), write_grid(tmp_path)
+    h = str(tmp_path / "h.csv")
+    curveio.save_pointset_csv(h, unit_circle(n=64).points)
+    d = str(tmp_path / "d.csv")
+    s = np.linspace(0.0, 2.0 * np.pi, 65)
+    curveio.save_direction_csv(d, DirectionFunctionSample(theta_of_s=s, winding=1))
+    noise = b"\xff" + np.random.default_rng(0).bytes(299)
+    bins = {}
+    for ext in ("csv", "json", "cfg"):
+        bins[ext] = str(tmp_path / f"bin.{ext}")
+        Path(bins[ext]).write_bytes(noise)
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "energy --grid": ["energy", "--grid", bins["csv"]],
+        "reparam --grid": ["reparam", "--grid", bins["csv"], "--out", out],
+        "flow --curve": ["flow", "--kind", "heat", "--curve", bins["csv"]],
+        "flow --grid": ["flow", "--kind", "h0", "--grid", bins["csv"]],
+        "inner --curve json": ["inner", "--curve", bins["json"], "--h", h, "--k", h],
+        "inner --curve csv": ["inner", "--curve", bins["csv"], "--h", h, "--k", h],
+        "inner --k": ["inner", "--curve", curve, "--h", h, "--k", bins["csv"]],
+        "hausdorff --b": ["hausdorff", "--a", h, "--b", bins["csv"]],
+        "hausdorff --path": ["hausdorff", "--path", h, bins["json"]],
+        "dirshape --d1": ["dirshape", "--d1", bins["csv"]],
+        "dirshape --d2": ["dirshape", "--mode", "distance", "--d1", d, "--d2", bins["csv"]],
+        "geodesic --c1": ["geodesic", "--c0", curve, "--c1", bins["json"],
+                          "--out", str(tmp_path / "geo")],
+        "counterexample --grid": ["counterexample", "--name", "winding", "--grid", bins["csv"]],
+        "--config": ["--config", bins["cfg"], "energy", "--grid", grid],
+    }[case]
+    return argv, next(path for path in bins.values() if path in argv)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["energy --grid", "reparam --grid", "flow --curve", "flow --grid", "inner --curve json",
+     "inner --curve csv", "inner --k", "hausdorff --b", "hausdorff --path", "dirshape --d1",
+     "dirshape --d2", "geodesic --c1", "counterexample --grid", "--config"],
+)
+def test_input_that_is_not_utf8_text_exits_3(tmp_path, capsys, case):
+    argv, path = _non_utf8_case(tmp_path, case)
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"InputDataError: {path}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "dtype, code",
+    [(str, 3), (complex, 3), (bool, 3), (object, 3), (np.int64, 0), (np.uint16, 0)],
+)
+def test_npz_grid_values_must_be_integer_or_floating(tmp_path, capsys, dtype, code):
+    values = np.rint(1000.0 * translating_circle(n_theta=32, n_v=5).values) + 2000.0
+    path = tmp_path / "grid.npz"
+    np.savez(path, values=values.astype(dtype), periodic=np.array(True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["energy", "--grid", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {path}: ") if code else err == ""
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -130,10 +192,14 @@ def test_malformed_curve_json_exits_3(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith(f"InputDataError: {bad}: ")
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_usage_error_exits_2(tmp_path):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text("steps=3\n")
+    # Twice each: nothing kept from one call changes the next.
+    for argv in (["no-such-command"], ["--config", str(cfg), "no-such-command"]) * 2:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_inner_subcommand(tmp_path, capsys):
@@ -389,6 +455,102 @@ def test_config_file_seeds_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "flow", "--kind", "heat",
                  "--curve", curve, "--steps", "2"]) == 0
     assert parse_kv(capsys.readouterr().out)["steps"] == "2"
+
+
+def test_config_defaults_are_read_on_every_call(tmp_path, capsys):
+    curve = write_circle(tmp_path)
+    a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    a.write_text("steps=3\n")
+    b.write_text("steps=4\n")
+
+    def steps(*config):
+        assert main([*config, "flow", "--kind", "heat", "--curve", curve]) == 0
+        return parse_kv(capsys.readouterr().out)["steps"]
+
+    assert steps("--config", str(a)) == "3"
+    # The call without --config sees the built-in default, not a's value.
+    assert steps() == "100"
+    assert steps("--config", str(b)) == "4"
+    assert steps(f"--config={a}") == "3"
+    # A rewritten file is read again, and its new values hold.
+    a.write_text("steps=5\n")
+    assert steps("--config", str(a)) == "5"
+    assert steps() == "100"
+
+
+@pytest.mark.parametrize("text", ["perpetual_motion=1\n", "steps=abc\n", "steps\n"])
+def test_bad_config_exits_3_on_every_call(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    # selfcheck has no --steps: a bad value of another command's option
+    # still fails, though main builds only the selfcheck subparser.
+    for _ in range(2):
+        assert main(["--config", str(cfg), "selfcheck"]) == 3
+        assert capsys.readouterr().err.startswith("InputDataError: ")
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
+    h = str(tmp_path / "h.csv")
+    curveio.save_pointset_csv(h, unit_circle(n=16).points)
+    cfg = tmp_path / "geo.cfg"
+    cfg.write_text("nx=32\nreinit_every=5\n")
+    assert main(["--config", str(cfg), "hausdorff", "--a", h, "--b", h]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _parse_outcome(parser, argv, capsys):
+    """Namespace (or exit code or typed error), stdout and stderr of one parse."""
+    try:
+        outcome = vars(parser.parse_args(argv))
+    except SystemExit as e:
+        outcome = e.code
+    except InputDataError as e:
+        outcome = repr(e)
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["energy", "--grid", "g.csv", "--kind", "J"], "energy"),
+        (["--seed", "3", "flow", "--steps", "2"], "flow"),
+        (["--seed=3", "--threads=2", "selfcheck"], "selfcheck"),
+        (["--se", "3", "--th", "2", "energy", "--grid", "g"], "energy"),
+        # An abbreviated --config takes the next token, here "energy".
+        (["--c", "energy", "inner", "--curve", "a", "--h", "b", "--k", "c"], "inner"),
+        (["--seed", "x", "energy", "--grid", "g"], "energy"),
+        (["--seed", "-1", "selfcheck"], "selfcheck"),
+        (["--config", "--seed", "energy", "--grid", "g"], "energy"),
+        (["energy"], "energy"),
+        (["energy", "--help"], "energy"),
+        (["selfcheck", "--seed", "2"], "selfcheck"),
+        (["--s", "1", "selfcheck", "extra"], "selfcheck"),
+        ([], None),
+        (["--help"], None),
+        (["-h"], None),
+        (["--he"], None),
+        (["--help", "x", "energy"], None),
+        (["bogus"], None),
+        (["--", "selfcheck"], None),
+        (["--foo", "selfcheck"], None),
+        (["-", "selfcheck"], None),
+        (["--threads", "energy"], None),
+    ],
+)
+def test_one_subcommand_tree_parses_like_the_full_tree(capsys, argv, command):
+    assert cli._command_of(argv) == command
+    full = _parse_outcome(cli.build_parser()[0], argv, capsys)
+    one = _parse_outcome(cli.build_parser(None, command)[0], argv, capsys)
+    assert one == full
+
+
+def test_one_subcommand_tree_knows_every_option():
+    _parser, full = cli.build_parser({"steps": "7"})
+    for command in cli._COMMANDS:
+        parser, helper = cli.build_parser({"steps": "7"}, command)
+        assert list(_subparsers(parser)) == [command]
+        assert helper.known == full.known
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from curvemetrics.counterexamples import (
+    _feature_positions,
+    _pulley_features,
+    _pulley_rails,
     conformal_stretch,
     graph_wiggle,
     pulley,
@@ -12,11 +17,18 @@ from curvemetrics.counterexamples import (
     winding_family,
     zigzag_cone,
 )
+from curvemetrics.curves import theta_grid
 from curvemetrics.energies import ConformalFactor, EnergySpec, energy
 from curvemetrics.errors import InputDataError
 from curvemetrics.homotopy import length_profile, sample_homotopy
 
-from helpers import translating_circle, unit_circle
+from helpers import (
+    bits,
+    reference_feature_positions,
+    reference_zigzag_quad,
+    translating_circle,
+    unit_circle,
+)
 
 
 AB21 = EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0)
@@ -194,6 +206,73 @@ def test_pulley_param_energy_grows():
     assert res4.slide_rate_max > res2.slide_rate_max
     # Normal motion stays bounded while the sliding energy grows.
     assert res4.max_normal_speed < 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    h=st.integers(1, 8),
+    v=st.floats(0.0, 1.0),
+    fillet=st.sampled_from([0.005, 0.02, 0.05, 0.1]),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**16),
+)
+def test_feature_positions_match_the_masked_loop_bit_for_bit(h, v, fillet, n, seed):
+    feats = _pulley_features(h, v, _pulley_rails(h, fillet))
+    cum = np.concatenate([[0.0], np.cumsum([f[-1] for f in feats])])
+    total = cum[-1]
+    # Both ends, past both ends, every feature join, and random points.
+    s = np.concatenate([
+        [0.0, total, -1.0, total + 1.0, np.nextafter(total, 0.0)],
+        cum,
+        np.random.default_rng(seed).uniform(0.0, total, n),
+    ])
+    got = _feature_positions(feats, s)
+    assert np.array_equal(bits(got), bits(reference_feature_positions(feats, s)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    h=st.integers(1, 8),
+    fillet=st.sampled_from([0.005, 0.02, 0.1]),
+    n_theta=st.integers(16, 600),
+)
+def test_pulley_grid_and_probe_match_the_masked_loop_bit_for_bit(h, fillet, n_theta):
+    res = pulley(h, n_theta=n_theta, n_v=5, fillet=fillet)
+    rails = _pulley_rails(h, fillet)
+    s = (theta_grid(n_theta) / (2.0 * np.pi)) * res.length
+    s_probe = None
+    cum = 0.0
+    for f in _pulley_features(h, 0.0, rails):
+        if f[0] == "seg" and abs(f[1][1] + 2.5) < 1e-12 and f[-1] > 5.0:
+            s_probe = cum + (2.0 - f[1][0])
+            break
+        cum += f[-1]
+    probe_dist = np.empty(5)
+    for j, v in enumerate(np.linspace(0.0, 1.0, 5)):
+        feats = _pulley_features(h, float(v), rails)
+        expected = res.scale * reference_feature_positions(feats, s)
+        assert np.array_equal(bits(res.grid.values[j]), bits(expected))
+        probe = reference_feature_positions(feats, np.array([s_probe]))[0]
+        probe_dist[j] = res.scale * float(np.linalg.norm(probe - np.array([2.0, 0.0])))
+    slide = float(np.max(np.abs(np.diff(probe_dist)))) / 0.25
+    assert bits(res.slide_rate_max) == bits(slide)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 32),
+    phase=st.sampled_from([1, 2]),
+    n_theta=st.integers(8, 1200),
+    n_v=st.integers(1, 40),
+)
+@example(k=4, phase=1, n_theta=2048, n_v=256)
+@example(k=32, phase=2, n_theta=2048, n_v=256)
+def test_zigzag_quadrature_matches_the_row_loop_bit_for_bit(k, phase, n_theta, n_v):
+    cone = zigzag_cone(k, unit_circle(n=256), n_v=3)
+    v_lo, v_hi = (0.0, 0.5) if phase == 1 else (0.5, 1.0)
+    got = cone._quad(phase, v_lo, v_hi, n_theta, n_v)
+    expected = reference_zigzag_quad(cone, phase, v_lo, v_hi, n_theta, n_v)
+    assert bits(got) == bits(expected)
 
 
 def test_conformal_stretch_validation():

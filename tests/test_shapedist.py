@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -18,7 +18,7 @@ from curvemetrics.shapedist import (
     sup_speed_length,
 )
 
-from helpers import bits, translating_circle, unit_circle
+from helpers import bits, reference_quotient_shift, translating_circle, unit_circle
 
 
 def circle_dirfn(m=256):
@@ -89,6 +89,28 @@ def test_quotient_shift_never_exceeds_l2():
         l2 = dirfn_distance(a, b)
         q = dirfn_distance(a, b, mode="quotient_shift")
         assert q <= l2 + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(8, 1024),
+    winding=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**16),
+)
+@example(m=8, winding=1, seed=0)
+@example(m=1024, winding=2, seed=1)
+def test_quotient_shift_matches_the_concatenating_loop_bit_for_bit(m, winding, seed):
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.0, 2.0 * np.pi, m + 1)
+    members = []
+    for _ in range(2):
+        theta = winding * s + rng.uniform(-0.05, 0.05)
+        for k in (1, 2, 3):
+            theta = theta + rng.uniform(-0.05, 0.05) * np.sin(k * s + rng.uniform(0.0, 2.0 * np.pi))
+        theta[-1] = theta[0] + 2.0 * np.pi * winding
+        members.append(dirfn_project(DirectionFunctionSample(theta_of_s=theta, winding=winding)))
+    got = dirfn_distance(*members, mode="quotient_shift")
+    assert bits(got) == bits(reference_quotient_shift(*members))
 
 
 def test_triangle_inequality_circle_ellipse_wobble():
