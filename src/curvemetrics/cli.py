@@ -64,15 +64,6 @@ def _read_config(path):
     return config
 
 
-def _scan_config(argv):
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return _read_config(argv[i + 1])
-        if token.startswith("--config="):
-            return _read_config(token.split("=", 1)[1])
-    return {}
-
-
 class _ArgHelper:
     """add_argument wrapper that lets a config file reset the defaults.
 
@@ -527,29 +518,34 @@ _COMMANDS = {
     "selfcheck": ("run the built-in numerical battery", _cmd_selfcheck),
 }
 
-# The top-level options that take a value.
-_VALUE_OPTIONS = ("--config", "--seed", "--threads")
+# The top-level long options; all but --help take a value.
+_TOP_OPTIONS = ("--config", "--seed", "--threads", "--help")
 
 
-def _command_of(argv):
-    """The subcommand argv runs, or None when only the full parser can tell.
+def _scan_argv(argv):
+    """(the --config path, the subcommand) argv gives, each None if it gives none.
 
-    Walks argv as the top-level parser does: --config, --seed and
-    --threads, or a prefix that names one of them alone, take the next
-    token, and the first token that is not an option is the command.
-    Help, '--' and any other option give None.
+    Walks argv as the top-level parser does. A token names an option by
+    its full name or by a prefix that names it alone, with or without
+    '=value', argparse's abbreviation rule; an option without '=value'
+    takes the next token. The first token that is not an option is the
+    command. Help, '--' and any other option end the walk with no
+    command: only the full parser can tell what argv runs.
     """
+    path = None
     tokens = iter(argv)
     for token in tokens:
         if not token.startswith("-"):
-            return token if token in _COMMANDS else None
-        if token.startswith("--") and "=" in token:
-            continue
-        named = [o for o in (*_VALUE_OPTIONS, "--help") if o.startswith(token)]
-        if not token.startswith("--") or len(named) != 1 or named[0] == "--help":
-            return None
-        next(tokens, None)
-    return None
+            return path, (token if token in _COMMANDS else None)
+        name, eq, value = token.partition("=")
+        named = [o for o in _TOP_OPTIONS if o.startswith(name)]
+        if not name.startswith("--") or len(named) != 1 or named[0] == "--help":
+            return path, None
+        if not eq:
+            value = next(tokens, None)
+        if named[0] == "--config":
+            path = value
+    return path, None
 
 
 def build_parser(config=None, command=None):
@@ -679,8 +675,9 @@ def build_parser(config=None, command=None):
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        config = _scan_config(argv)
-        parser, helper = build_parser(config, _command_of(argv))
+        path, command = _scan_argv(argv)
+        config = {} if path is None else _read_config(path)
+        parser, helper = build_parser(config, command)
         unknown = set(config) - helper.known
         if unknown:
             raise InputDataError(

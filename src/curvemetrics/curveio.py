@@ -186,7 +186,10 @@ def load_grid_npz(path) -> HomotopyGrid:
         raise InputDataError(
             f"{path}: grid values must be integer or floating, not {values.dtype}"
         )
-    return HomotopyGrid(values=values, periodic=periodic)
+    try:
+        return HomotopyGrid(values=values, periodic=periodic)
+    except InputDataError as e:
+        raise InputDataError(f"{path}: {e}")
 
 
 def load_grid(path) -> HomotopyGrid:

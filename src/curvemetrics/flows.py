@@ -252,8 +252,11 @@ def _cfl_dt(C: HomotopyGrid, fields: VStarField, terms) -> float:
 def _step(C: HomotopyGrid, fields: VStarField, terms, dt, drop_magnitude) -> HomotopyGrid:
     """Explicit Euler update from the fields and their _factor_terms.
 
-    dt is not checked against the CFL bound here; the public steps
-    check it and the flow loop never exceeds it.
+    C_t = phi C_v*v* + phi' L_v* C_v* + (1/2)(phi' M - phi m) C_ss on the
+    interior slices, with phi on the slice lengths; the endpoints stay
+    pinned. drop_magnitude divides by phi, keeping only the shape of the
+    stabilization. dt is not checked here: the flow loop never takes
+    more than the CFL bound.
     """
     phi, dphi, coef_s = terms
     rhs = scale(fields.c_vstar_vstar, phi[:, None])
@@ -269,38 +272,6 @@ def _step(C: HomotopyGrid, fields: VStarField, terms, dt, drop_magnitude) -> Hom
     return HomotopyGrid(values=values, periodic=True)
 
 
-def _guarded_step(C: HomotopyGrid, factor, dt, drop_magnitude) -> HomotopyGrid:
-    """One public flow step: fields, factor terms, the CFL guard, the update."""
-    fields = vstar_calculus(C)
-    terms = _factor_terms(fields, factor)
-    dt_max = _cfl_dt(C, fields, terms)
-    if dt > dt_max * (1.0 + 1e-12):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    return _step(C, fields, terms, dt, drop_magnitude)
-
-
-def homotopy_cfl_dt(C: HomotopyGrid, factor: Optional[ConformalFactor] = None) -> float:
-    """Stable explicit step 0.2 min(ds^2, dv^2) / max coefficient.
-
-    The coefficient is the largest of 1, phi and |coef_s|; no factor
-    means the h0 flow, the identity factor.
-    """
-    fields = vstar_calculus(C)
-    factor = factor or ConformalFactor.identity()
-    return _cfl_dt(C, fields, _factor_terms(fields, factor))
-
-
-def h0_homotopy_flow_step(C: HomotopyGrid, dt: float) -> HomotopyGrid:
-    """Explicit Euler step of C_t = C_v*v* - (1/2) m C_ss on interior slices.
-
-    The v* term diffuses along the homotopy direction; the arclength
-    term is backward-parabolic, which is exactly the instability the
-    conformal variant repairs. Endpoint slices stay pinned. This is the
-    conformal step with the identity factor.
-    """
-    return _guarded_step(C, ConformalFactor.identity(), dt, False)
-
-
 def _margin(terms) -> float:
     _phi, _dphi, coef_s = terms
     return 2.0 * float(np.min(coef_s))
@@ -309,24 +280,6 @@ def _margin(terms) -> float:
 def stability_margin(C: HomotopyGrid, factor: ConformalFactor) -> float:
     """min over the grid of phi' M - phi m, nonnegative when lambda is stable."""
     return _margin(_factor_terms(vstar_calculus(C), factor))
-
-
-def conformal_homotopy_flow_step(
-    C: HomotopyGrid,
-    factor: ConformalFactor,
-    dt: float,
-    drop_magnitude: bool = False,
-) -> HomotopyGrid:
-    """Explicit Euler step of the conformally stabilized flow.
-
-    C_t = phi C_v*v* + phi' L_v* C_v* + (1/2)(phi' M - phi m) C_ss,
-    with phi evaluated on slice lengths. The arclength coefficient is
-    nonnegative when the factor's lambda came from stable_lambda at
-    t = 0. drop_magnitude divides by phi, keeping only the shape of the
-    stabilization; with the identity factor the step reduces to the
-    plain flow exactly.
-    """
-    return _guarded_step(C, factor, dt, drop_magnitude)
 
 
 @dataclass

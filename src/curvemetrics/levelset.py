@@ -45,7 +45,6 @@ class LevelSetGrid:
     t: float = 0.0
     lam: Optional[float] = None
     band_width: float = 6.0
-    full_grid: bool = False
     _segments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class LevelSetGrid:
         return float(self.vs[1] - self.vs[0])
 
     def band_mask(self):
-        if self.full_grid:
-            return np.ones_like(self.psi, dtype=bool)
         return np.abs(self.psi) <= self.band_width * max(self.dx, self.dy)
 
 
@@ -285,7 +282,6 @@ def embed(
     box=None,
     margin: float = 0.25,
     band_width: float = 6.0,
-    full_grid: bool = False,
 ) -> LevelSetGrid:
     """Signed-distance embedding of a homotopy (or an endpoint pair).
 
@@ -315,7 +311,7 @@ def embed(
     # Built before psi is filled, so a grid too small is rejected first.
     L = LevelSetGrid(
         psi=np.empty((C.n_v, ny, nx)), xs=xs, ys=ys, vs=vs,
-        band_width=band_width, full_grid=full_grid,
+        band_width=band_width,
     )
     one_group = np.zeros(C.n_theta, dtype=np.int64)
     for j in range(C.n_v):
@@ -588,9 +584,7 @@ class _EvolutionFields:
     endpoints never being updated.
     """
 
-    def __init__(self, L: LevelSetGrid, lam: Optional[float] = None):
-        if lam is None:
-            lam = L.lam
+    def __init__(self, L: LevelSetGrid):
         psi = L.psi
         self.psi_x = _gradient(psi, L.dx, 2)
         self.psi_y = _gradient(psi, L.dy, 1)
@@ -636,13 +630,14 @@ class _EvolutionFields:
         L_v = np.zeros(nv)
         L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * L.dv)
         self.L_v = L_v
-        self.lam = lam
         self.L = L
 
     def rhs(self):
-        if self.lam is None:
-            raise InputDataError("evolution needs lambda (set it or pass it)")
+        """psi_t, zero outside the interior band; lambda is L.lam."""
         L = self.L
+        lam = L.lam
+        if lam is None:
+            raise InputDataError("evolution needs lambda (set L.lam)")
         if np.any(self.g2_raw[self.interior_band] < 0.09):
             raise LevelSetError(
                 "|grad psi| degenerated inside the band; reinitialize more often"
@@ -676,11 +671,11 @@ class _EvolutionFields:
         curv_g -= 2.0 * xy_xy
         curv_g += psi_yy * psi_x2
         curv_g /= g2
-        curv_coef = -0.5 * (self.m - self.lam * self.S[:, None, None])
+        curv_coef = -0.5 * (self.m - lam * self.S[:, None, None])
         curvature_term = curv_coef[mid] * curv_g
 
         # Upwind v-difference, forward where a = lam L_v > 0.
-        a = (self.lam * self.L_v)[mid, None, None]
+        a = (lam * self.L_v)[mid, None, None]
         step_v = (L.psi[1:] - L.psi[:-1]) / L.dv
         transport = a * np.where(a > 0.0, step_v[1:], step_v[:-1])
 
@@ -692,74 +687,51 @@ class _EvolutionFields:
             rate += term
         psi_t = np.zeros_like(L.psi)
         psi_t[mid] = np.where(self.interior_band[mid], rate, 0.0)
-        info = {
-            "lengths": self.lengths,
-            "S": self.S,
-            "L_v": self.L_v,
-            "curv_coef": curv_coef,
-        }
-        return psi_t, info
+        return psi_t
 
     def cfl_dt(self):
-        if self.lam is None:
-            raise InputDataError("the CFL estimate needs lambda")
+        """The largest stable explicit step for lambda = L.lam."""
         L = self.L
+        lam = L.lam
+        if lam is None:
+            raise InputDataError("the CFL estimate needs lambda (set L.lam)")
         if not np.any(self.interior_band):
             return 0.2 * L.dv * L.dv
         m = self.m[self.interior_band]
         s_max = float(np.max(self.S))
         plane_coef = float(
-            np.max(m + 0.5 * np.abs(m - self.lam * s_max) + 2.0 * np.sqrt(m))
+            np.max(m + 0.5 * np.abs(m - lam * s_max) + 2.0 * np.sqrt(m))
         )
         plane_coef = max(plane_coef, 1e-6)
         dt = 0.2 * min(L.dv * L.dv, min(L.dx, L.dy) ** 2 / plane_coef)
-        a_max = float(np.max(np.abs(self.lam * self.L_v)))
+        a_max = float(np.max(np.abs(lam * self.L_v)))
         if a_max > 0.0:
             dt = min(dt, 0.5 * L.dv / a_max)
         return dt
 
 
-def psi_time_derivative(L: LevelSetGrid, lam: Optional[float] = None):
-    """Right-hand side of the level-set evolution on the interior band.
-
-    Returns (psi_t, info); psi_t is zero outside the band and on the
-    pinned endpoint slices. info carries per-slice contour lengths, the
-    stabilizer integrals S, the length derivative L_v, and the curvature
-    coefficient field.
-    """
-    return _EvolutionFields(L, lam).rhs()
-
-
-def levelset_cfl_dt(L: LevelSetGrid, lam: Optional[float] = None) -> float:
-    """Stable explicit step estimated from the current band coefficients."""
-    return _EvolutionFields(L, lam).cfl_dt()
-
-
 def levelset_lambda(L: LevelSetGrid) -> float:
     """Stabilizing lambda: max over band points of (psi_v^2/|grad psi|^2) / S."""
-    fields = _EvolutionFields(L, lam=0.0)
+    fields = _EvolutionFields(L)
     if np.any(fields.S <= 1e-12):
         raise LevelSetError("a slice has no normal motion; lambda is undefined")
     ratio = fields.m / fields.S[:, None, None]
     return float(np.max(ratio[fields.band]))
 
 
-def evolve_step(
-    L: LevelSetGrid, dt: Optional[float] = None, lam: Optional[float] = None
-) -> LevelSetGrid:
-    """One explicit Euler step of the level-set flow; endpoints pinned.
+def evolve_step(L: LevelSetGrid, dt: Optional[float] = None) -> LevelSetGrid:
+    """One explicit Euler step of the level-set flow at lambda = L.lam.
 
-    dt = None takes the largest stable step; an explicit dt above the
-    stable bound raises CFLError.
+    Endpoints stay pinned. dt = None takes the largest stable step; an
+    explicit dt above the stable bound raises CFLError.
     """
-    fields = _EvolutionFields(L, lam)
+    fields = _EvolutionFields(L)
     dt_max = fields.cfl_dt()
     if dt is None:
         dt = dt_max
     elif dt > dt_max * (1.0 + 1e-9):
         raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    psi_t, _info = fields.rhs()
-    return replace(L, psi=L.psi + dt * psi_t, t=L.t + dt)
+    return replace(L, psi=L.psi + dt * fields.rhs(), t=L.t + dt)
 
 
 def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
@@ -902,7 +874,7 @@ def run_geodesic(
         try:
             lam = levelset_lambda(L)
         except LevelSetError:
-            fields = _EvolutionFields(L, lam=0.0)
+            fields = _EvolutionFields(L)
             if float(np.max(fields.m[fields.band])) > 1e-10:
                 raise
             # psi_v vanishes everywhere, so every update term vanishes

@@ -209,18 +209,17 @@ def reference_distance_to_segments(px, py, a, b):
 class ReferenceEvolutionFields:
     """The level-set evolution fields as full-grid np.gradient / np.roll passes.
 
-    The implementation before the slice-based step, kept verbatim: every
-    difference covers every slice, and the update terms are masked to
-    the interior band afterwards. The library's step must match it bit
+    The implementation before the slice-based step, kept verbatim but
+    for its interface (lambda is L.lam, and rhs returns psi_t alone):
+    every difference covers every slice, and the update terms are masked
+    to the interior band afterwards. The library's step must match it bit
     for bit over the whole grid.
     """
 
-    def __init__(self, L, lam=None):
+    def __init__(self, L):
         from curvemetrics.levelset import _bilinear, _zero_segments
         from curvemetrics.errors import LevelSetError
 
-        if lam is None:
-            lam = L.lam
         psi = L.psi
         dx, dy, dv = L.dx, L.dy, L.dv
 
@@ -274,14 +273,14 @@ class ReferenceEvolutionFields:
         L_v = np.zeros(nv)
         L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * dv)
         self.L_v = L_v
-        self.lam = lam
+        self.lam = L.lam
         self.L = L
 
     def rhs(self):
         from curvemetrics.errors import InputDataError, LevelSetError
 
         if self.lam is None:
-            raise InputDataError("evolution needs lambda (set it or pass it)")
+            raise InputDataError("evolution needs lambda (set L.lam)")
         L = self.L
         if np.any(self.g2_raw[self.interior_band] < 0.09):
             raise LevelSetError(
@@ -315,14 +314,7 @@ class ReferenceEvolutionFields:
         transport = a[:, None, None] * np.where(a[:, None, None] > 0.0, fwd, bwd)
 
         psi_t = self.psi_vv + cross_term + ray_term + curvature_term + transport
-        psi_t = np.where(self.interior_band, psi_t, 0.0)
-        info = {
-            "lengths": self.lengths,
-            "S": self.S,
-            "L_v": self.L_v,
-            "curv_coef": curv_coef,
-        }
-        return psi_t, info
+        return np.where(self.interior_band, psi_t, 0.0)
 
     def cfl_dt(self):
         L = self.L

@@ -34,10 +34,11 @@ def run_toy(workload):
 
 
 def test_perfbench_toy_homotopy_flow_runs_clean():
-    metrics, _ = run_toy("homotopy_flow")
-    # One v* field pass per flow step, and no separate CFL evaluation.
-    assert metrics["flows.vstar_calculus.calls"]["value"] == 5
-    assert metrics["flows.homotopy_cfl_dt.calls"]["value"] == 0
+    metrics, outputs = run_toy("homotopy_flow")
+    # One v* field pass per flow step of the traced pass, 5 per run.
+    steps = sum(out["steps"] for out in outputs.values())
+    assert outputs and steps == 5
+    assert steps == metrics["flows.vstar_calculus.calls"]["value"]
     # The energy trace comes from those fields; only the final grid
     # gets its own conformal energy() call.
     assert metrics["energies.energy.conformal.calls"]["value"] == 1

@@ -163,6 +163,15 @@ def test_npz_grid_values_must_be_integer_or_floating(tmp_path, capsys, dtype, co
     assert err.startswith(f"InputDataError: {path}: ") if code else err == ""
 
 
+def test_npz_grid_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "shape.npz"
+    np.savez(path, values=np.zeros((4, 2)), periodic=np.array(True))
+    assert main(["energy", "--grid", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {path}: ")
+    assert "shape" in err.split(f"{path}: ", 1)[1]
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -478,6 +487,27 @@ def test_config_defaults_are_read_on_every_call(tmp_path, capsys):
     assert steps() == "100"
 
 
+@pytest.mark.parametrize(
+    "config",
+    [["--conf", "{s}"], ["--conf={s}"], ["--c", "{s}"], ["--config", "{t}", "--co", "{s}"]],
+    ids=["conf", "conf=", "c", "last-wins"],
+)
+def test_abbreviated_config_is_read(tmp_path, capsys, config):
+    # argparse takes any unique prefix of --config, and keeps the last
+    # one given; the defaults must come from that same file.
+    curve = write_circle(tmp_path)
+    (tmp_path / "s.cfg").write_text("steps=3\n")
+    (tmp_path / "t.cfg").write_text("steps=4\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("perpetual_motion=1\n")
+    argv = [a.format(s=tmp_path / "s.cfg", t=tmp_path / "t.cfg") for a in config]
+    assert main([*argv, "flow", "--kind", "heat", "--curve", curve]) == 0
+    assert parse_kv(capsys.readouterr().out)["steps"] == "3"
+    argv = [a.format(s=bad, t=tmp_path / "t.cfg") for a in config]
+    assert main([*argv, "selfcheck"]) == 3
+    assert "perpetual_motion" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["perpetual_motion=1\n", "steps=abc\n", "steps\n"])
 def test_bad_config_exits_3_on_every_call(tmp_path, capsys, text):
     cfg = tmp_path / "bad.cfg"
@@ -536,10 +566,12 @@ def _parse_outcome(parser, argv, capsys):
         (["--foo", "selfcheck"], None),
         (["-", "selfcheck"], None),
         (["--threads", "energy"], None),
+        (["--conf=c.cfg", "--se=3", "selfcheck"], "selfcheck"),
+        (["--he=1", "energy"], None),
     ],
 )
 def test_one_subcommand_tree_parses_like_the_full_tree(capsys, argv, command):
-    assert cli._command_of(argv) == command
+    assert cli._scan_argv(argv)[1] == command
     full = _parse_outcome(cli.build_parser()[0], argv, capsys)
     one = _parse_outcome(cli.build_parser(None, command)[0], argv, capsys)
     assert one == full

@@ -32,14 +32,11 @@ from curvemetrics.errors import (
 )
 from curvemetrics.flows import (
     commutator_check,
-    conformal_homotopy_flow_step,
     d_s,
     d_vstar,
     energy_derivative_check,
-    h0_homotopy_flow_step,
     heat_cfl_dt,
     heat_flow_step,
-    homotopy_cfl_dt,
     identity_residuals,
     integrate_heat_flow,
     mm_arclength_flow_step,
@@ -308,27 +305,34 @@ def test_commutator_check_second_order():
 
 def test_homotopy_cfl_bound():
     C = translating_circle(n_theta=256, n_v=64)
-    dt = homotopy_cfl_dt(C)
+    dt = run_homotopy_flow(C, kind="h0", steps=1, renormalize_every=0).dt
     assert 0.0 < dt <= 0.2 * C.dv**2
 
 
 def test_h0_step_pins_endpoints():
     C = translating_circle(n_theta=128, n_v=17)
-    dt = homotopy_cfl_dt(C)
-    out = h0_homotopy_flow_step(C, dt)
+    state = run_homotopy_flow(C, kind="h0", steps=1, renormalize_every=0)
+    out = state.grid
     assert np.array_equal(out.values[0], C.values[0])
     assert np.array_equal(out.values[-1], C.values[-1])
     assert np.max(np.abs(out.values[1:-1] - C.values[1:-1])) > 0.0
-    with pytest.raises(CFLError):
-        h0_homotopy_flow_step(C, 2.0 * dt)
+    # A given dt above the stable bound is capped at that bound.
+    capped = run_homotopy_flow(
+        C, kind="h0", steps=1, dt=2.0 * state.dt, renormalize_every=0
+    )
+    assert capped.dt == state.dt
+    assert np.array_equal(capped.grid.values, out.values)
 
 
 def test_conformal_step_with_identity_factor_is_h0():
     C = translating_circle(n_theta=128, n_v=17)
-    dt = homotopy_cfl_dt(C)
-    plain = h0_homotopy_flow_step(C, dt)
-    conf = conformal_homotopy_flow_step(C, ConformalFactor.identity(), dt)
-    assert np.array_equal(plain.values, conf.values)
+    plain = run_homotopy_flow(C, kind="h0", steps=5)
+    conf = run_homotopy_flow(
+        C, kind="conformal", steps=5, factor=ConformalFactor.identity()
+    )
+    assert np.array_equal(plain.grid.values, conf.grid.values)
+    assert np.array_equal(plain.energy_trace, conf.energy_trace)
+    assert plain.dt == conf.dt
 
 
 def test_stability_margin_at_stable_lambda():
@@ -358,9 +362,10 @@ def test_run_conformal_flow_reports_state():
     ids=["h0", "conformal", "h0-renormalize", "conformal-renormalize"],
 )
 def test_run_flow_matches_the_public_step_loop(kind, renormalize_every):
-    # The run takes its energy trace from the v* fields of the next
-    # step, which are built after renormalization; public energy() on
-    # the same grids must give the same numbers bit for bit.
+    # The reference chains one-step runs at the start factor. The run
+    # takes its energy trace from the v* fields of the next step, which
+    # are built after renormalization; public energy() on the same grids
+    # must give the same numbers bit for bit.
     C = translating_circle(n_theta=128, n_v=17)
     state = run_homotopy_flow(
         C, kind=kind, steps=5, renormalize_every=renormalize_every
@@ -375,18 +380,16 @@ def test_run_flow_matches_the_public_step_loop(kind, renormalize_every):
     margins = []
     energies = [energy(G, spec).total]
     for k in range(1, 6):
-        dt = homotopy_cfl_dt(G, factor)
-        if factor is None:
-            G = h0_homotopy_flow_step(G, dt)
-        else:
+        if factor is not None:
             margins.append(stability_margin(G, factor))
-            G = conformal_homotopy_flow_step(G, factor, dt)
+        one = run_homotopy_flow(G, kind, steps=1, factor=factor, renormalize_every=0)
+        G = one.grid
         if renormalize_every and k % renormalize_every == 0:
             G = flows._renormalize_interior(G)
         energies.append(energy(G, spec).total)
     assert np.array_equal(state.grid.values, G.values)
     assert np.array_equal(state.energy_trace, energies)
-    assert state.dt == dt
+    assert state.dt == one.dt
     if factor is None:
         assert state.margin_trace is None
     else:
@@ -405,9 +408,10 @@ def _renormalize_per_slice(G):
 
 @pytest.mark.parametrize("kind", ["h0", "conformal"])
 def test_run_flow_renormalizes_without_per_slice_curves(kind, monkeypatch):
-    # The reference is the public step loop, renormalized every second
-    # step one curve at a time; the run must match it bit for bit while
-    # every per-curve entry point fails when called.
+    # The reference chains one-step runs at the start factor,
+    # renormalized every second step one curve at a time; the run must
+    # match it bit for bit while every per-curve entry point fails when
+    # called.
     C = translating_circle(n_theta=128, n_v=17)
     if kind == "conformal":
         factor = ConformalFactor.exp_length(stable_lambda(C))
@@ -419,12 +423,10 @@ def test_run_flow_renormalizes_without_per_slice_curves(kind, monkeypatch):
     margins = []
     energies = [energy(G, spec).total]
     for k in range(1, 6):
-        dt = homotopy_cfl_dt(G, factor)
-        if factor is None:
-            G = h0_homotopy_flow_step(G, dt)
-        else:
+        if factor is not None:
             margins.append(stability_margin(G, factor))
-            G = conformal_homotopy_flow_step(G, factor, dt)
+        one = run_homotopy_flow(G, kind, steps=1, factor=factor, renormalize_every=0)
+        G = one.grid
         if k % 2 == 0:
             G = _renormalize_per_slice(G)
         energies.append(energy(G, spec).total)
@@ -438,7 +440,7 @@ def test_run_flow_renormalizes_without_per_slice_curves(kind, monkeypatch):
     state = run_homotopy_flow(C, kind=kind, steps=5, renormalize_every=2)
     assert np.array_equal(state.grid.values, G.values)
     assert np.array_equal(state.energy_trace, energies)
-    assert state.dt == dt
+    assert state.dt == one.dt
     if factor is not None:
         assert np.array_equal(state.margin_trace, margins)
 
@@ -463,7 +465,6 @@ def test_run_flow_builds_vstar_fields_once_per_step(kind, monkeypatch):
 
     monkeypatch.setattr(flows, "vstar_calculus", counting)
     monkeypatch.setattr(flows, "energy", counting_energy)
-    monkeypatch.setattr(flows, "homotopy_cfl_dt", forbidden)
     monkeypatch.setattr(flows, "stability_margin", forbidden)
     C = translating_circle(n_theta=64, n_v=9)
     state = run_homotopy_flow(C, kind=kind, steps=4, renormalize_every=2)

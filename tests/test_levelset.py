@@ -20,9 +20,7 @@ from curvemetrics.levelset import (
     evolve_step,
     extract_slices,
     extracted_homotopy,
-    levelset_cfl_dt,
     levelset_lambda,
-    psi_time_derivative,
     reinitialize,
     run_geodesic,
 )
@@ -206,8 +204,6 @@ def test_band_mask():
     width = L.band_width * max(L.dx, L.dy)
     assert np.array_equal(band, np.abs(L.psi) <= width)
     assert band.any() and not band.all()
-    full = LevelSetGrid(psi=L.psi, xs=L.xs, ys=L.ys, vs=L.vs, full_grid=True)
-    assert full.band_mask().all()
 
 
 def test_embed_matches_exact_signed_distance():
@@ -281,7 +277,6 @@ def test_extract_nested_circles_opposite_orientation():
         xs=xs,
         ys=ys,
         vs=np.linspace(0.0, 1.0, 3),
-        full_grid=True,
     )
     loops = extract_slices(L).contours[0]
     assert len(loops) == 2
@@ -320,10 +315,11 @@ def test_rhs_vanishes_for_v_independent_field():
         xs=xs,
         ys=ys,
         vs=np.linspace(0.0, 1.0, 5),
+        lam=0.7,
     )
-    psi_t, info = psi_time_derivative(L, lam=0.7)
-    assert np.all(psi_t == 0.0)
-    assert np.ptp(info["lengths"]) == 0.0
+    fields = _EvolutionFields(L)
+    assert np.all(fields.rhs() == 0.0)
+    assert np.ptp(fields.lengths) == 0.0
     # The same field admits no stabilizing lambda: nothing moves.
     with pytest.raises(LevelSetError):
         levelset_lambda(L)
@@ -332,8 +328,8 @@ def test_rhs_vanishes_for_v_independent_field():
 def test_evolve_step_pins_endpoints():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    lam = levelset_lambda(L)
-    stepped = evolve_step(L, lam=lam)
+    L = replace(L, lam=levelset_lambda(L))
+    stepped = evolve_step(L)
     assert np.array_equal(stepped.psi[0], L.psi[0])
     assert np.array_equal(stepped.psi[-1], L.psi[-1])
     assert not np.array_equal(stepped.psi[8], L.psi[8])
@@ -343,13 +339,16 @@ def test_evolve_step_pins_endpoints():
 def test_evolve_step_cfl():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    lam = levelset_lambda(L)
-    dt = levelset_cfl_dt(L, lam)
+    L = replace(L, lam=levelset_lambda(L))
+    dt = _EvolutionFields(L).cfl_dt()
     assert 0.0 < dt <= 0.2 * L.dv * L.dv
     with pytest.raises(CFLError):
-        evolve_step(L, dt=2.0 * dt, lam=lam)
-    with pytest.raises(InputDataError):
-        psi_time_derivative(L)  # no lambda anywhere
+        evolve_step(L, dt=2.0 * dt)
+    # Lambda comes from L.lam alone; without it nothing evolves.
+    unset = replace(L, lam=None)
+    for run in (evolve_step, lambda L: _EvolutionFields(L).rhs()):
+        with pytest.raises(InputDataError, match="lambda"):
+            run(unset)
 
 
 def test_levelset_lambda_translated_circles():
@@ -357,14 +356,15 @@ def test_levelset_lambda_translated_circles():
     L = embed((c0, c1))
     lam = levelset_lambda(L)
     np.testing.assert_allclose(lam, 1.0 / np.pi, rtol=1e-2)
-    _, info = psi_time_derivative(L, lam=lam)
+    fields = _EvolutionFields(L)
     band = L.band_mask()
-    assert np.min(info["curv_coef"][band]) >= -1e-9
-    lam_curve = stable_lambda(extracted_homotopy(L))
-    _, info_curve = psi_time_derivative(L, lam=lam_curve)
-    assert np.min(info_curve["curv_coef"][band]) >= -1e-9
+    # Either lambda keeps the curvature coefficient -(m - lambda S) / 2
+    # of the evolution nonnegative on the band.
+    for stable in (lam, stable_lambda(extracted_homotopy(L))):
+        curv_coef = -0.5 * (fields.m - stable * fields.S[:, None, None])
+        assert np.min(curv_coef[band]) >= -1e-9
     circumference = 2.0 * np.pi
-    np.testing.assert_allclose(info["lengths"], circumference, rtol=1e-2)
+    np.testing.assert_allclose(fields.lengths, circumference, rtol=1e-2)
 
 
 def scaled_slices(field, xs, ys):
@@ -415,7 +415,7 @@ def test_saddle_field_has_both_saddle_cases_and_center_signs():
 @pytest.mark.parametrize("field, xs, ys", soup_cases())
 def test_zero_segments_match_chained_loops(field, xs, ys):
     L = scaled_slices(field, xs, ys)
-    fields = _EvolutionFields(L, lam=0.0)
+    fields = _EvolutionFields(L)
     sl, p, q = levelset._zero_segments(L.psi, xs, ys)[:3]
     for j in range(3):
         loops, frags = reference_march(L.psi[j], xs, ys)
@@ -510,7 +510,7 @@ def test_evolution_raises_when_zero_set_leaves_box():
     with pytest.raises(LevelSetError, match="slice 1: the zero set crosses the box"):
         evolve_step(L)
     with pytest.raises(LevelSetError, match="slice 1"):
-        psi_time_derivative(L)
+        _EvolutionFields(L)
     extraction = extract_slices(L)
     assert extraction.flagged == [1]
     assert len(extraction.contours[1]) == 1 and extraction.open_fragments[1]
@@ -898,26 +898,24 @@ def outcome(fn, *args):
 def test_evolution_matches_reference_fields(make, last_step):
     L = make()
     lam = levelset_lambda(L)
-    assert_same_bits(lam, ReferenceEvolutionFields(L, 0.0).lam_ratio())
+    assert_same_bits(lam, ReferenceEvolutionFields(L).lam_ratio())
     L = replace(L, lam=lam)
     for step in range(1, 31):
         ref = ReferenceEvolutionFields(L)
-        want = outcome(ref.rhs)
-        if isinstance(want[0], str):
+        want_t = outcome(ref.rhs)
+        if isinstance(want_t, tuple):
             assert step == last_step
-            for run in (psi_time_derivative, evolve_step):
-                with pytest.raises(LevelSetError, match=re.escape(want[1])):
+            for run in (lambda L: _EvolutionFields(L).rhs(), evolve_step):
+                with pytest.raises(LevelSetError, match=re.escape(want_t[1])):
                     run(L)
             return
-        want_t, want_info = want
-        got_t, got_info = psi_time_derivative(L)
-        assert_same_bits(got_t, want_t)
-        assert got_info.keys() == want_info.keys()
-        for key in want_info:
-            assert_same_bits(got_info[key], want_info[key])
+        got = _EvolutionFields(L)
+        assert_same_bits(got.rhs(), want_t)
+        for key in ("lengths", "S", "L_v"):
+            assert_same_bits(getattr(got, key), getattr(ref, key))
         dt = ref.cfl_dt()
-        assert_same_bits(levelset_cfl_dt(L), dt)
-        want_lam = outcome(ReferenceEvolutionFields(L, 0.0).lam_ratio)
+        assert_same_bits(got.cfl_dt(), dt)
+        want_lam = outcome(ReferenceEvolutionFields(L).lam_ratio)
         assert outcome(levelset_lambda, L) == want_lam
         stepped = evolve_step(L)
         assert_same_bits(stepped.psi, L.psi + dt * want_t)
