@@ -61,6 +61,14 @@ def _parse_rows(text, path, columns=None):
     raise _row_error(text, path, columns)
 
 
+def _named(path, make, **fields):
+    """make(**fields), with the file named in the InputDataError it raises."""
+    try:
+        return make(**fields)
+    except InputDataError as e:
+        raise InputDataError(f"{path}: {e}") from e
+
+
 def _row_error(text, path, columns):
     """The InputDataError for the first data line _parse_rows cannot take."""
     widths = set()
@@ -114,7 +122,7 @@ def load_curve_json(path) -> SampledCurve:
             f"{path}: declared dimension n={payload['n']} but points have "
             f"{pts.shape[1]} coordinates"
         )
-    return SampledCurve(points=pts)
+    return _named(path, SampledCurve, points=pts)
 
 
 def save_curve_csv(path, c: SampledCurve):
@@ -124,7 +132,7 @@ def save_curve_csv(path, c: SampledCurve):
 
 
 def load_curve_csv(path) -> SampledCurve:
-    return SampledCurve(points=_parse_rows(_read_text(path), path))
+    return _named(path, SampledCurve, points=_parse_rows(_read_text(path), path))
 
 
 def load_curve(path) -> SampledCurve:
@@ -166,8 +174,8 @@ def load_grid_csv(path) -> HomotopyGrid:
         raise InputDataError(
             f"{path}: header promises {n_v * n_theta} rows, found {data.shape[0]}"
         )
-    return HomotopyGrid(
-        values=data.reshape(n_v, n_theta, dim), periodic=bool(periodic)
+    return _named(
+        path, HomotopyGrid, values=data.reshape(n_v, n_theta, dim), periodic=bool(periodic)
     )
 
 
@@ -186,10 +194,7 @@ def load_grid_npz(path) -> HomotopyGrid:
         raise InputDataError(
             f"{path}: grid values must be integer or floating, not {values.dtype}"
         )
-    try:
-        return HomotopyGrid(values=values, periodic=periodic)
-    except InputDataError as e:
-        raise InputDataError(f"{path}: {e}")
+    return _named(path, HomotopyGrid, values=values, periodic=periodic)
 
 
 def load_grid(path) -> HomotopyGrid:

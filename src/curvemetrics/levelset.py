@@ -18,6 +18,7 @@ div(grad psi / |grad psi|) |grad psi|. Endpoint slices are pinned:
 their rows never receive updates and reinitialization skips them.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
@@ -89,17 +90,20 @@ class SliceContours:
 
 
 def _segments_intersect(p, p2, q, q2):
-    """Vectorized proper-intersection test between two segment batches."""
+    """Proper-intersection test of segments p -> p2 and q -> q2, pair by pair.
+
+    The four (..., 2) end arrays broadcast against each other.
+    """
     d1 = p2 - p
     d2 = q2 - q
 
     def cross(a, b):
         return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
-    denom = cross(d1[:, None, :], d2[None, :, :])
-    rel = q[None, :, :] - p[:, None, :]
-    t = cross(rel, d2[None, :, :])
-    u = cross(rel, d1[:, None, :])
+    denom = cross(d1, d2)
+    rel = q - p
+    t = cross(rel, d2)
+    u = cross(rel, d1)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(denom != 0.0, t / denom, np.inf)
         u = np.where(denom != 0.0, u / denom, np.inf)
@@ -108,17 +112,37 @@ def _segments_intersect(p, p2, q, q2):
 
 
 def _check_embedded(points, label):
+    """Raise when two non-adjacent edges of the closed polygon cross properly.
+
+    Only edges whose bounding boxes overlap can cross, so only those
+    pairs are tested. A sweep over the edges sorted by their left end
+    pairs each edge with the later ones that start before it ends in x;
+    the y overlap then prunes the rest. The crossing test of a pair
+    does not depend on which edge comes first, so the pair named is
+    the lexicographically first crossing (i, j), i < j, as when every
+    pair is tested.
+    """
+    n = len(points)
     a = points
     b = np.roll(points, -1, axis=0)
-    hits = _segments_intersect(a, b, a, b)
-    n = len(points)
-    idx = np.arange(n)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    hits[(gap <= 1) | (gap == n - 1)] = False
-    if np.any(hits):
-        i, j = np.argwhere(hits)[0]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    order = np.argsort(lo[:, 0], kind="stable")
+    # Sorted edge k overlaps in x the sorted edges k + 1 .. end[k] - 1.
+    end = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    count = end - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), count)
+    second = np.arange(len(first)) - np.repeat(np.cumsum(count) - end, count)
+    i = np.minimum(order[first], order[second])
+    j = np.maximum(order[first], order[second])
+    gap = j - i
+    keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & (gap > 1) & (gap != n - 1)
+    i, j = i[keep], j[keep]
+    hits = np.flatnonzero(_segments_intersect(a[i], b[i], a[j], b[j]))
+    if len(hits):
+        first_hit = hits[np.lexsort((j[hits], i[hits]))[0]]
         raise InputDataError(
-            f"{label} self-intersects (segments {i} and {j}); "
+            f"{label} self-intersects (segments {i[first_hit]} and {j[first_hit]}); "
             "signed distance is undefined"
         )
 
@@ -171,18 +195,6 @@ def _segment_sq_dist(x, y, ax, ay, bx, by):
     return ex
 
 
-def _distance_to_segments(px, py, a, b):
-    """Distance from query points to the nearest segment a[k] -> b[k], exact.
-
-    Measures every (point, segment) pair and takes one square root per
-    point: sqrt is monotone, so sqrt(min) equals min(sqrt) bit for bit.
-    """
-    d2 = _segment_sq_dist(
-        px.reshape(-1, 1), py.reshape(-1, 1), a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    )
-    return np.sqrt(d2.min(axis=1)).reshape(px.shape)
-
-
 # Grid nodes are measured in blocks of _BLOCK x _BLOCK (see _grid_distance).
 _BLOCK = 4
 # Pruning slack of _grid_distance per unit of the largest coordinate
@@ -198,8 +210,9 @@ def _grid_distance(xs, ys, a, b, group):
 
     a and b are (S, 2) segment ends and group numbers each segment's
     group 0..G-1, every group nonempty. Returns (G, len(ys), len(xs)),
-    equal bit for bit to _distance_to_segments over each group's
-    segments.
+    equal bit for bit to measuring every (node, segment) pair of each
+    group with _segment_sq_dist and taking one square root of each
+    node's minimum: sqrt is monotone, so sqrt(min) equals min(sqrt).
 
     The grid is cut into _BLOCK x _BLOCK blocks of nodes (clipped at
     the far edges, where nodes repeat), each with centre c and radius
@@ -244,9 +257,11 @@ def _grid_distance(xs, ys, a, b, group):
         )
     )
     bound = d_c.min(axis=2) + (2.0 * rho + slack)
-    g, blk, k = np.nonzero((d_c <= bound[..., None]) & valid[:, None, :])
+    kept = np.flatnonzero((d_c <= bound[..., None]) & valid[:, None, :])
+    gb, k = np.divmod(kept, d_c.shape[2])  # gb = g * n_blocks + blk
+    g, blk = np.divmod(gb, n_blocks)
     seg = rows[g, k]
-    runs = np.bincount(g * n_blocks + blk, minlength=n_groups * n_blocks)
+    runs = np.bincount(gb, minlength=n_groups * n_blocks)
 
     # Kept (node, segment) pairs as C-contiguous (_BLOCK**2, K) arrays,
     # each block's segments one run of columns, measured in chunks of
@@ -267,11 +282,6 @@ def _grid_distance(xs, ys, a, b, group):
     out = np.empty((n_groups, ny * nx))
     out[:, node] = dist.reshape(_BLOCK**2, n_groups, n_blocks).transpose(1, 0, 2)
     return out.reshape(n_groups, ny, nx)
-
-
-def _distance_to_polyline(px, py, poly):
-    """Distance from query points to a closed polyline, exact per segment."""
-    return _distance_to_segments(px, py, poly, np.roll(poly, -1, axis=0))
 
 
 def embed(
@@ -386,72 +396,86 @@ def _cell_sides():
 _CELL_SIDES, _CELL_SWAPPED = _cell_sides()
 
 
-def _cell_cases(psi):
-    """Marching-squares case of every cell over the last two axes."""
-    neg = psi < 0.0
-    return (
-        neg[..., :-1, :-1].astype(np.int8)
-        + 2 * neg[..., :-1, 1:].astype(np.int8)
-        + 4 * neg[..., 1:, 1:].astype(np.int8)
-        + 8 * neg[..., 1:, :-1].astype(np.int8)
-    )
-
-
-def _cell_centers(psi):
-    """Mean of the four corners of every cell over the last two axes."""
-    return 0.25 * (
-        psi[..., :-1, :-1] + psi[..., :-1, 1:] + psi[..., 1:, :-1] + psi[..., 1:, 1:]
-    )
-
-
 def _side_points(psi, xs, ys, sl, iy, ix, side):
     """Zero crossings on sides (indices into _SIDES) of cells, and their ids.
 
-    The crossing edge runs from node (ey, ex) to its right neighbour for
-    a bottom or top side, and to its upper neighbour for a left or right
-    side. The id numbers that edge by (slice, direction, node), so the
-    two cells sharing an edge give its crossing the same point and id.
+    psi is read through flat indices into its C-order values, so sl, iy,
+    ix and side may broadcast to any shape. The crossing edge runs from
+    node (ey, ex) to its right neighbour for a bottom or top side, and
+    to its upper neighbour for a left or right side. The id numbers that
+    edge by (slice, direction, node), so the two cells sharing an edge
+    give its crossing the same point and id.
     """
+    ny, nx = psi.shape[1:]
+    flat = psi.reshape(-1)
     horiz = side < 2
     ey = iy + (side == 1)
     ex = ix + (side == 3)
     ey2 = ey + ~horiz
     ex2 = ex + horiz
-    a = psi[sl, ey, ex]
-    t = a / (a - psi[sl, ey2, ex2])
+    a = flat[(sl * ny + ey) * nx + ex]
+    t = a / (a - flat[(sl * ny + ey2) * nx + ex2])
     x = np.where(horiz, xs[ex] + t * (xs[ex2] - xs[ex]), xs[ex])
     y = np.where(horiz, ys[ey], ys[ey] + t * (ys[ey2] - ys[ey]))
-    ny, nx = psi.shape[1:]
     ids = ((2 * sl + ~horiz) * ny + ey) * nx + ex
-    return np.stack([x, y], axis=1), ids
+    return np.stack([x, y], axis=-1), ids
 
 
 def _zero_segments(psi, xs, ys):
     """Every zero-crossing segment of every slice at once, unchained.
 
-    Returns (sl, p, q, p_id, q_id, key): the slice index of each segment,
-    its end points with the negative side of psi on the left of p -> q,
-    and the ids of those two crossings (see _side_points). The case
-    tables list the crossings slice by slice, cell by cell in row-major
-    order and pair by pair, each pair's two sides in table order; key
-    is the rank of p in that listing and key ^ 1 the rank of q. Saddle
-    cases 5 and 10 are resolved by the cell-center sign.
+    Returns (sl, p, q, p_id, q_id, key, leaves_box): the slice index of
+    each segment, its end points with the negative side of psi on the
+    left of p -> q, and the ids of those two crossings (see
+    _side_points). The case tables list the crossings slice by slice,
+    cell by cell in row-major order and pair by pair, each pair's two
+    sides in table order; key is the rank of p in that listing and
+    key ^ 1 the rank of q. Saddle cases 5 and 10 are resolved by the
+    sign of the mean of the cell's four corners. leaves_box flags the
+    slices whose zero set crosses the box boundary: the boundary nodes
+    of a slice form one closed ring, so it does unless they all have
+    one sign.
+
+    A cell is named by the flat index f of its lower-left node, its
+    other corners being f + 1, f + nx + 1 and f + nx. Only the cells
+    whose corners differ in sign are visited.
     """
-    case = _cell_cases(psi)
-    saddle = (case == 5) | (case == 10)
-    code = np.where(saddle & (_cell_centers(psi) < 0.0), case + 16, case)
-    sl, iy, ix = np.nonzero((case != 0) & (case != 15))
-    code = code[sl, iy, ix]
-    sides = _CELL_SIDES[code]
-    second = np.flatnonzero(sides[:, 1, 0] >= 0)
-    cell = np.concatenate([np.arange(len(sl)), second])
-    k = np.repeat([0, 1], [len(sl), len(second)])
-    pairs = sides[cell, k]
-    key = 4 * cell + 2 * k + _CELL_SWAPPED[code[cell], k]
+    nv, ny, nx = psi.shape
+    flat = psi.reshape(-1)
+    neg = flat < 0.0
+    neg3 = neg.reshape(nv, ny, nx)
+    ring = np.count_nonzero(neg3[:, :: ny - 1], axis=(1, 2)) + np.count_nonzero(
+        neg3[:, :, :: nx - 1], axis=(1, 2)
+    )
+    leaves_box = (ring > 0) & (ring < 2 * (nx + ny))
+    n = len(flat) - nx - 1
+    ll = neg[:n]
+    crossing = np.zeros(len(flat), dtype=bool)
+    np.not_equal(ll, neg[1 : n + 1], out=crossing[:n])
+    crossing[:n] |= ll != neg[nx + 1 :]
+    crossing[:n] |= ll != neg[nx : n + nx]
+    # Nodes of the last row or column name no cell.
+    crossing3 = crossing.reshape(nv, ny, nx)
+    crossing3[:, -1] = False
+    crossing3[:, :, -1] = False
+    f = np.flatnonzero(crossing)
+    code = neg[f] + 2 * neg[f + 1] + 4 * neg[f + nx + 1] + 8 * neg[f + nx]
+    saddle = np.flatnonzero((code == 5) | (code == 10))
+    fs = f[saddle]
+    centre = 0.25 * (flat[fs] + flat[fs + 1] + flat[fs + nx] + flat[fs + nx + 1])
+    code[saddle] += 16 * (centre < 0.0)
+    sl, rest = np.divmod(f, ny * nx)
+    iy, ix = np.divmod(rest, nx)
+
+    # Only the saddle cells hold a second segment.
+    cell = np.concatenate([np.arange(len(f)), saddle])
+    k = np.repeat([0, 1], [len(f), len(saddle)])
+    code = code[cell]
+    pairs = _CELL_SIDES[code, k]
+    key = 4 * cell + 2 * k + _CELL_SWAPPED[code, k]
     sl, iy, ix = sl[cell], iy[cell], ix[cell]
-    p, p_id = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 0])
-    q, q_id = _side_points(psi, xs, ys, sl, iy, ix, pairs[:, 1])
-    return sl, p, q, p_id, q_id, key
+    (p, q), (p_id, q_id) = _side_points(psi, xs, ys, sl, iy, ix, pairs.T)
+    return sl, p, q, p_id, q_id, key, leaves_box
 
 
 def _march(L: LevelSetGrid):
@@ -469,7 +493,8 @@ def _bilinear(field, xs, ys, pts, *lead):
     """Sample a field at points by bilinear interpolation.
 
     field is 2D, or lead holds one index array per leading axis that
-    picks the 2D slice each point is sampled in.
+    picks the 2D slice each point is sampled in. The four corners of a
+    point's cell are read through flat indices into field.
     """
     dx = xs[1] - xs[0]
     dy = ys[1] - ys[0]
@@ -479,11 +504,16 @@ def _bilinear(field, xs, ys, pts, *lead):
     iy = fy.astype(int)
     tx = fx - ix
     ty = fy - iy
+    sx = 1 - tx
+    sy = 1 - ty
+    nx = field.shape[-1]
+    node = np.ravel_multi_index(lead + (iy, ix), field.shape)
+    flat = field.reshape(-1)
     return (
-        field[lead + (iy, ix)] * (1 - tx) * (1 - ty)
-        + field[lead + (iy, ix + 1)] * tx * (1 - ty)
-        + field[lead + (iy + 1, ix)] * (1 - tx) * ty
-        + field[lead + (iy + 1, ix + 1)] * tx * ty
+        flat[node] * sx * sy
+        + flat[node + 1] * tx * sy
+        + flat[node + nx] * sx * ty
+        + flat[node + nx + 1] * tx * ty
     )
 
 
@@ -502,7 +532,7 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
     energies depend on these rules.
     """
     nv = L.psi.shape[0]
-    sl, p, q, p_id, q_id, key = _march(L)
+    sl, p, q, p_id, q_id, key = _march(L)[:6]
     n = len(sl)
     by_start = np.argsort(p_id)
     at = by_start[np.minimum(np.searchsorted(p_id, q_id, sorter=by_start), n - 1)]
@@ -546,30 +576,42 @@ def _loop_length(poly):
 
 
 def _gradient(f, h, axis):
-    """np.gradient(f, h, axis=axis) by slicing, with numpy's formulas.
+    """np.gradient(f, h, axis=axis) with numpy's formulas, on the flat array.
 
     Central differences (f[i+1] - f[i-1]) / (2 h) inside, one-sided
-    (f[1] - f[0]) / h and (f[-1] - f[-2]) / h at the two ends.
+    (f[1] - f[0]) / h and (f[-1] - f[-2]) / h at the two ends. In C
+    order the neighbours of a value along the axis lie s apart, s the
+    product of the trailing dimensions, so the central difference is one
+    pass over the flat array. The values it wraps across the ends of the
+    axis are then overwritten by the one-sided ones.
     """
+    s = math.prod(f.shape[axis + 1 :])
+    flat = f.reshape(-1)
+    out = np.empty_like(f, order="C")
+    inner = out.reshape(-1)[s:-s]
+    np.subtract(flat[2 * s :], flat[: -2 * s], out=inner)
+    inner /= 2.0 * h
     lead = (slice(None),) * axis
-    out = np.empty_like(f)
-    np.subtract(f[lead + (slice(2, None),)], f[lead + (slice(None, -2),)],
-                out=out[lead + (slice(1, -1),)])
-    out[lead + (slice(1, -1),)] /= 2.0 * h
     out[lead + (0,)] = (f[lead + (1,)] - f[lead + (0,)]) / h
     out[lead + (-1,)] = (f[lead + (-1,)] - f[lead + (-2,)]) / h
     return out
 
 
 def _second_difference(f, h, axis):
-    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 inside, the edges copied inward."""
-    lead = (slice(None),) * axis
-    out = np.empty_like(f)
-    inner = out[lead + (slice(1, -1),)]
-    np.multiply(f[lead + (slice(1, -1),)], 2, out=inner)
-    np.subtract(f[lead + (slice(2, None),)], inner, out=inner)
-    inner += f[lead + (slice(None, -2),)]
+    """(f[i+1] - 2 f[i] + f[i-1]) / h^2 inside, the edges copied inward.
+
+    One pass over the flat array, as in _gradient; the copies overwrite
+    the values wrapped across the ends of the axis.
+    """
+    s = math.prod(f.shape[axis + 1 :])
+    flat = f.reshape(-1)
+    out = np.empty_like(f, order="C")
+    inner = out.reshape(-1)[s:-s]
+    np.multiply(flat[s:-s], 2, out=inner)
+    np.subtract(flat[2 * s :], inner, out=inner)
+    inner += flat[: -2 * s]
     inner /= h**2
+    lead = (slice(None),) * axis
     out[lead + (0,)] = out[lead + (1,)]
     out[lead + (-1,)] = out[lead + (-2,)]
     return out
@@ -592,8 +634,11 @@ class _EvolutionFields:
         self.psi_x2 = self.psi_x**2
         self.psi_y2 = self.psi_y**2
         self.psi_v2 = self.psi_v**2
-        self.g2_raw = self.psi_x2 + self.psi_y2
-        self.g2 = np.maximum(self.g2_raw, 0.09)
+        g2 = self.psi_x2 + self.psi_y2
+        # Where |grad psi| < 0.3, g2 is floored; rhs refuses such nodes
+        # inside the band.
+        self.floored = g2 < 0.09
+        self.g2 = np.maximum(g2, 0.09, out=g2)
         self.m = self.psi_v2 / self.g2
 
         self.band = L.band_mask()
@@ -604,13 +649,8 @@ class _EvolutionFields:
         # Lengths and the midpoint-rule S(v) are sums over the zero
         # segments, so no slice needs its polylines chained.
         nv = psi.shape[0]
-        sl, p, q = _march(L)[:3]
+        sl, p, q, *_, leaves_box = _march(L)
         counts = np.bincount(sl, minlength=nv)
-        neg = psi < 0.0
-        leaves_box = (
-            np.any(neg[:, [0, -1], 1:] != neg[:, [0, -1], :-1], axis=(1, 2))
-            | np.any(neg[:, 1:, [0, -1]] != neg[:, :-1, [0, -1]], axis=(1, 2))
-        )
         for j in range(nv):
             if counts[j] == 0:
                 raise LevelSetError(
@@ -621,7 +661,8 @@ class _EvolutionFields:
                     f"slice {j}: the zero set crosses the box boundary; "
                     "the box is too small for this homotopy"
                 )
-        seg = np.linalg.norm(q - p, axis=1)
+        d = q - p
+        seg = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
         mids = 0.5 * (p + q)
         self.lengths = np.bincount(sl, weights=seg, minlength=nv)
         self.S = np.bincount(
@@ -633,12 +674,18 @@ class _EvolutionFields:
         self.L = L
 
     def rhs(self):
-        """psi_t, zero outside the interior band; lambda is L.lam."""
+        """psi_t, zero outside the interior band; lambda is L.lam.
+
+        Each term is formed in one of two reused buffers with the
+        operations of the formula in their order, and the terms are
+        summed in the order of the formula, so reusing buffers changes
+        no rounding.
+        """
         L = self.L
         lam = L.lam
         if lam is None:
             raise InputDataError("evolution needs lambda (set L.lam)")
-        if np.any(self.g2_raw[self.interior_band] < 0.09):
+        if np.any(self.floored & self.interior_band):
             raise LevelSetError(
                 "|grad psi| degenerated inside the band; reinitialize more often"
             )
@@ -646,47 +693,60 @@ class _EvolutionFields:
         psi = L.psi[mid]
         psi_x, psi_y, psi_v = self.psi_x[mid], self.psi_y[mid], self.psi_v[mid]
         psi_x2, psi_y2, g2 = self.psi_x2[mid], self.psi_y2[mid], self.g2[mid]
+        # psi_t accumulates in psi_vv, its end planes zeroed with the
+        # rest of the outside of the interior band at the end.
+        psi_t = _second_difference(L.psi, L.dv, 0)
+        rate = psi_t[mid]
         psi_xx = _second_difference(psi, L.dx, 2)
         psi_yy = _second_difference(psi, L.dy, 1)
-        # psi_xy psi_x psi_y, shared by both terms; 2 (psi_xy psi_x psi_y)
-        # equals (2 psi_xy) psi_x psi_y, as doubling is exact.
+        # 2 psi_xy psi_x psi_y, shared by two terms; doubling is exact.
         xy_xy = _gradient(psi_x, L.dy, 1)
         xy_xy *= psi_x
         xy_xy *= psi_y
+        xy_xy *= 2.0
 
-        cross_term = _gradient(psi_v, L.dx, 2)
-        cross_term *= psi_x
-        vy_y = _gradient(psi_v, L.dy, 1)
-        vy_y *= psi_y
-        cross_term += vy_y
-        cross_term *= -(2.0 * psi_v / g2)
+        # -(2 psi_v / g2) (psi_vx psi_x + psi_vy psi_y)
+        term = _gradient(psi_v, L.dx, 2)
+        term *= psi_x
+        buf = _gradient(psi_v, L.dy, 1)
+        buf *= psi_y
+        term += buf
+        np.multiply(2.0, psi_v, out=buf)
+        buf /= g2
+        np.negative(buf, out=buf)
+        term *= buf
+        rate += term
 
-        hess_gg = psi_xx * psi_x2
-        hess_gg += 2.0 * xy_xy
-        hess_gg += psi_yy * psi_y2
-        ray_term = self.psi_v2[mid] / g2**2
-        ray_term *= hess_gg
+        # (psi_v^2 / g2^2) (Hess psi grad psi) . grad psi
+        np.multiply(psi_xx, psi_x2, out=term)
+        term += xy_xy
+        np.multiply(psi_yy, psi_y2, out=buf)
+        term += buf
+        np.square(g2, out=buf)
+        np.divide(self.psi_v2[mid], buf, out=buf)
+        buf *= term
+        rate += buf
 
-        curv_g = psi_xx * psi_y2
-        curv_g -= 2.0 * xy_xy
-        curv_g += psi_yy * psi_x2
-        curv_g /= g2
-        curv_coef = -0.5 * (self.m - lam * self.S[:, None, None])
-        curvature_term = curv_coef[mid] * curv_g
+        # -(m - lam S) / 2 times curv |grad psi|
+        np.multiply(psi_xx, psi_y2, out=term)
+        term -= xy_xy
+        np.multiply(psi_yy, psi_x2, out=buf)
+        term += buf
+        term /= g2
+        np.subtract(self.m[mid], (lam * self.S)[mid, None, None], out=buf)
+        buf *= -0.5
+        term *= buf
+        rate += term
 
         # Upwind v-difference, forward where a = lam L_v > 0.
         a = (lam * self.L_v)[mid, None, None]
-        step_v = (L.psi[1:] - L.psi[:-1]) / L.dv
-        transport = a * np.where(a > 0.0, step_v[1:], step_v[:-1])
-
-        # psi_vv, then the other terms in the order of the formula.
-        rate = L.psi[2:] - 2 * psi
-        rate += L.psi[:-2]
-        rate /= L.dv**2
-        for term in (cross_term, ray_term, curvature_term, transport):
-            rate += term
-        psi_t = np.zeros_like(L.psi)
-        psi_t[mid] = np.where(self.interior_band[mid], rate, 0.0)
+        forward = a > 0.0
+        np.subtract(L.psi[2:], psi, out=term, where=forward)
+        np.subtract(psi, L.psi[:-2], out=term, where=~forward)
+        term /= L.dv
+        term *= a
+        rate += term
+        np.copyto(psi_t, 0.0, where=~self.interior_band)
         return psi_t
 
     def cfl_dt(self):
@@ -731,7 +791,10 @@ def evolve_step(L: LevelSetGrid, dt: Optional[float] = None) -> LevelSetGrid:
         dt = dt_max
     elif dt > dt_max * (1.0 + 1e-9):
         raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    return replace(L, psi=L.psi + dt * fields.rhs(), t=L.t + dt)
+    psi = fields.rhs()
+    psi *= dt
+    psi += L.psi
+    return replace(L, psi=psi, t=L.t + dt)
 
 
 def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
@@ -831,11 +894,18 @@ def _largest_loops(extraction: SliceContours):
 
 
 def _loop_displacement(loops, prev_loops):
+    """Largest distance from a point of a loop to the previous loop of its slice.
+
+    Each slice's (point, segment) pairs are measured by one
+    _segment_sq_dist call; sqrt is monotone, so one square root of the
+    largest of the per-point minima is the largest distance.
+    """
     worst = 0.0
     for poly, prev in zip(loops, prev_loops):
-        d = _distance_to_polyline(poly[:, 0], poly[:, 1], prev)
-        worst = max(worst, float(np.max(d)))
-    return worst
+        nxt = np.roll(prev, -1, axis=0)
+        d2 = _segment_sq_dist(poly[:, :1], poly[:, 1:], prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1])
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return float(np.sqrt(worst))
 
 
 def run_geodesic(

@@ -206,6 +206,106 @@ def reference_distance_to_segments(px, py, a, b):
     return np.sqrt(ex.min(axis=1)).reshape(px.shape)
 
 
+def reference_check_embedded(points, label):
+    """The level set's self-intersection check before pair pruning, kept verbatim.
+
+    Every (edge, edge) pair of the closed polygon is tested, and the
+    first hit in row-major order is named. The pruned check must raise
+    the same message, or not raise, on the same polygon.
+    """
+    from curvemetrics.errors import InputDataError
+
+    def segments_intersect(p, p2, q, q2):
+        d1 = p2 - p
+        d2 = q2 - q
+
+        def cross(a, b):
+            return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+        denom = cross(d1[:, None, :], d2[None, :, :])
+        rel = q[None, :, :] - p[:, None, :]
+        t = cross(rel, d2[None, :, :])
+        u = cross(rel, d1[:, None, :])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(denom != 0.0, t / denom, np.inf)
+            u = np.where(denom != 0.0, u / denom, np.inf)
+        eps = 1e-12
+        return (t > eps) & (t < 1.0 - eps) & (u > eps) & (u < 1.0 - eps)
+
+    a = points
+    b = np.roll(points, -1, axis=0)
+    hits = segments_intersect(a, b, a, b)
+    n = len(points)
+    idx = np.arange(n)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    hits[(gap <= 1) | (gap == n - 1)] = False
+    if np.any(hits):
+        i, j = np.argwhere(hits)[0]
+        raise InputDataError(
+            f"{label} self-intersects (segments {i} and {j}); "
+            "signed distance is undefined"
+        )
+
+
+def reference_cell_cases(psi):
+    """Marching-squares case of every cell over the last two axes."""
+    neg = psi < 0.0
+    return (
+        neg[..., :-1, :-1].astype(np.int8)
+        + 2 * neg[..., :-1, 1:].astype(np.int8)
+        + 4 * neg[..., 1:, 1:].astype(np.int8)
+        + 8 * neg[..., 1:, :-1].astype(np.int8)
+    )
+
+
+def reference_cell_centers(psi):
+    """Mean of the four corners of every cell over the last two axes."""
+    return 0.25 * (
+        psi[..., :-1, :-1] + psi[..., :-1, 1:] + psi[..., 1:, :-1] + psi[..., 1:, 1:]
+    )
+
+
+def reference_zero_segments(psi, xs, ys):
+    """The level set's march before it read crossing cells only, kept verbatim.
+
+    Case codes and cell centres are formed over the whole grid, the
+    crossing cells found by a 3-D nonzero, and p and q interpolated by
+    one _side_points call each. Returns (sl, p, q, p_id, q_id, key); the
+    library's _zero_segments must return the same six arrays bit for bit.
+    """
+    from curvemetrics.levelset import _CELL_SIDES, _CELL_SWAPPED
+
+    def side_points(psi, xs, ys, sl, iy, ix, side):
+        horiz = side < 2
+        ey = iy + (side == 1)
+        ex = ix + (side == 3)
+        ey2 = ey + ~horiz
+        ex2 = ex + horiz
+        a = psi[sl, ey, ex]
+        t = a / (a - psi[sl, ey2, ex2])
+        x = np.where(horiz, xs[ex] + t * (xs[ex2] - xs[ex]), xs[ex])
+        y = np.where(horiz, ys[ey], ys[ey] + t * (ys[ey2] - ys[ey]))
+        ny, nx = psi.shape[1:]
+        ids = ((2 * sl + ~horiz) * ny + ey) * nx + ex
+        return np.stack([x, y], axis=1), ids
+
+    case = reference_cell_cases(psi)
+    saddle = (case == 5) | (case == 10)
+    code = np.where(saddle & (reference_cell_centers(psi) < 0.0), case + 16, case)
+    sl, iy, ix = np.nonzero((case != 0) & (case != 15))
+    code = code[sl, iy, ix]
+    sides = _CELL_SIDES[code]
+    second = np.flatnonzero(sides[:, 1, 0] >= 0)
+    cell = np.concatenate([np.arange(len(sl)), second])
+    k = np.repeat([0, 1], [len(sl), len(second)])
+    pairs = sides[cell, k]
+    key = 4 * cell + 2 * k + _CELL_SWAPPED[code[cell], k]
+    sl, iy, ix = sl[cell], iy[cell], ix[cell]
+    p, p_id = side_points(psi, xs, ys, sl, iy, ix, pairs[:, 0])
+    q, q_id = side_points(psi, xs, ys, sl, iy, ix, pairs[:, 1])
+    return sl, p, q, p_id, q_id, key
+
+
 class ReferenceEvolutionFields:
     """The level-set evolution fields as full-grid np.gradient / np.roll passes.
 

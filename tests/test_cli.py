@@ -172,6 +172,32 @@ def test_npz_grid_of_the_wrong_shape_exits_3_naming_the_file(tmp_path, capsys):
     assert "shape" in err.split(f"{path}: ", 1)[1]
 
 
+@pytest.mark.parametrize(
+    "name, text, argv",
+    [
+        pytest.param(
+            "tiny.csv",
+            "# homotopy grid: n_v=2 n_theta=2 n=2 periodic=1\n0,0\n1,0\n0,1\n1,1\n",
+            ["energy", "--grid"],
+            id="grid-csv",
+        ),
+        pytest.param("c2.csv", "0,0\n1,0\n", ["flow", "--kind", "heat", "--curve"], id="curve-csv"),
+        pytest.param(
+            "c2.json", '{"points": [[0, 0], [1, 0]]}', ["flow", "--kind", "heat", "--curve"],
+            id="curve-json",
+        ),
+    ],
+)
+def test_text_input_the_constructor_rejects_exits_3_naming_the_file(
+    tmp_path, capsys, name, text, argv
+):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(argv + [str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {path}: ")
+
+
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

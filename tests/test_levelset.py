@@ -29,15 +29,22 @@ from curvemetrics.levelset import (
     _CHUNK,
     _EvolutionFields,
     _bilinear,
-    _distance_to_polyline,
+    _check_embedded,
+    _gradient,
     _grid_distance,
     _grid_inside,
+    _loop_displacement,
+    _second_difference,
 )
 
 from helpers import (
     ReferenceEvolutionFields,
     figure_eight,
+    reference_cell_cases,
+    reference_cell_centers,
+    reference_check_embedded,
     reference_distance_to_segments,
+    reference_zero_segments,
     unit_circle,
 )
 
@@ -88,8 +95,8 @@ def orient_loop(loop, psi2d, xs, ys):
 
 def reference_march(psi2d, xs, ys):
     """Closed loops plus open fragments of one slice, chained cell by cell."""
-    case = levelset._cell_cases(psi2d)
-    center = levelset._cell_centers(psi2d)
+    case = reference_cell_cases(psi2d)
+    center = reference_cell_centers(psi2d)
     cells = np.argwhere((case != 0) & (case != 15))
 
     adjacency = {}
@@ -162,9 +169,13 @@ def signed_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def distance_to_polyline(px, py, poly):
+    return reference_distance_to_segments(px, py, poly, np.roll(poly, -1, axis=0))
+
+
 def hausdorff(a, b):
-    d_ab = np.max(_distance_to_polyline(a[:, 0], a[:, 1], b))
-    d_ba = np.max(_distance_to_polyline(b[:, 0], b[:, 1], a))
+    d_ab = np.max(distance_to_polyline(a[:, 0], a[:, 1], b))
+    d_ba = np.max(distance_to_polyline(b[:, 0], b[:, 1], a))
     return max(float(d_ab), float(d_ba))
 
 
@@ -240,6 +251,113 @@ def test_embed_rejects_bad_input():
     for nx in (0, 1):
         with pytest.raises(InputDataError, match="too small"):
             embed(circle_pair(), nx=nx)
+
+
+def raised(fn, *args):
+    """The message of the InputDataError fn(*args) raised, or None."""
+    try:
+        fn(*args)
+    except InputDataError as e:
+        return str(e)
+    return None
+
+
+def crossing_pairs(points):
+    """Every pair i < j of non-adjacent edges whose orientations say they cross."""
+    n = len(points)
+    nxt = np.roll(points, -1, axis=0)
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 2, n)
+        if j - i != n - 1
+        and orient(points[i], nxt[i], points[j]) * orient(points[i], nxt[i], nxt[j]) < 0.0
+        and orient(points[j], nxt[j], points[i]) * orient(points[j], nxt[j], nxt[i]) < 0.0
+    ]
+
+
+def shifted_figure_eight():
+    theta = theta_grid(128) + 0.01
+    return np.stack([0.5 * np.sin(2.0 * theta), np.sin(theta)], axis=1)
+
+
+def seeded_tangle():
+    """A seeded 14-gon that crosses itself many times."""
+    return np.random.default_rng(5).uniform(-1.0, 1.0, (14, 2))
+
+
+def rotated(points, angle=0.5235987755982988):
+    c, s = np.cos(angle), np.sin(angle)
+    return points @ np.array([[c, s], [-s, c]])
+
+
+# Two unit squares meeting at a corner (vertices 2 and 6 coincide); a
+# vertex on the interior of another edge; edges 0 and 4 along one line,
+# overlapping on [1, 2].
+PINCH = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [1, 2], [1, 1], [0, 1]], float)
+T_TOUCH = np.array([[0, 0], [4, 0], [4, 2], [2, 0], [1, 2], [0, 2]], float)
+COLLINEAR = np.array(
+    [[0, 0], [2, 0], [2, -1], [3, -1], [3, 0], [1, 0], [1, 1], [0, 1]], float
+)
+
+
+def geodesic_solve_slices():
+    """A 256-gon unit circle, a shifted wobbled one as in the geodesic benchmark, and
+    the linear-homotopy slices between them."""
+    theta = theta_grid(256)
+    radius = 1.0 + 0.03 * np.cos(2.0 * theta + 0.4) - 0.02 * np.sin(3.0 * theta)
+    shift = 0.3875 * np.array([np.cos(2.1), np.sin(2.1)])
+    c1 = SampledCurve(points=shift + radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1))
+    return list(linear_homotopy(unit_circle(), c1, 9).values)
+
+
+@pytest.mark.parametrize(
+    "points, crosses",
+    [
+        # Both branches pass through vertex 0, so no two edges cross
+        # properly; shifted off the samples, they do.
+        pytest.param(figure_eight().points, False, id="figure-eight"),
+        pytest.param(shifted_figure_eight(), True, id="figure-eight-shifted"),
+        pytest.param(seeded_tangle(), True, id="tangle"),
+        pytest.param(PINCH, False, id="pinch"),
+        pytest.param(T_TOUCH, False, id="t-touch"),
+        pytest.param(COLLINEAR, False, id="collinear"),
+        pytest.param(rotated(PINCH), False, id="pinch-rotated"),
+        # Rotated, whether a touch or an overlap reads as a crossing is
+        # up to rounding; only agreement with the reference is asserted.
+        pytest.param(rotated(T_TOUCH), None, id="t-touch-rotated"),
+        pytest.param(rotated(COLLINEAR), None, id="collinear-rotated"),
+    ]
+    + [
+        pytest.param(poly, False, id=f"geodesic-slice-{j}")
+        for j, poly in enumerate(geodesic_solve_slices())
+    ],
+)
+def test_check_embedded_names_the_reference_pair(points, crosses):
+    want = raised(reference_check_embedded, points, "slice 3")
+    assert raised(_check_embedded, points, "slice 3") == want
+    if crosses is not None:
+        assert (want is not None) == crosses
+
+
+def test_seeded_tangle_names_a_pair_a_sweep_meets_late():
+    # Sweeping the edges by left end meets some crossing before the
+    # lexicographically first one, which the check must still name.
+    points = seeded_tangle()
+    pairs = crossing_pairs(points)
+    assert len(pairs) >= 3
+    nxt = np.roll(points, -1, axis=0)
+    left = np.minimum(points[:, 0], nxt[:, 0])
+    swept = min(pairs, key=lambda ij: max(left[ij[0]], left[ij[1]]))
+    assert swept != pairs[0]
+    i, j = pairs[0]
+    assert raised(_check_embedded, points, "c") == (
+        f"c self-intersects (segments {i} and {j}); signed distance is undefined"
+    )
 
 
 def test_extract_exact_circle_sdf():
@@ -405,8 +523,8 @@ def soup_cases():
 
 def test_saddle_field_has_both_saddle_cases_and_center_signs():
     field, _, _ = saddle_field()
-    case = levelset._cell_cases(field)
-    center = levelset._cell_centers(field)
+    case = reference_cell_cases(field)
+    center = reference_cell_centers(field)
     for c in (5, 10):
         assert np.any((case == c) & (center < 0.0))
         assert np.any((case == c) & (center > 0.0))
@@ -438,6 +556,30 @@ def test_zero_segments_match_chained_loops(field, xs, ys):
         np.testing.assert_allclose(fields.S[j], S, rtol=1e-12, atol=0.0)
 
 
+def stencil_fields():
+    rng = np.random.default_rng(7)
+    psi = rng.standard_normal((5, 9, 13))
+    return [
+        pytest.param(rng.standard_normal((3, 8, 8)), id="3x8x8"),
+        pytest.param(psi, id="5x9x13"),
+        pytest.param(psi[1:-1], id="5x9x13-interior-slices"),
+        pytest.param(psi[:, 1:-1], id="5x9x13-strided"),
+    ]
+
+
+@pytest.mark.parametrize("f", stencil_fields())
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_stencils_match_numpy_gradient_and_roll_form(f, axis):
+    h = (0.37, 0.21, 0.13)[axis]
+    assert_same_bits(_gradient(f, h, axis), np.gradient(f, h, axis=axis))
+    # The second difference of ReferenceEvolutionFields along any axis.
+    want = (np.roll(f, -1, axis=axis) - 2 * f + np.roll(f, 1, axis=axis)) / h**2
+    lead = (slice(None),) * axis
+    want[lead + (0,)] = want[lead + (1,)]
+    want[lead + (-1,)] = want[lead + (-2,)]
+    assert_same_bits(_second_difference(f, h, axis), want)
+
+
 @pytest.mark.parametrize("steps", [0, 30])
 def test_reinitialize_is_signed_distance_to_extracted_loops(steps):
     c0, c1 = circle_pair()
@@ -451,7 +593,7 @@ def test_reinitialize_is_signed_distance_to_extracted_loops(steps):
     gx, gy = np.meshgrid(L.xs, L.ys)
     for j in range(1, L.psi.shape[0] - 1):
         dist = np.min(
-            [_distance_to_polyline(gx, gy, poly) for poly in extraction.contours[j]],
+            [distance_to_polyline(gx, gy, poly) for poly in extraction.contours[j]],
             axis=0,
         )
         assert np.array_equal(out.psi[j], np.where(L.psi[j] < 0.0, -dist, dist))
@@ -479,7 +621,7 @@ def test_point_in_polygon_matches_edge_loop():
     assert np.array_equal(_grid_inside(xs, poly[:, 1], poly), inside)
 
 
-def test_distance_to_polyline_matches_norm_reference():
+def test_loop_displacement_matches_norm_reference():
     poly = three_lobes()
     xs = np.linspace(-1.8, 1.8, 40)
     gx, gy = np.meshgrid(xs, xs)
@@ -490,7 +632,44 @@ def test_distance_to_polyline_matches_norm_reference():
     tpar = np.clip(np.sum(rel * d[None, :, :], axis=2) / len_sq[None, :], 0.0, 1.0)
     proj = poly[None, :, :] + tpar[..., None] * d[None, :, :]
     expected = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
-    assert np.array_equal(_distance_to_polyline(gx, gy, poly), expected.reshape(gx.shape))
+    assert _loop_displacement([pts], [poly]) == np.max(expected)
+
+
+def polygon(n, radius, centre, wobble):
+    theta = theta_grid(n)
+    r = radius * (1.0 + wobble * np.cos(3.0 * theta))
+    return np.asarray(centre) + r[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(
+            lambda: (
+                [polygon(17, 1.0, (0.1, 0.0), 0.1), polygon(40, 0.7, (0.0, 0.3), 0.0),
+                 polygon(23, 1.2, (-0.2, 0.1), 0.2)],
+                [polygon(31, 1.1, (0.0, 0.0), 0.0), polygon(12, 0.8, (0.1, 0.2), 0.1),
+                 polygon(50, 1.0, (0.0, 0.0), 0.3)],
+            ),
+            id="nv3-unequal",
+        ),
+        pytest.param(lambda: ([polygon(9, 1.0, (0.0, 0.0), 0.0)] * 3,) * 2, id="nv3-unmoved"),
+        pytest.param(
+            lambda: tuple(
+                levelset._largest_loops(extract_slices(evolved_circle_states()[step]))
+                for step in (120, 30)
+            ),
+            id="circles-30-to-120",
+        ),
+    ],
+)
+def test_loop_displacement_matches_all_pairs_reference(make):
+    loops, prev = make()
+    want = max(
+        np.max(reference_distance_to_segments(pts[:, 0], pts[:, 1], old, np.roll(old, -1, axis=0)))
+        for pts, old in zip(loops, prev)
+    )
+    assert_same_bits(_loop_displacement(loops, prev), want)
 
 
 def poking_grid():
@@ -539,6 +718,24 @@ def fragmented_grid():
     field = np.sin(2.0 * gx) * np.cos(1.5 * gy) + 0.2
     psi = np.stack([field, field + 0.1 * gx, -field])
     return LevelSetGrid(psi=psi, xs=xs, ys=xs, vs=np.linspace(0.0, 1.0, 3))
+
+
+@pytest.mark.parametrize(
+    "make, leaves",
+    [
+        pytest.param(lambda: scaled_slices(*saddle_field()), [], id="saddles"),
+        pytest.param(lambda: evolved_circle_states()[30], [], id="circles-30"),
+        pytest.param(fragmented_grid, [0, 1, 2], id="fragments"),
+        pytest.param(poking_grid, [1], id="poking"),
+    ],
+)
+def test_zero_segments_match_reference_march(make, leaves):
+    L = make()
+    got = levelset._zero_segments(L.psi, L.xs, L.ys)
+    for a, b in zip(got[:6], reference_zero_segments(L.psi, L.xs, L.ys)):
+        assert a.dtype == b.dtype
+        assert_same_bits(a, b)
+    assert np.flatnonzero(got[6]).tolist() == leaves
 
 
 @pytest.mark.parametrize(
