@@ -14,9 +14,13 @@ The menu of kinds mirrors the metrics the library supports:
 
 Every geometric kind (geom_H0, conformal, J, MM, alpha_beta) reads the
 squared normal speed m = |C_v*|^2 = |pi_N d_v C|^2 and the speed
-|d_theta C| from the one frame kernel, homotopy.homotopy_frame, as do
+|d_theta C| from the one frame kernel, the homotopy frame, as do
 stable_lambda and the v* calculus of the flows; J and MM take the
 curvature H from that same frame through curves.curvature_kernel.
+energy() and path_len_energy() build that frame one window of v-rows
+at a time (homotopy.window_frame), so their memory is the grid plus
+about one window, and their values are those of the whole-grid frame
+bit for bit.
 Degenerate samples (|d_theta C| = 0) contribute nothing to geometric
 integrands because the arclength weight vanishes there; this lets
 energies of homotopies with a collapsing slice, such as cones, be
@@ -29,7 +33,14 @@ import numpy as np
 
 from .curves import SampledCurve, curvature_kernel, dot, immersed, tangent_frame
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
-from .homotopy import HomotopyGrid, homotopy_frame, length_profile
+from .homotopy import (
+    HomotopyGrid,
+    homotopy_frame,
+    length_profile,
+    row_windows,
+    window_d_v,
+    window_frame,
+)
 
 KIND_ALIASES = {
     "param": "param_H0",
@@ -163,13 +174,13 @@ def _normal_slices(C: HomotopyGrid, m, speed, factor=None):
     return factor.value(C.integrate_theta(speed)) * per_slice
 
 
-def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
-    """theta-integrals of the chosen integrand, one value per slice."""
+def _window_integrand(C: HomotopyGrid, spec: EnergySpec, start, stop):
+    """theta-integrals of the chosen integrand on the rows start:stop."""
     kind = spec.kind
     if kind == "param_H0":
-        V = C.d_v()
+        V = window_d_v(C, start, stop)
         return C.integrate_theta(dot(V, V))
-    frame = homotopy_frame(C)
+    frame = window_frame(C, start, stop)
     m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.
@@ -178,14 +189,27 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
         return _normal_slices(C, m, speed)
     if kind == "conformal":
         return _normal_slices(C, m, speed, spec.factor)
-    if kind not in ("J", "MM"):
-        raise InputDataError(f"kind {kind} has no homotopy energy")
-    if not C.periodic:
-        raise InputDataError(f"kind {kind} needs periodic slices for curvature")
     H = curvature_kernel(frame, C.dtheta)
     kappa2 = dot(H, H)
     weight = kappa2 if kind == "J" else 1.0 + spec.A * kappa2
     return C.integrate_theta(weight * m * speed)
+
+
+def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
+    """theta-integrals of the chosen integrand, one value per slice.
+
+    The grid is taken in windows of v-rows (homotopy.row_windows), so
+    the memory is the grid plus about one window's frame. Every value
+    is computed row by row, so it does not depend on the windows.
+    """
+    kind = spec.kind
+    if kind not in ENERGY_KINDS:
+        raise InputDataError(f"kind {kind} has no homotopy energy")
+    if kind in ("J", "MM") and not C.periodic:
+        raise InputDataError(f"kind {kind} needs periodic slices for curvature")
+    return np.concatenate(
+        [_window_integrand(C, spec, a, b) for a, b in row_windows(C)]
+    )
 
 
 def energy(C: HomotopyGrid, spec: EnergySpec) -> EnergyReport:

@@ -174,6 +174,45 @@ def homotopy_frame(C: HomotopyGrid, order=2) -> HomotopyFrame:
     return _frame(C.d_theta(order), C.d_v(order), C.scale_hint)
 
 
+# Bytes of grid values in one row window. The frame of a window holds
+# about ten arrays of its size, so a window's working set stays a few
+# MB, whatever the size of the grid.
+_WINDOW_BYTES = 1 << 19
+
+
+def row_windows(C: HomotopyGrid):
+    """(start, stop) of consecutive windows of v-rows that cover the grid.
+
+    Each window holds as many whole rows as fit _WINDOW_BYTES, one at
+    least, so a small grid is one window.
+    """
+    rows = max(1, _WINDOW_BYTES // C.values[0].nbytes)
+    return [(a, min(a + rows, C.n_v)) for a in range(0, C.n_v, rows)]
+
+
+def window_d_v(C: HomotopyGrid, start, stop) -> np.ndarray:
+    """Rows start:stop of C.d_v(), bit for bit, from those rows and their halo.
+
+    The differenced slab reaches one row past each end of the window
+    and spans at least three rows, so the end rows of the grid keep
+    the three-point formula (only a two-row grid takes the slope).
+    """
+    lo = max(min(start - 1, C.n_v - 3), 0)
+    hi = min(max(stop + 1, 3), C.n_v)
+    return open_derivative(C.values[lo:hi], C.dv, axis=0)[start - lo : stop - lo]
+
+
+def window_frame(C: HomotopyGrid, start, stop) -> HomotopyFrame:
+    """Rows start:stop of homotopy_frame(C), bit for bit.
+
+    The floor comes from the scale hint of the whole grid.
+    """
+    rows = C.values[start:stop]
+    derivative = periodic_derivative if C.periodic else open_derivative
+    W = derivative(rows, C.dtheta, axis=1)
+    return _frame(W, window_d_v(C, start, stop), C.scale_hint)
+
+
 def length_profile(C: HomotopyGrid) -> np.ndarray:
     """Arclength l_j = len(C(., v_j)) of every slice, an (N_v,) array."""
     return C.integrate_theta(derivative_frame(C.d_theta(), C.scale_hint).speed)

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .curves import SampledCurve, resample_arclength
+from .curves import SampledCurve, _bbox_diagonal, resample_arclength
 from .energies import ConformalFactor, EnergySpec, energy
 from .errors import CFLError, InputDataError, LevelSetError
 from .homotopy import HomotopyGrid, linear_homotopy
@@ -111,22 +111,47 @@ def _segments_intersect(p, p2, q, q2):
     return (t > eps) & (t < 1.0 - eps) & (u > eps) & (u < 1.0 - eps)
 
 
-def _check_embedded(points, label):
-    """Raise when two non-adjacent edges of the closed polygon cross properly.
+# Two edges touch when an end of one lies within _TOUCH times the
+# polygon's bounding-box diagonal of the other. The proper-crossing
+# test leaves out parameters within 1e-12 of an edge end, and a
+# crossing there puts that end within 1e-12 edge lengths, so within
+# 1e-12 diagonals, of the other edge: the touch covers what the
+# crossing test leaves out.
+_TOUCH = 1e-12
 
-    Only edges whose bounding boxes overlap can cross, so only those
-    pairs are tested. A sweep over the edges sorted by their left end
-    pairs each edge with the later ones that start before it ends in x;
-    the y overlap then prunes the rest. The crossing test of a pair
-    does not depend on which edge comes first, so the pair named is
-    the lexicographically first crossing (i, j), i < j, as when every
-    pair is tested.
+
+def _segments_touch(p, p2, q, q2, tol):
+    """Whether segments p -> p2 and q -> q2 cross or touch, pair by pair.
+
+    They touch when they cross properly or an end of one lies within
+    tol of the other: a vertex on an edge, a repeated vertex and a
+    collinear overlap all put an end on the other edge. The four (K, 2)
+    end arrays hold one pair per row.
+    """
+    touch = _segments_intersect(p, p2, q, q2)
+    for end, (s, e) in ((p, (q, q2)), (p2, (q, q2)), (q, (p, p2)), (q2, (p, p2))):
+        sq = _segment_sq_dist(end[:, 0], end[:, 1], s[:, 0], s[:, 1], e[:, 0], e[:, 1])
+        touch |= sq <= tol * tol
+    return touch
+
+
+def _check_embedded(points, label):
+    """Raise when two non-adjacent edges of the closed polygon touch.
+
+    Only edges whose bounding boxes, widened by the touch tolerance,
+    overlap can touch, so only those pairs are tested. A sweep over the
+    edges sorted by their left end pairs each edge with the later ones
+    that start before it ends in x; the y overlap then prunes the rest.
+    The touch test of a pair does not depend on which edge comes
+    first, so the pair named is the lexicographically first touching
+    (i, j), i < j, as when every pair is tested.
     """
     n = len(points)
     a = points
     b = np.roll(points, -1, axis=0)
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    tol = _TOUCH * _bbox_diagonal(points)
+    lo = np.minimum(a, b) - tol
+    hi = np.maximum(a, b) + tol
     order = np.argsort(lo[:, 0], kind="stable")
     # Sorted edge k overlaps in x the sorted edges k + 1 .. end[k] - 1.
     end = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
@@ -138,7 +163,9 @@ def _check_embedded(points, label):
     gap = j - i
     keep = (lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & (gap > 1) & (gap != n - 1)
     i, j = i[keep], j[keep]
-    hits = np.flatnonzero(_segments_intersect(a[i], b[i], a[j], b[j]))
+    if not len(i):  # a simple smooth polygon leaves no pair to test
+        return
+    hits = np.flatnonzero(_segments_touch(a[i], b[i], a[j], b[j], tol))
     if len(hits):
         first_hit = hits[np.lexsort((j[hits], i[hits]))[0]]
         raise InputDataError(

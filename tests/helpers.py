@@ -169,9 +169,54 @@ def reference_curve_flow(c, A=None, dt=None, steps=None, t_end=np.inf):
     return curves
 
 
+def raised(fn, *args):
+    """The message of the InputDataError fn(*args) raised, or None."""
+    from curvemetrics.errors import InputDataError
+
+    try:
+        fn(*args)
+    except InputDataError as e:
+        return str(e)
+    return None
+
+
 def bits(x):
     """The uint64 view of a float array, for bit-for-bit comparisons."""
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+
+
+def reference_per_slice_integrand(C, spec):
+    """energies._per_slice_integrand before it worked in row windows, kept verbatim.
+
+    It builds the frame of the whole grid at once. The windowed kernel
+    must give the same bits on every grid and for every kind.
+    """
+    from curvemetrics.curves import curvature_kernel
+    from curvemetrics.energies import _normal_slices
+    from curvemetrics.errors import InputDataError
+    from curvemetrics.homotopy import homotopy_frame
+
+    kind = spec.kind
+    if kind == "param_H0":
+        V = C.d_v()
+        return C.integrate_theta(dot(V, V))
+    frame = homotopy_frame(C)
+    m, speed = frame.m, frame.speed
+    if kind == "alpha_beta":
+        # speed^beta vanishes where speed does, since beta > 0.
+        return C.integrate_theta(m ** (spec.alpha / 2.0) * speed**spec.beta)
+    if kind == "geom_H0":
+        return _normal_slices(C, m, speed)
+    if kind == "conformal":
+        return _normal_slices(C, m, speed, spec.factor)
+    if kind not in ("J", "MM"):
+        raise InputDataError(f"kind {kind} has no homotopy energy")
+    if not C.periodic:
+        raise InputDataError(f"kind {kind} needs periodic slices for curvature")
+    H = curvature_kernel(frame, C.dtheta)
+    kappa2 = dot(H, H)
+    weight = kappa2 if kind == "J" else 1.0 + spec.A * kappa2
+    return C.integrate_theta(weight * m * speed)
 
 
 def reference_distance_to_segments(px, py, a, b):

@@ -13,12 +13,12 @@ import pytest
 from curvemetrics import cli, counterexamples, curveio, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
-from curvemetrics.energies import ConformalFactor, EnergySpec, inner_product
+from curvemetrics.energies import ConformalFactor, EnergyReport, EnergySpec, inner_product
 from curvemetrics.errors import InputDataError, LevelSetError
 from curvemetrics.flows import run_homotopy_flow, stable_lambda
-from curvemetrics.homotopy import sample_homotopy
+from curvemetrics.homotopy import row_windows, sample_homotopy
 
-from helpers import translating_circle, unit_circle, wobbled
+from helpers import reference_per_slice_integrand, translating_circle, unit_circle, wobbled
 
 
 def write_circle(tmp_path, name="circle.json", n=64, center=(0.0, 0.0)):
@@ -826,3 +826,57 @@ def test_flow_dt_and_lam_take_auto_or_a_finite_number(tmp_path, capsys, flag, to
     err = capsys.readouterr().err
     assert err.startswith("InputDataError: ") and flag in err and repr(token) in err
 
+
+
+def reference_total(C, spec):
+    return float(C.integrate_v(reference_per_slice_integrand(C, spec)))
+
+
+def test_energy_report_of_a_many_window_grid_matches_the_whole_grid_kernel(
+    tmp_path, capsys
+):
+    C = counterexamples.tessellate(counterexamples.conformal_stretch(0.25, 1.0), 2)
+    assert len(row_windows(C)) > 2
+    grid = tmp_path / "big.npz"
+    curveio.save_grid_npz(grid, C)
+    out = tmp_path / "r.txt"
+    assert main(["energy", "--grid", str(grid), "--kind", "alpha_beta", "--out", str(out)]) == 0
+    spec = EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0)
+    per_slice = reference_per_slice_integrand(C, spec)
+    want = tmp_path / "want.txt"
+    curveio.save_energy_report(
+        want,
+        EnergyReport(
+            total=float(C.integrate_v(per_slice)),
+            per_slice=per_slice,
+            quadrature="trapezoid-u, trapezoid-v",
+            resolution=(C.n_theta, C.n_v),
+        ),
+        spec,
+    )
+    assert out.read_text() == want.read_text()
+    assert parse_kv(capsys.readouterr().out)["total"] == cli._fmt(
+        float(C.integrate_v(per_slice))
+    )
+
+
+def test_counterexample_tables_match_the_whole_grid_kernel(tmp_path, capsys):
+    # The tessellation, wiggle and stretch grids all span several windows.
+    ab = EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0)
+    factor = EnergySpec(kind="conformal", factor=ConformalFactor.length())
+    base = counterexamples.conformal_stretch(0.25, 1.0)
+    tables = [
+        ("tessellation", ["--values", "1,2,4"], ["h", "energy"],
+         [(h, reference_total(counterexamples.tessellate(base, h), ab)) for h in (1, 2, 4)]),
+        ("wiggle", ["--values", "1,8"], ["j", "energy"],
+         [(j, reference_total(counterexamples.graph_wiggle(j), ab)) for j in (1, 8)]),
+        ("stretch", ["--eps", "0.1,0.25", "--lam-values", "0.5,1,2"], ["eps", "lam", "energy"],
+         [(eps, lam, reference_total(counterexamples.conformal_stretch(eps, lam), factor))
+          for eps in (0.1, 0.25) for lam in (0.5, 1.0, 2.0)]),
+    ]
+    for name, argv, header, rows in tables:
+        out, want = tmp_path / f"{name}.csv", tmp_path / f"{name}_want.csv"
+        assert main(["counterexample", "--name", name, *argv, "--out", str(out)]) == 0
+        cli._write_table(str(want), header, rows, name)
+        capsys.readouterr()
+        assert out.read_text() == want.read_text(), name

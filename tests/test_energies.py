@@ -1,12 +1,16 @@
 """Tests for metric inner products, path energies, and their identities."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from curvemetrics import curveio
+from curvemetrics import curveio, homotopy
+from curvemetrics.counterexamples import conformal_stretch, tessellate
 from curvemetrics.cli import main
 from curvemetrics.curves import SampledCurve, tangent_frame, theta_grid
 from curvemetrics.energies import (
@@ -25,12 +29,21 @@ from curvemetrics.energies import (
 )
 from curvemetrics.errors import InputDataError, NotImmersedError, StalledHomotopyError
 from curvemetrics.flows import vstar_calculus
-from curvemetrics.homotopy import HomotopyGrid, homotopy_frame, sample_homotopy, shift_unwind
+from curvemetrics.homotopy import (
+    HomotopyGrid,
+    homotopy_frame,
+    row_windows,
+    sample_homotopy,
+    shift_unwind,
+)
 from curvemetrics.shapedist import sup_speed_length
 
 from helpers import (
+    bits,
     constant_grid,
     radial_circle,
+    raised,
+    reference_per_slice_integrand,
     smooth_random_grid,
     translating_circle,
     unit_circle,
@@ -403,3 +416,81 @@ def test_energy_lambda_vstar_and_sup_speed_share_one_m():
     assert stable_lambda(C) == float(np.max(frame.m / big_m[:, None]))
     sup = float(C.integrate_v(np.sqrt(np.max(frame.m, axis=1))))
     assert sup_speed_length(C) == sup
+
+
+WINDOW_SPECS = [
+    EnergySpec(kind="param_H0"),
+    EnergySpec(kind="geom_H0"),
+    EnergySpec(kind="J"),
+    EnergySpec(kind="MM", A=0.7),
+    EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0),
+    EnergySpec(kind="alpha_beta", alpha=1.3, beta=0.6),
+    EnergySpec(kind="conformal", factor=ConformalFactor.length()),
+    EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(0.3)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4),
+    k=st.integers(0, 4),
+    tail=st.integers(0, 2),
+    periodic=st.booleans(),
+    n_theta=st.integers(3, 24),
+    dim=st.integers(2, 3),
+    pinch=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+# Two rows; three rows in windows of two, a one-row tail; k windows of
+# one row each.
+@example(rows=1, k=0, tail=2, periodic=True, n_theta=8, dim=2, pinch=False, seed=1)
+@example(rows=2, k=1, tail=1, periodic=False, n_theta=8, dim=2, pinch=False, seed=2)
+@example(rows=1, k=4, tail=0, periodic=True, n_theta=8, dim=2, pinch=True, seed=3)
+def test_row_windows_match_the_whole_grid_kernel(
+    rows, k, tail, periodic, n_theta, dim, pinch, seed
+):
+    n_v = max(k * rows + tail, 2)
+    values = np.random.default_rng(seed).normal(size=(n_v, n_theta, dim))
+    if pinch:
+        # Sample 1 has central-difference speed 0 on every slice.
+        values[:, 2] = values[:, 0]
+    C = HomotopyGrid(values=values, periodic=periodic)
+    # A budget of exactly `rows` rows per window.
+    with mock.patch.object(homotopy, "_WINDOW_BYTES", rows * values[0].nbytes):
+        full, last = divmod(n_v, rows)
+        assert [b - a for a, b in row_windows(C)] == [rows] * full + [last] * (last > 0)
+        for spec in WINDOW_SPECS:
+            want = raised(reference_per_slice_integrand, C, spec)
+            if want is not None:
+                assert raised(energy, C, spec) == want
+                continue
+            per_slice = reference_per_slice_integrand(C, spec)
+            report = energy(C, spec)
+            assert np.array_equal(bits(report.per_slice), bits(per_slice))
+            assert bits(report.total) == bits(float(C.integrate_v(per_slice)))
+            if spec.kind == "J":
+                continue
+            length = float(C.integrate_v(np.sqrt(np.maximum(per_slice, 0.0))))
+            got = path_len_energy(C, spec)
+            assert np.array_equal(bits(got), bits([length, report.total]))
+
+
+def test_energy_of_a_large_grid_traces_about_one_window():
+    # The 257 x 4001 grid of the h = 4 tessellation is 15.7 MB; its
+    # whole-grid frame traced 94.1 MB (31.4 MB for param_H0's d_v).
+    C = tessellate(conformal_stretch(0.25, 1.0), 4)
+    assert len(row_windows(C)) > 30
+    for spec in (
+        EnergySpec(kind="geom_H0"),
+        EnergySpec(kind="conformal", factor=ConformalFactor.length()),
+        EnergySpec(kind="alpha_beta", alpha=2.0, beta=1.0),
+        EnergySpec(kind="param_H0"),
+    ):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            energy(C, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 8 * 2**20, spec.kind

@@ -40,6 +40,7 @@ from curvemetrics.levelset import (
 from helpers import (
     ReferenceEvolutionFields,
     figure_eight,
+    raised,
     reference_cell_cases,
     reference_cell_centers,
     reference_check_embedded,
@@ -253,15 +254,6 @@ def test_embed_rejects_bad_input():
             embed(circle_pair(), nx=nx)
 
 
-def raised(fn, *args):
-    """The message of the InputDataError fn(*args) raised, or None."""
-    try:
-        fn(*args)
-    except InputDataError as e:
-        return str(e)
-    return None
-
-
 def crossing_pairs(points):
     """Every pair i < j of non-adjacent edges whose orientations say they cross."""
     n = len(points)
@@ -316,32 +308,45 @@ def geodesic_solve_slices():
 
 
 @pytest.mark.parametrize(
-    "points, crosses",
+    "points, expect",
     [
         # Both branches pass through vertex 0, so no two edges cross
-        # properly; shifted off the samples, they do.
-        pytest.param(figure_eight().points, False, id="figure-eight"),
-        pytest.param(shifted_figure_eight(), True, id="figure-eight-shifted"),
-        pytest.param(seeded_tangle(), True, id="tangle"),
-        pytest.param(PINCH, False, id="pinch"),
-        pytest.param(T_TOUCH, False, id="t-touch"),
-        pytest.param(COLLINEAR, False, id="collinear"),
-        pytest.param(rotated(PINCH), False, id="pinch-rotated"),
-        # Rotated, whether a touch or an overlap reads as a crossing is
-        # up to rounding; only agreement with the reference is asserted.
-        pytest.param(rotated(T_TOUCH), None, id="t-touch-rotated"),
-        pytest.param(rotated(COLLINEAR), None, id="collinear-rotated"),
+        # properly, but edges 0 and 63 meet there; shifted off the
+        # samples, the branches cross.
+        pytest.param(figure_eight().points, (0, 63), id="figure-eight"),
+        pytest.param(shifted_figure_eight(), "crosses", id="figure-eight-shifted"),
+        pytest.param(seeded_tangle(), "crosses", id="tangle"),
+        pytest.param(PINCH, (1, 5), id="pinch"),
+        pytest.param(T_TOUCH, (0, 2), id="t-touch"),
+        pytest.param(COLLINEAR, (0, 4), id="collinear"),
+        # Rotated, a touch or an overlap holds only up to rounding; the
+        # tolerance still finds it.
+        pytest.param(rotated(PINCH), (1, 5), id="pinch-rotated"),
+        pytest.param(rotated(T_TOUCH), (0, 2), id="t-touch-rotated"),
+        pytest.param(rotated(COLLINEAR), (0, 4), id="collinear-rotated"),
     ]
     + [
-        pytest.param(poly, False, id=f"geodesic-slice-{j}")
+        pytest.param(poly, "embedded", id=f"geodesic-slice-{j}")
         for j, poly in enumerate(geodesic_solve_slices())
     ],
 )
-def test_check_embedded_names_the_reference_pair(points, crosses):
+def test_check_embedded_names_the_reference_pair(points, expect):
+    # A proper crossing keeps the pair the all-pairs check names; a
+    # touch, which that check passes, names the first touching pair.
     want = raised(reference_check_embedded, points, "slice 3")
+    assert (want is not None) == (expect == "crosses")
+    if isinstance(expect, tuple):
+        i, j = expect
+        want = f"slice 3 self-intersects (segments {i} and {j}); signed distance is undefined"
     assert raised(_check_embedded, points, "slice 3") == want
-    if crosses is not None:
-        assert (want is not None) == crosses
+
+
+def test_embed_rejects_a_figure_eight_crossing_at_a_vertex():
+    # Vertices 0 and 128 of the 256-sample figure-eight are both the
+    # origin up to 1.7e-16, so its branches meet at a vertex.
+    c = figure_eight(256)
+    with pytest.raises(InputDataError, match=r"^slice 0 self-intersects \(segments 0 and 127\)"):
+        embed((c, c), nv=3)
 
 
 def test_seeded_tangle_names_a_pair_a_sweep_meets_late():
