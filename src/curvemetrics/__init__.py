@@ -30,6 +30,7 @@ from .energies import (
     area_swept_bound_check,
     cross_identity_check,
     energy,
+    energy_gradient,
     holder_length_check,
     inner_product,
     normal_speed_squared,

@@ -73,82 +73,62 @@ def _along(axis, start, stop):
     return (slice(None),) * axis + (slice(start, stop),)
 
 
-def _wrap_pad(v, axis, width):
-    """v with `width` wrap rows on each end of its periodic axis."""
-    if v.shape[axis] < width:
-        raise InputDataError(
-            f"need at least {width} samples on the periodic axis, got {v.shape[axis]}"
-        )
-    head = v[_along(axis, -width, None)]
-    tail = v[_along(axis, 0, width)]
-    return np.concatenate([head, v, tail], axis=axis)
-
-
-def periodic_derivative(values, spacing, axis=0, order=2):
+def periodic_derivative(values, spacing, axis=0):
     """Central-difference derivative along a periodic axis.
 
-    order 2 uses the classic two-neighbor stencil, order 4 the
-    five-point stencil. Both wrap around the ends: each stencil term
-    is a slice of one copy of values padded with wrap rows.
+    The two-neighbor stencil wraps around the ends: each stencil term
+    is a slice of one copy of values padded with a wrap row at each
+    end.
     """
     v = np.asarray(values, dtype=float)
     if not -v.ndim <= axis < v.ndim:
         raise InputDataError(f"axis {axis} is out of range for a {v.ndim}-d array")
     axis %= v.ndim
-    if order == 2:
-        w = _wrap_pad(v, axis, 1)
-        out = w[_along(axis, 2, None)] - w[_along(axis, None, -2)]
-        out /= 2.0 * spacing
-    elif order == 4:
-        w = _wrap_pad(v, axis, 2)
-        out = (
-            -w[_along(axis, 4, None)]
-            + 8.0 * w[_along(axis, 3, -1)]
-            - 8.0 * w[_along(axis, 1, -3)]
-            + w[_along(axis, None, -4)]
-        )
-        out /= 12.0 * spacing
-    else:
-        raise InputDataError(f"unsupported stencil order {order}")
+    w = np.concatenate([v[_along(axis, -1, None)], v, v[_along(axis, 0, 1)]], axis=axis)
+    out = w[_along(axis, 2, None)] - w[_along(axis, None, -2)]
+    out /= 2.0 * spacing
     return out
 
 
-def open_derivative(values, spacing, axis=0, order=2):
+def open_derivative(values, spacing, axis=0):
     """Derivative along a non-periodic axis.
 
-    Central differences in the interior with one-sided stencils of the
-    same order at both ends. Two samples at order 2 define only the line
-    through them, so both get its slope, the exact derivative of that
-    line.
+    Central differences in the interior with one-sided three-point
+    stencils at both ends. Two samples define only the line through
+    them, so both get its slope, the exact derivative of that line.
     """
     v = np.moveaxis(np.asarray(values, dtype=float), axis, 0)
     m = v.shape[0]
+    if m < 2:
+        raise InputDataError("need at least 2 samples for a derivative")
     out = np.empty_like(v)
-    if order == 2 and m == 2:
+    if m == 2:
         out[:] = (v[1] - v[0]) / spacing
-    elif order == 2:
-        if m < 2:
-            raise InputDataError("need at least 2 samples for a derivative")
+    else:
         # Written in place: a temporary of a large grid costs more than
         # the subtraction itself.
         np.subtract(v[2:], v[:-2], out=out[1:-1])
         out[1:-1] /= 2.0 * spacing
         out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * spacing)
         out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * spacing)
-    elif order == 4:
-        if m < 6:
-            raise InputDataError("need at least 6 samples for a fourth-order derivative")
-        out[2:-2] = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * spacing)
-        # One-sided fourth-order stencils for the two points at each end.
-        c0 = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-        c1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
-        out[0] = np.tensordot(c0, v[:5], axes=(0, 0)) / spacing
-        out[1] = np.tensordot(c1, v[:5], axes=(0, 0)) / spacing
-        out[-1] = -np.tensordot(c0, v[-5:][::-1], axes=(0, 0)) / spacing
-        out[-2] = -np.tensordot(c1, v[-5:][::-1], axes=(0, 0)) / spacing
-    else:
-        raise InputDataError(f"unsupported stencil order {order}")
     return np.moveaxis(out, 0, axis)
+
+
+def _open_derivative_adjoint(y, spacing):
+    """The transpose of open_derivative along axis 0, applied to y.
+
+    Each output row of the stencil scatters its weights back onto the
+    rows it read; the two-sample slope scatters (y_0 + y_1) / spacing.
+    """
+    y = np.asarray(y, dtype=float) / spacing
+    if y.shape[0] == 2:
+        return np.stack([-(y[0] + y[1]), y[0] + y[1]])
+    out = np.zeros_like(y)
+    out[2:] += 0.5 * y[1:-1]
+    out[:-2] -= 0.5 * y[1:-1]
+    out[:3] += np.multiply.outer([-1.5, 2.0, -0.5], y[0])
+    out[-3:] += np.multiply.outer([0.5, -2.0, 1.5], y[-1])
+    return out
 
 
 @dataclass
@@ -336,7 +316,7 @@ def arclength(c: SampledCurve) -> float:
     return frame_length(tangent_frame(c), c.dtheta)
 
 
-def curvature_kernel(frame: TangentFrame, dtheta, order=2):
+def curvature_kernel(frame: TangentFrame, dtheta):
     """Curvature vector H = d_s T = d_theta T / speed of a frame.
 
     H is zero where T is. The frame's stack has its periodic sample
@@ -345,7 +325,7 @@ def curvature_kernel(frame: TangentFrame, dtheta, order=2):
     the bending energies and the v* calculus all take H from here, so
     their values agree exactly where they overlap.
     """
-    T_theta = periodic_derivative(frame.T, dtheta, axis=-2, order=order)
+    T_theta = periodic_derivative(frame.T, dtheta, axis=-2)
     return _per_speed(T_theta, frame.speed, frame.floor)
 
 

@@ -18,9 +18,11 @@ squared normal speed m = |C_v*|^2 = |pi_N d_v C|^2 and the speed
 stable_lambda and the v* calculus of the flows; J and MM take the
 curvature H from that same frame through curves.curvature_kernel.
 energy() and path_len_energy() build that frame one window of v-rows
-at a time (homotopy.window_frame), so their memory is the grid plus
-about one window, and their values are those of the whole-grid frame
-bit for bit.
+at a time (homotopy_frame(C, start, stop)), so their memory is the
+grid plus about one window, and their values are those of the
+whole-grid frame bit for bit. energy_gradient() is the exact gradient
+of the geom_H0 and conformal energies in the grid values, the adjoint
+of their stencils and quadratures.
 Degenerate samples (|d_theta C| = 0) contribute nothing to geometric
 integrands because the arclength weight vanishes there; this lets
 energies of homotopies with a collapsing slice, such as cones, be
@@ -31,7 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import SampledCurve, curvature_kernel, dot, immersed, tangent_frame
+from .curves import (
+    SampledCurve,
+    _open_derivative_adjoint,
+    curvature_kernel,
+    dot,
+    immersed,
+    periodic_derivative,
+    scale,
+    tangent_frame,
+)
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
 from .homotopy import (
     HomotopyGrid,
@@ -39,7 +50,6 @@ from .homotopy import (
     length_profile,
     row_windows,
     window_d_v,
-    window_frame,
 )
 
 KIND_ALIASES = {
@@ -153,12 +163,12 @@ class EnergyReport:
     resolution: tuple
 
 
-def normal_speed_squared(C: HomotopyGrid, order=2):
+def normal_speed_squared(C: HomotopyGrid):
     """Per-sample m = |C_v*|^2 = |pi_N d_v C|^2 and the speeds |d_theta C|.
 
     Both come from homotopy_frame, the one kernel that forms m.
     """
-    frame = homotopy_frame(C, order)
+    frame = homotopy_frame(C)
     return frame.m, frame.speed
 
 
@@ -180,7 +190,7 @@ def _window_integrand(C: HomotopyGrid, spec: EnergySpec, start, stop):
     if kind == "param_H0":
         V = window_d_v(C, start, stop)
         return C.integrate_theta(dot(V, V))
-    frame = window_frame(C, start, stop)
+    frame = homotopy_frame(C, start, stop)
     m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.
@@ -225,6 +235,35 @@ def energy(C: HomotopyGrid, spec: EnergySpec) -> EnergyReport:
         quadrature=f"{theta_rule}, trapezoid-v",
         resolution=(C.n_theta, C.n_v),
     )
+
+
+def energy_gradient(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarray:
+    """dE/d(values) of the conformal energy with this factor, an array like C.values.
+
+    The identity factor gives the geom_H0 energy. Per sample, with
+    V = d_v C, W = d_theta C, T = W / |W| and t = V . T, the integrand
+    m |W| has derivative 2 |W| C_v* in V and (|V|^2 + t^2) T - 2 t V in
+    W, and the slice length adds phi'(L) M T. Both are weighted by the
+    quadratures and mapped back to the values through the transposed
+    stencils: -periodic_derivative for W (the central stencil is
+    antisymmetric) and the adjoint of open_derivative for V.
+    """
+    if not C.periodic:
+        raise InputDataError("the energy gradient needs periodic slices")
+    frame = homotopy_frame(C).require_immersed("the energy gradient")
+    V, T, t, speed = frame.V, frame.T, frame.tangential, frame.speed
+    big_m = _normal_slices(C, frame.m, speed)
+    lengths = C.integrate_theta(speed)
+    phi = np.atleast_1d(factor.value(lengths))
+    dphi = np.atleast_1d(factor.derivative(lengths))
+    # d total / d per-slice value: the trapezoid weights in v.
+    w = np.full(C.n_v, C.dv * C.dtheta)
+    w[[0, -1]] *= 0.5
+    wphi = (w * phi)[:, None]
+    g_v = scale(frame.c_vstar, 2.0 * wphi * speed)
+    g_w = scale(T, wphi * (dot(V, V) + t * t) + (w * dphi * big_m)[:, None])
+    g_w -= scale(V, 2.0 * wphi * t)
+    return _open_derivative_adjoint(g_v, C.dv) - periodic_derivative(g_w, C.dtheta, axis=1)
 
 
 def inner_product(c: SampledCurve, h, k, metric) -> float:

@@ -89,13 +89,10 @@ class HomotopyGrid:
             return theta_grid(self.n_theta)
         return np.linspace(0.0, 1.0, self.n_theta)
 
-    def d_theta(self, order=2):
+    def d_theta(self):
         if self.periodic:
-            return periodic_derivative(self.values, self.dtheta, axis=1, order=order)
-        return open_derivative(self.values, self.dtheta, axis=1, order=order)
-
-    def d_v(self, order=2):
-        return open_derivative(self.values, self.dv, axis=0, order=order)
+            return periodic_derivative(self.values, self.dtheta, axis=1)
+        return open_derivative(self.values, self.dtheta, axis=1)
 
     def slice_curve(self, j) -> SampledCurve:
         if not self.periodic:
@@ -169,11 +166,6 @@ def _frame(W, V, scale_hint) -> HomotopyFrame:
     )
 
 
-def homotopy_frame(C: HomotopyGrid, order=2) -> HomotopyFrame:
-    """The frame of the grid from its order-2 or order-4 derivatives."""
-    return _frame(C.d_theta(order), C.d_v(order), C.scale_hint)
-
-
 # Bytes of grid values in one row window. The frame of a window holds
 # about ten arrays of its size, so a window's working set stays a few
 # MB, whatever the size of the grid.
@@ -191,22 +183,25 @@ def row_windows(C: HomotopyGrid):
 
 
 def window_d_v(C: HomotopyGrid, start, stop) -> np.ndarray:
-    """Rows start:stop of C.d_v(), bit for bit, from those rows and their halo.
+    """Rows start:stop of d_v C, bit for bit, from those rows and their halo.
 
     The differenced slab reaches one row past each end of the window
     and spans at least three rows, so the end rows of the grid keep
     the three-point formula (only a two-row grid takes the slope).
+    Over all rows the slab is the whole grid.
     """
     lo = max(min(start - 1, C.n_v - 3), 0)
     hi = min(max(stop + 1, 3), C.n_v)
     return open_derivative(C.values[lo:hi], C.dv, axis=0)[start - lo : stop - lo]
 
 
-def window_frame(C: HomotopyGrid, start, stop) -> HomotopyFrame:
-    """Rows start:stop of homotopy_frame(C), bit for bit.
+def homotopy_frame(C: HomotopyGrid, start=0, stop=None) -> HomotopyFrame:
+    """The frame of the rows start:stop of the grid, all rows by default.
 
-    The floor comes from the scale hint of the whole grid.
+    A window's fields are those rows of the whole-grid frame bit for
+    bit; the floor comes from the scale hint of the whole grid.
     """
+    stop = C.n_v if stop is None else stop
     rows = C.values[start:stop]
     derivative = periodic_derivative if C.periodic else open_derivative
     W = derivative(rows, C.dtheta, axis=1)

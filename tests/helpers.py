@@ -125,7 +125,7 @@ def as_grid(rows, periodic=True):
     return HomotopyGrid(values=np.asarray(rows, dtype=float), periodic=periodic)
 
 
-def reference_curvature(points, dtheta, scale_hint, order=2):
+def reference_curvature(points, dtheta, scale_hint):
     """(H, T, speed) of an (..., N, n) stack straight from its points.
 
     The standalone curvature kernel the library had before curvature
@@ -135,10 +135,10 @@ def reference_curvature(points, dtheta, scale_hint, order=2):
     floor. Tests hold the frame-based values to it bit for bit.
     """
     floor = EPS_IMMERSED * scale_hint
-    deriv = periodic_derivative(points, dtheta, axis=-2, order=order)
+    deriv = periodic_derivative(points, dtheta, axis=-2)
     speed = np.sqrt(dot(deriv, deriv))
     T = scale(deriv, speed, divide=True, where=speed > floor)
-    T_theta = periodic_derivative(T, dtheta, axis=-2, order=order)
+    T_theta = periodic_derivative(T, dtheta, axis=-2)
     H = scale(T_theta, speed, divide=True, where=speed > floor)
     return H, T, speed
 
@@ -188,19 +188,20 @@ def bits(x):
 def reference_per_slice_integrand(C, spec):
     """energies._per_slice_integrand before it worked in row windows, kept verbatim.
 
-    It builds the frame of the whole grid at once. The windowed kernel
-    must give the same bits on every grid and for every kind.
+    It builds the frame of the whole grid at once, from whole-grid
+    derivatives in theta and v. The windowed kernel must give the same
+    bits on every grid and for every kind.
     """
-    from curvemetrics.curves import curvature_kernel
+    from curvemetrics.curves import curvature_kernel, open_derivative
     from curvemetrics.energies import _normal_slices
     from curvemetrics.errors import InputDataError
-    from curvemetrics.homotopy import homotopy_frame
+    from curvemetrics.homotopy import _frame
 
     kind = spec.kind
+    V = open_derivative(C.values, C.dv, axis=0)
     if kind == "param_H0":
-        V = C.d_v()
         return C.integrate_theta(dot(V, V))
-    frame = homotopy_frame(C)
+    frame = _frame(C.d_theta(), V, C.scale_hint)
     m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.

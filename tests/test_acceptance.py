@@ -139,7 +139,7 @@ def test_criterion_09_energy_derivative_consistency():
     C = translating_circle()
     for kind in ("h0", "conformal"):
         rel = energy_derivative_check(C, kind, trials=10)
-        assert rel < 1e-3, f"{kind}: relative derivative error {rel}"
+        assert rel < 1e-6, f"{kind}: relative derivative error {rel}"
 
 
 def test_criterion_10_calculus_identities_second_order():

@@ -20,6 +20,7 @@ from curvemetrics.energies import (
     area_swept_bound_check,
     cross_identity_check,
     energy,
+    energy_gradient,
     holder_length_check,
     inner_product,
     normalize_kind,
@@ -494,3 +495,66 @@ def test_energy_of_a_large_grid_traces_about_one_window():
         finally:
             tracemalloc.stop()
         assert peak - start < 8 * 2**20, spec.kind
+
+
+GRADIENT_FACTORS = {
+    "geom_H0": ConformalFactor.identity(),
+    "conformal": ConformalFactor.exp_length(0.3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRADIENT_FACTORS))
+@pytest.mark.parametrize("n_v", [2, 3, 4, 17])
+def test_energy_gradient_matches_central_differences_of_energy(n_v, kind):
+    # Perturbations move every sample, the end slices included, so the
+    # one-sided v-stencils (the slope on two rows) are checked too.
+    factor = GRADIENT_FACTORS[kind]
+    spec = EnergySpec(kind=kind, factor=factor)
+    C = smooth_random_grid(n_theta=32, n_v=n_v, seed=n_v)
+    G = energy_gradient(C, factor)
+    assert G.shape == C.values.shape
+    rng = np.random.default_rng(n_v)
+    h = 1e-6
+    for _ in range(4):
+        P = rng.normal(size=C.values.shape)
+        plus = energy(HomotopyGrid(values=C.values + h * P), spec).total
+        minus = energy(HomotopyGrid(values=C.values - h * P), spec).total
+        fd = (plus - minus) / (2.0 * h)
+        assert abs(np.sum(P * G) - fd) <= 1e-6 * abs(fd)
+
+
+def test_energy_gradient_obeys_the_euler_identity_of_the_cubic_h0_energy():
+    # E^N(a C) = a^3 E^N(C) for the discrete energy too, so
+    # sum C . grad E = 3 E; translations leave E fixed, so sum grad E = 0.
+    C = smooth_random_grid(n_theta=32, n_v=9, seed=3)
+    G = energy_gradient(C, ConformalFactor.identity())
+    total = energy(C, EnergySpec(kind="geom_H0")).total
+    assert abs(np.sum(C.values * G) - 3.0 * total) < 1e-12 * total
+    np.testing.assert_allclose(G.sum(axis=(0, 1)), 0.0, atol=1e-14 * np.sum(np.abs(G)))
+
+
+def test_energy_gradient_needs_immersed_periodic_grids():
+    with pytest.raises(NotImmersedError, match="the energy gradient"):
+        energy_gradient(v4_cone(n_theta=32, n_v=9), ConformalFactor.identity())
+    values = smooth_random_grid(n_theta=32, n_v=5).values
+    # energy() takes open grids; their gradient needs the open stencil.
+    assert energy(HomotopyGrid(values=values, periodic=False), EnergySpec()).total > 0.0
+    with pytest.raises(InputDataError, match="periodic slices"):
+        energy_gradient(HomotopyGrid(values=values, periodic=False), ConformalFactor.identity())
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    angle=st.floats(-np.pi, np.pi),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    kind=st.sampled_from(sorted(GRADIENT_FACTORS)),
+    seed=st.integers(0, 2**16),
+)
+def test_energy_gradient_is_rigid_motion_equivariant(angle, shift, kind, seed):
+    # E(R C + b) = E(C), so the gradient at R C + b is R times the one at C.
+    C = smooth_random_grid(n_theta=16, n_v=5, seed=seed)
+    R = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    moved = HomotopyGrid(values=C.values @ R.T + np.array(shift))
+    G = energy_gradient(C, GRADIENT_FACTORS[kind])
+    got = energy_gradient(moved, GRADIENT_FACTORS[kind])
+    np.testing.assert_allclose(got, G @ R.T, rtol=0.0, atol=1e-9 * np.max(np.abs(G)))
