@@ -16,7 +16,6 @@ from .curves import (
     curvature,
     immersed,
     lift_direction,
-    project,
     resample_arclength,
     tangent_frame,
     theta_grid,
@@ -33,7 +32,6 @@ from .energies import (
     energy_gradient,
     holder_length_check,
     inner_product,
-    normal_speed_squared,
     path_len_energy,
     scaling_check,
     stable_lambda,

@@ -22,6 +22,19 @@ from .curves import SampledCurve, tangent_frame, theta_grid
 from .errors import InputDataError
 from .homotopy import HomotopyGrid, shift_unwind
 
+# The most samples a generator allocates in one array (64 MB of planar
+# points); a parameter that implies more is rejected before allocating.
+_SAMPLE_BUDGET = 1 << 22
+
+
+def _check_budget(name, value, samples):
+    """Raise InputDataError naming the parameter when samples > _SAMPLE_BUDGET."""
+    if samples > _SAMPLE_BUDGET:
+        raise InputDataError(
+            f"{name} = {value} needs {samples:.3g} samples, more than the "
+            f"budget of {_SAMPLE_BUDGET}"
+        )
+
 
 def winding_family(C: HomotopyGrid, k: int) -> HomotopyGrid:
     """C_k(theta, v) = C(theta + 2 pi k v, v): k extra turns of sliding."""
@@ -65,14 +78,14 @@ def tessellate(Ctilde: HomotopyGrid, h: int) -> HomotopyGrid:
     if h < 1 or int(h) != h:
         raise InputDataError("tessellation count h must be a positive integer")
     h = int(h)
-    _check_tiling_boundary(Ctilde, tol=1e-8 * max(Ctilde.scale_hint, 1.0))
-    if h == 1:
-        return HomotopyGrid(values=Ctilde.values.copy(), periodic=False)
-
     n_u = Ctilde.n_theta
     n_v = Ctilde.n_v
     out_u = h * (n_u - 1) + 1
     out_v = h * (n_v - 1) + 1
+    _check_budget("tessellation count h", h, out_u * out_v)
+    _check_tiling_boundary(Ctilde, tol=1e-8 * max(Ctilde.scale_hint, 1.0))
+    if h == 1:
+        return HomotopyGrid(values=Ctilde.values.copy(), periodic=False)
 
     au = np.arange(out_u)
     qu = np.minimum(au // (n_u - 1), h - 1)
@@ -185,6 +198,9 @@ def zigzag_cone(k: int, c1: SampledCurve, n_v: int = 65) -> ZigzagCone:
     """
     if k < 1 or int(k) != k:
         raise InputDataError("zigzag count k must be a positive integer")
+    # The energy quadrature samples each of the 2k sawtooth segments at
+    # least 16 times.
+    _check_budget("zigzag count k", k, 32 * k)
     radii = np.linalg.norm(c1.points, axis=1)
     if np.max(np.abs(radii - 1.0)) > 1e-6:
         raise InputDataError("zigzag cone needs |c1| = 1 (unit sphere curve)")
@@ -386,6 +402,8 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     h = int(h)
     if n_v <= 0:
         n_v = 8 * h + 1
+    # The grid, and about 4h features per slice.
+    _check_budget("pulley h", h, max(n_v * n_theta, 4 * h))
     vs = np.linspace(0.0, 1.0, n_v)
     thetas = theta_grid(n_theta)
 

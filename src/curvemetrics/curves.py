@@ -297,15 +297,6 @@ def tangent_frame(c: SampledCurve) -> TangentFrame:
     return derivative_frame(c.derivative(), c.scale_hint)
 
 
-def project(frame: TangentFrame, vectors, which: str):
-    """Project per-sample vectors onto the normal or tangent space."""
-    if which == "normal":
-        return frame.project_normal(vectors)
-    if which == "tangent":
-        return frame.project_tangent(vectors)
-    raise InputDataError(f"projection must be 'normal' or 'tangent', got {which!r}")
-
-
 def frame_length(frame: TangentFrame, dtheta) -> float:
     """Length of a curve from its frame, the periodic trapezoid of the speed."""
     return float(np.sum(frame.speed) * dtheta)

@@ -12,17 +12,17 @@ The menu of kinds mirrors the metrics the library supports:
   family behind the tessellation and wiggle examples.
 - conformal: geom_H0 scaled by a positive factor phi(len(c)).
 
-Every geometric kind (geom_H0, conformal, J, MM, alpha_beta) reads the
-squared normal speed m = |C_v*|^2 = |pi_N d_v C|^2 and the speed
-|d_theta C| from the one frame kernel, the homotopy frame, as do
-stable_lambda and the v* calculus of the flows; J and MM take the
-curvature H from that same frame through curves.curvature_kernel.
-energy() and path_len_energy() build that frame one window of v-rows
-at a time (homotopy_frame(C, start, stop)), so their memory is the
-grid plus about one window, and their values are those of the
-whole-grid frame bit for bit. energy_gradient() is the exact gradient
-of the geom_H0 and conformal energies in the grid values, the adjoint
-of their stencils and quadratures.
+Every kind reads its fields from the one frame kernel, the homotopy
+frame: d_v C (param_H0), the squared normal speed m = |C_v*|^2 =
+|pi_N d_v C|^2 and the speed |d_theta C|; J and MM take the curvature
+H from that same frame through curves.curvature_kernel. energy(),
+path_len_energy(), area_swept() and stable_lambda() reduce each slice
+to a few numbers, so they build that frame one window of v-rows at a
+time (homotopy._per_row), their memory is the grid plus about one
+window, and their values are those of the whole-grid frame bit for
+bit. energy_gradient() needs whole fields and builds the whole-grid
+frame; it is the exact gradient of the geom_H0 and conformal energies
+in the grid values, the adjoint of their stencils and quadratures.
 Degenerate samples (|d_theta C| = 0) contribute nothing to geometric
 integrands because the arclength weight vanishes there; this lets
 energies of homotopies with a collapsing slice, such as cones, be
@@ -44,13 +44,7 @@ from .curves import (
     tangent_frame,
 )
 from .errors import InputDataError, NotImmersedError, StalledHomotopyError
-from .homotopy import (
-    HomotopyGrid,
-    homotopy_frame,
-    length_profile,
-    row_windows,
-    window_d_v,
-)
+from .homotopy import HomotopyGrid, _per_row, homotopy_frame, length_profile
 
 KIND_ALIASES = {
     "param": "param_H0",
@@ -163,15 +157,6 @@ class EnergyReport:
     resolution: tuple
 
 
-def normal_speed_squared(C: HomotopyGrid):
-    """Per-sample m = |C_v*|^2 = |pi_N d_v C|^2 and the speeds |d_theta C|.
-
-    Both come from homotopy_frame, the one kernel that forms m.
-    """
-    frame = homotopy_frame(C)
-    return frame.m, frame.speed
-
-
 def _normal_slices(C: HomotopyGrid, m, speed, factor=None):
     """Per-slice int m ds, times phi(len) when a factor is given.
 
@@ -184,13 +169,11 @@ def _normal_slices(C: HomotopyGrid, m, speed, factor=None):
     return factor.value(C.integrate_theta(speed)) * per_slice
 
 
-def _window_integrand(C: HomotopyGrid, spec: EnergySpec, start, stop):
-    """theta-integrals of the chosen integrand on the rows start:stop."""
+def _window_integrand(C: HomotopyGrid, spec: EnergySpec, frame):
+    """theta-integrals of the chosen integrand on the rows of a window's frame."""
     kind = spec.kind
     if kind == "param_H0":
-        V = window_d_v(C, start, stop)
-        return C.integrate_theta(dot(V, V))
-    frame = homotopy_frame(C, start, stop)
+        return C.integrate_theta(dot(frame.V, frame.V))
     m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.
@@ -208,18 +191,16 @@ def _window_integrand(C: HomotopyGrid, spec: EnergySpec, start, stop):
 def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
     """theta-integrals of the chosen integrand, one value per slice.
 
-    The grid is taken in windows of v-rows (homotopy.row_windows), so
-    the memory is the grid plus about one window's frame. Every value
-    is computed row by row, so it does not depend on the windows.
+    The grid is taken in windows of v-rows (homotopy._per_row), so the
+    memory is the grid plus about one window's frame. Every value is
+    computed row by row, so it does not depend on the windows.
     """
     kind = spec.kind
     if kind not in ENERGY_KINDS:
         raise InputDataError(f"kind {kind} has no homotopy energy")
     if kind in ("J", "MM") and not C.periodic:
         raise InputDataError(f"kind {kind} needs periodic slices for curvature")
-    return np.concatenate(
-        [_window_integrand(C, spec, a, b) for a, b in row_windows(C)]
-    )
+    return _per_row(C, lambda frame: _window_integrand(C, spec, frame))
 
 
 def energy(C: HomotopyGrid, spec: EnergySpec) -> EnergyReport:
@@ -317,8 +298,10 @@ def scaling_check(C: HomotopyGrid, eps: float):
 
 def area_swept(C: HomotopyGrid) -> float:
     """Area swept with multiplicity, via |V x W| = |pi_N V| |W| = sqrt(m) speed."""
-    m, speed = normal_speed_squared(C)
-    return float(C.integrate_v(C.integrate_theta(np.sqrt(m) * speed)))
+    per_slice = _per_row(
+        C, lambda frame: C.integrate_theta(np.sqrt(frame.m) * frame.speed)
+    )
+    return float(C.integrate_v(per_slice))
 
 
 def area_swept_bound_check(C: HomotopyGrid) -> bool:
@@ -392,16 +375,22 @@ def stable_lambda(C: HomotopyGrid) -> float:
 
     m is the squared normal speed per sample and M(v) its slice
     integral in arclength measure. Slices where M vanishes (a stalled
-    homotopy) make the quotient meaningless and raise.
+    homotopy) make the quotient meaningless and raise. Each slice is
+    reduced to M and its largest m: a correctly rounded division by
+    M > 0 is monotone, so max(m) / M is the slice's largest m / M.
     """
     if not C.periodic:
         raise InputDataError("stable_lambda needs periodic slices")
-    m, speed = normal_speed_squared(C)
-    big_m = _normal_slices(C, m, speed)
+    big_m, m_max = _per_row(
+        C,
+        lambda frame: np.stack(
+            [_normal_slices(C, frame.m, frame.speed), np.max(frame.m, axis=-1)]
+        ),
+    )
     eps_m = 1e-12 * C.scale_hint**2
     if np.any(big_m <= eps_m):
         j = int(np.argmin(big_m))
         raise StalledHomotopyError(
             f"slice {j} has vanishing normal motion (M = {big_m[j]:.3e})"
         )
-    return float(np.max(m / big_m[:, None]))
+    return float(np.max(m_max / big_m))

@@ -6,6 +6,10 @@ energy flow C_t = C_v*v* - (1/2) m C_ss and its conformal
 stabilization, where v* differentiates along the normal motion:
 d_v* f = d_v f - (C_v . C_s) d_s f.
 
+The v* fields (VStarField) extend the whole-grid homotopy frame, and
+d_s and d_vstar read a frame the caller built, so a flow step builds
+its frame once.
+
 The checks at the bottom validate the discrete calculus: commutation
 residuals shrink at second order, and energies.energy_gradient, the
 exact gradient of the order-2 energy that energy() reports, matches
@@ -39,7 +43,7 @@ from .energies import (
     stable_lambda,
 )
 from .errors import CFLError, InputDataError, NotImmersedError, NumericalFailureError
-from .homotopy import HomotopyGrid, homotopy_frame
+from .homotopy import HomotopyFrame, HomotopyGrid, homotopy_frame
 
 
 def mm_normal_speed(kappa, A):
@@ -123,53 +127,38 @@ def integrate_heat_flow(c: SampledCurve, t_end: float, dt: Optional[float] = Non
 
 
 @dataclass
-class VStarField:
-    """Per-grid-point v* calculus fields of a homotopy.
+class VStarField(HomotopyFrame):
+    """The homotopy frame of a grid (T = C_s, V = C_v) with its v* fields.
 
-    c_s, c_vstar, c_ss, c_vstar_vstar are (N_v, N_theta, n) arrays;
-    m = |C_v*|^2 per point; big_m its per-slice arclength integral;
-    lengths the slice lengths; l_vstar the per-slice value of
-    d_v len = -int C_v* . C_ss ds. c_v, speed and tangential carry
-    d_v C, |d_theta C| and (C_v . C_s) for reuse by the steppers.
-    c_s, c_vstar, m, c_v, speed and tangential are the fields of
-    homotopy.homotopy_frame, the one kernel that forms m, so m and
-    big_m are those of energy() and stable_lambda bit for bit; big_m
-    (times phi for the conformal flow) is the per-slice energy the
-    flow's trace integrates. c_ss is curves.curvature_kernel of that
-    frame, the H of the J and MM energies.
+    It adds c_ss and c_vstar_vstar, (N_v, N_theta, n) arrays, and per
+    slice big_m = int m ds, the lengths and l_vstar = d_v len =
+    -int C_v* . C_ss ds. m and big_m are those of energy() and
+    stable_lambda bit for bit; big_m (times phi for the conformal flow)
+    is the per-slice energy the flow's trace integrates. c_ss is
+    curves.curvature_kernel of the frame, the H of the J and MM
+    energies.
     """
 
-    c_v: np.ndarray
-    c_s: np.ndarray
-    c_vstar: np.ndarray
     c_ss: np.ndarray
     c_vstar_vstar: np.ndarray
-    m: np.ndarray
     big_m: np.ndarray
     lengths: np.ndarray
     l_vstar: np.ndarray
-    speed: np.ndarray
-    tangential: np.ndarray
 
 
-def d_s(C: HomotopyGrid, f, speed=None):
-    """Arclength derivative of a per-grid-point field (scalar or vector)."""
+def d_s(C: HomotopyGrid, f, frame: HomotopyFrame):
+    """Arclength derivative of a per-grid-point field, with an immersed frame of C."""
     f = np.asarray(f, dtype=float)
-    if speed is None:
-        speed = homotopy_frame(C).require_immersed("the v* calculus").speed
     df = periodic_derivative(f, C.dtheta, axis=1)
-    return df / speed if f.ndim == 2 else scale(df, speed, divide=True)
+    return df / frame.speed if f.ndim == 2 else scale(df, frame.speed, divide=True)
 
 
-def d_vstar(C: HomotopyGrid, f, speed=None, tangential=None):
-    """Geometric v-derivative d_v f - (C_v . C_s) d_s f of a field."""
+def d_vstar(C: HomotopyGrid, f, frame: HomotopyFrame):
+    """Geometric v-derivative d_v f - (C_v . C_s) d_s f, with an immersed frame of C."""
     f = np.asarray(f, dtype=float)
-    if speed is None or tangential is None:
-        frame = homotopy_frame(C).require_immersed("the v* calculus")
-        speed, tangential = frame.speed, frame.tangential
     fv = open_derivative(f, C.dv, axis=0)
-    fs = d_s(C, f, speed=speed)
-    return fv - (tangential * fs if f.ndim == 2 else scale(fs, tangential))
+    fs = d_s(C, f, frame)
+    return fv - (frame.tangential * fs if f.ndim == 2 else scale(fs, frame.tangential))
 
 
 def vstar_calculus(C: HomotopyGrid) -> VStarField:
@@ -179,19 +168,13 @@ def vstar_calculus(C: HomotopyGrid) -> VStarField:
     frame = homotopy_frame(C).require_immersed("the v* calculus")
     speed = frame.speed
     c_ss = curvature_kernel(frame, C.dtheta)
-    c_vstar_vstar = d_vstar(C, frame.c_vstar, speed=speed, tangential=frame.tangential)
     return VStarField(
-        c_v=frame.V,
-        c_s=frame.T,
-        c_vstar=frame.c_vstar,
+        **vars(frame),
         c_ss=c_ss,
-        c_vstar_vstar=c_vstar_vstar,
-        m=frame.m,
+        c_vstar_vstar=d_vstar(C, frame.c_vstar, frame),
         big_m=_normal_slices(C, frame.m, speed),
         lengths=C.integrate_theta(speed),
         l_vstar=C.integrate_theta(-dot(frame.c_vstar, c_ss) * speed),
-        speed=speed,
-        tangential=frame.tangential,
     )
 
 
@@ -209,21 +192,20 @@ def identity_residuals(C: HomotopyGrid) -> dict:
     def mx(x):
         return float(np.max(np.abs(x[sl])))
 
-    c_vstar_s = d_s(C, fields.c_vstar, speed=fields.speed)
-    c_s_vstar = d_vstar(
-        C, fields.c_s, speed=fields.speed, tangential=fields.tangential
-    )
+    T = fields.T
+    c_vstar_s = d_s(C, fields.c_vstar, fields)
+    c_s_vstar = d_vstar(C, T, fields)
     return {
-        "c_s.c_s=1": mx(dot(fields.c_s, fields.c_s) - 1.0),
-        "c_s.c_vstar=0": mx(dot(fields.c_s, fields.c_vstar)),
+        "c_s.c_s=1": mx(dot(T, T) - 1.0),
+        "c_s.c_vstar=0": mx(dot(T, fields.c_vstar)),
         "c_vstar_s.c_vstar=-c_vstarvstar.c_s": mx(
-            dot(c_vstar_s, fields.c_vstar) + dot(fields.c_vstar_vstar, fields.c_s)
+            dot(c_vstar_s, fields.c_vstar) + dot(fields.c_vstar_vstar, T)
         ),
         "c_vstar_s.c_s=-c_ss.c_vstar": mx(
-            dot(c_vstar_s, fields.c_s) + dot(fields.c_ss, fields.c_vstar)
+            dot(c_vstar_s, T) + dot(fields.c_ss, fields.c_vstar)
         ),
-        "c_s_vstar.c_s=0": mx(dot(c_s_vstar, fields.c_s)),
-        "c_ss.c_s=0": mx(dot(fields.c_ss, fields.c_s)),
+        "c_s_vstar.c_s=0": mx(dot(c_s_vstar, T)),
+        "c_ss.c_s=0": mx(dot(fields.c_ss, T)),
     }
 
 
@@ -494,21 +476,21 @@ def commutator_check(C: HomotopyGrid, trials: int = 5, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     sl = slice(2, C.n_v - 2) if C.n_v > 6 else slice(None)
     vstar_dot_ss = dot(fields.c_vstar, fields.c_ss)
-    c_vs = d_s(C, fields.c_v, speed=fields.speed)
-    ts_term = dot(fields.c_s, c_vs)
+    c_vs = d_s(C, fields.V, fields)
+    ts_term = dot(fields.T, c_vs)
 
     worst = 0.0
     for _ in range(trials):
         f = _random_smooth_scalar(C, rng)
-        fs = d_s(C, f, speed=fields.speed)
-        f_vstar = d_vstar(C, f, speed=fields.speed, tangential=fields.tangential)
+        fs = d_s(C, f, fields)
+        f_vstar = d_vstar(C, f, fields)
 
-        lhs = d_vstar(C, fs, speed=fields.speed, tangential=fields.tangential)
-        rhs = d_s(C, f_vstar, speed=fields.speed) + vstar_dot_ss * fs
+        lhs = d_vstar(C, fs, fields)
+        rhs = d_s(C, f_vstar, fields) + vstar_dot_ss * fs
         worst = max(worst, float(np.max(np.abs(lhs[sl] - rhs[sl]))))
 
         lhs_v = open_derivative(fs, C.dv, axis=0)
-        rhs_v = d_s(C, open_derivative(f, C.dv, axis=0), speed=fields.speed)
+        rhs_v = d_s(C, open_derivative(f, C.dv, axis=0), fields)
         rhs_v = rhs_v - ts_term * fs
         worst = max(worst, float(np.max(np.abs(lhs_v[sl] - rhs_v[sl]))))
 

@@ -89,11 +89,6 @@ class HomotopyGrid:
             return theta_grid(self.n_theta)
         return np.linspace(0.0, 1.0, self.n_theta)
 
-    def d_theta(self):
-        if self.periodic:
-            return periodic_derivative(self.values, self.dtheta, axis=1)
-        return open_derivative(self.values, self.dtheta, axis=1)
-
     def slice_curve(self, j) -> SampledCurve:
         if not self.periodic:
             raise InputDataError("open-square grids have no closed slice curves")
@@ -208,16 +203,30 @@ def homotopy_frame(C: HomotopyGrid, start=0, stop=None) -> HomotopyFrame:
     return _frame(W, window_d_v(C, start, stop), C.scale_hint)
 
 
+def _per_row(C: HomotopyGrid, reduce):
+    """reduce(frame) of every window of rows, joined along the last axis.
+
+    reduce maps the frame of a window (row_windows) to values whose
+    last axis runs over the window's rows, so the memory is the grid
+    plus about one window's frame. A reduction that works row by row
+    gives the bits it would give on the whole-grid frame.
+    """
+    return np.concatenate(
+        [reduce(homotopy_frame(C, a, b)) for a, b in row_windows(C)], axis=-1
+    )
+
+
 def length_profile(C: HomotopyGrid) -> np.ndarray:
     """Arclength l_j = len(C(., v_j)) of every slice, an (N_v,) array."""
-    return C.integrate_theta(derivative_frame(C.d_theta(), C.scale_hint).speed)
+    return _per_row(C, lambda frame: C.integrate_theta(frame.speed))
 
 
-def periodic_interp(values, tau, dtheta, kind="cubic"):
+def periodic_interp(values, tau, dtheta):
     """Interpolate periodic samples values[i] = f(i * dtheta) at tau.
 
-    kind 'cubic' uses the four-point piecewise Lagrange cubic, 'linear'
-    the two-point rule. tau may be any array; it wraps periodically.
+    Uses the four-point piecewise Lagrange cubic, or the two-point
+    linear rule below 8 samples. tau may be any array; it wraps
+    periodically.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
@@ -225,7 +234,7 @@ def periodic_interp(values, tau, dtheta, kind="cubic"):
     base = np.floor(u).astype(int)
     t = u - base
     i1 = np.mod(base, n)
-    if kind == "linear" or n < 8:
+    if n < 8:
         i2 = np.mod(i1 + 1, n)
         w = t.reshape(t.shape + (1,) * (values.ndim - 1))
         return (1.0 - w) * values[i1] + w * values[i2]
@@ -255,9 +264,7 @@ def reparam_arclength(C: HomotopyGrid) -> HomotopyGrid:
     """
     if not C.periodic:
         raise InputDataError("arclength reparameterization needs periodic slices")
-    derivative_frame(C.d_theta(), C.scale_hint).require_immersed(
-        "arclength reparameterization"
-    )
+    homotopy_frame(C).require_immersed("arclength reparameterization")
     values = _resample_rows(C.values, C.n_theta, C.scale_hint)
     return HomotopyGrid(values=values, periodic=True)
 
@@ -284,7 +291,8 @@ def _tangential_rate(frame: HomotopyFrame, what):
 
 def max_tangential_speed(C: HomotopyGrid) -> float:
     """max over the grid of |<d_v C, T>|, the tangential motion magnitude."""
-    return float(np.max(np.abs(homotopy_frame(C).tangential)))
+    rows = _per_row(C, lambda frame: np.max(np.abs(frame.tangential), axis=-1))
+    return float(np.max(rows))
 
 
 def reparam_horizontal(C: HomotopyGrid) -> HorizontalResult:

@@ -872,7 +872,11 @@ class GeodesicResult:
     lam: float
 
 
-def extracted_homotopy(L: LevelSetGrid, n_theta: int = 128) -> HomotopyGrid:
+# Samples per slice of the homotopy a geodesic run extracts.
+_N_THETA = 128
+
+
+def extracted_homotopy(L: LevelSetGrid, n_theta: int = _N_THETA) -> HomotopyGrid:
     """Largest contour of every slice, arclength-resampled and aligned.
 
     Slices are oriented anticlockwise and base points are chained to
@@ -945,16 +949,14 @@ def run_geodesic(
     tol: float = 1e-3,
     reinit_every: int = 10,
     snapshot_every: int = 50,
-    lam: Optional[float] = None,
-    dt: Optional[float] = None,
-    n_theta: int = 128,
     box=None,
 ) -> GeodesicResult:
     """Geodesic homotopy between two embedded planar curves.
 
     Embeds the linear homotopy, freezes lambda at t = 0 (band maximum
     of the speed ratio, the level-set analog of the stable choice),
-    then alternates evolution steps with periodic reinitialization.
+    then alternates evolution steps at the CFL dt with periodic
+    reinitialization. Slices are extracted at _N_THETA samples.
     Convergence is judged on the zero set itself: once per
     reinitialization cycle the extracted slice contours are compared
     with the previous cycle's, and the run stops when their largest
@@ -967,18 +969,17 @@ def run_geodesic(
     """
     L = embed((c0, c1), nx=nx, ny=ny, nv=nv, box=box)
     stationary = False
-    if lam is None:
-        try:
-            lam = levelset_lambda(L)
-        except LevelSetError:
-            fields = _EvolutionFields(L)
-            if float(np.max(fields.m[fields.band])) > 1e-10:
-                raise
-            # psi_v vanishes everywhere, so every update term vanishes
-            # identically and the field is exactly stationary. Stepping
-            # would only let reinitialization wander the zero set.
-            lam = 0.0
-            stationary = True
+    try:
+        lam = levelset_lambda(L)
+    except LevelSetError:
+        fields = _EvolutionFields(L)
+        if float(np.max(fields.m[fields.band])) > 1e-10:
+            raise
+        # psi_v vanishes everywhere, so every update term vanishes
+        # identically and the field is exactly stationary. Stepping
+        # would only let reinitialization wander the zero set.
+        lam = 0.0
+        stationary = True
     # Set in place, not by replace(): L keeps the march lambda made.
     L.lam = float(lam)
     factor = ConformalFactor.exp_length(float(lam))
@@ -989,7 +990,7 @@ def run_geodesic(
     # step also took a snapshot.
     extraction = extract_slices(L)
     loops = _largest_loops(extraction)
-    homotopy = _loops_homotopy(loops, n_theta)
+    homotopy = _loops_homotopy(loops, _N_THETA)
     e_geom, e_conf = _homotopy_energies(homotopy, factor)
     energies = [e_geom]
     conformals = [e_conf]
@@ -1005,7 +1006,7 @@ def run_geodesic(
         prev_t = L.t
         try:
             for step in range(1, max_steps + 1):
-                L = evolve_step(L, dt)
+                L = evolve_step(L)
                 if reinit_every and step % reinit_every == 0:
                     L = reinitialize(L)
                 snapshot = bool(snapshot_every) and step % snapshot_every == 0
@@ -1015,7 +1016,7 @@ def run_geodesic(
                     extraction = extract_slices(L)
                     loops = _largest_loops(extraction)
                 if snapshot:
-                    homotopy = _loops_homotopy(loops, n_theta)
+                    homotopy = _loops_homotopy(loops, _N_THETA)
                     e_geom, e_conf = _homotopy_energies(homotopy, factor)
                     energies.append(e_geom)
                     conformals.append(e_conf)
@@ -1029,7 +1030,7 @@ def run_geodesic(
         except LevelSetError as e:
             raise LevelSetError(f"step {step}, t = {L.t:.6g}: {e}") from e
     if not snapshot_is_final:
-        homotopy = _loops_homotopy(loops, n_theta)
+        homotopy = _loops_homotopy(loops, _N_THETA)
         e_geom, e_conf = _homotopy_energies(homotopy, factor)
         energies.append(e_geom)
         conformals.append(e_conf)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DirectionFunctionSample
-from .energies import normal_speed_squared
 from .errors import FlatSetError, InputDataError, NumericalFailureError
-from .homotopy import HomotopyGrid
+from .homotopy import HomotopyGrid, _per_row
 
 GRAM_CONDITION_CAP = 1e8
 CONSTRAINT_TOL = 1e-6
@@ -188,5 +187,5 @@ def sup_speed_length(C: HomotopyGrid) -> float:
     this dominates the Hausdorff path length of the swept family and
     agrees with it for rigid translations.
     """
-    m, _speed = normal_speed_squared(C)
-    return float(C.integrate_v(np.sqrt(np.max(m, axis=1))))
+    m_max = _per_row(C, lambda frame: np.max(frame.m, axis=-1))
+    return float(C.integrate_v(np.sqrt(m_max)))

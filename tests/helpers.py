@@ -185,23 +185,36 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
-def reference_per_slice_integrand(C, spec):
-    """energies._per_slice_integrand before it worked in row windows, kept verbatim.
+def reference_frame(C):
+    """The homotopy frame of the whole grid from whole-grid derivatives.
 
-    It builds the frame of the whole grid at once, from whole-grid
-    derivatives in theta and v. The windowed kernel must give the same
-    bits on every grid and for every kind.
+    d_theta C is one derivative pass over all rows (periodic or open
+    in theta) and d_v C one pass over all slices; the windowed frames
+    must give the same bits row by row.
     """
-    from curvemetrics.curves import curvature_kernel, open_derivative
-    from curvemetrics.energies import _normal_slices
-    from curvemetrics.errors import InputDataError
+    from curvemetrics.curves import open_derivative
     from curvemetrics.homotopy import _frame
 
+    derivative = periodic_derivative if C.periodic else open_derivative
+    W = derivative(C.values, C.dtheta, axis=1)
+    return _frame(W, open_derivative(C.values, C.dv, axis=0), C.scale_hint)
+
+
+def reference_per_slice_integrand(C, spec):
+    """energies._per_slice_integrand before it worked in row windows.
+
+    It builds the frame of the whole grid at once (reference_frame).
+    The windowed kernel must give the same bits on every grid and for
+    every kind.
+    """
+    from curvemetrics.curves import curvature_kernel
+    from curvemetrics.energies import _normal_slices
+    from curvemetrics.errors import InputDataError
+
     kind = spec.kind
-    V = open_derivative(C.values, C.dv, axis=0)
+    frame = reference_frame(C)
     if kind == "param_H0":
-        return C.integrate_theta(dot(V, V))
-    frame = _frame(C.d_theta(), V, C.scale_hint)
+        return C.integrate_theta(dot(frame.V, frame.V))
     m, speed = frame.m, frame.speed
     if kind == "alpha_beta":
         # speed^beta vanishes where speed does, since beta > 0.

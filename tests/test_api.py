@@ -1,7 +1,9 @@
 """Guards on the shape of the public API of curvemetrics."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import curvemetrics
@@ -30,7 +32,6 @@ def test_the_walk_sees_the_stencils_and_the_frame():
         "curvemetrics.curves.periodic_derivative",
         "curvemetrics.curves.open_derivative",
         "curvemetrics.homotopy.homotopy_frame",
-        "curvemetrics.homotopy.HomotopyGrid.d_theta",
         "curvemetrics.flows.vstar_calculus",
     } <= names
 
@@ -42,5 +43,39 @@ def test_no_public_function_takes_a_stencil_order():
         name
         for name, fn in _public_callables()
         if "order" in inspect.signature(fn).parameters
+    ]
+    assert offenders == []
+
+
+def _calls_by_function(path):
+    """(enclosing function name, called name) of every call in a module."""
+    calls = []
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.append((where, name))
+            walk(child, inner)
+
+    walk(ast.parse(path.read_text()), None)
+    return calls
+
+
+def test_derivative_frame_is_called_only_by_the_two_frame_builders():
+    # Speeds and tangents of a curve are formed in curves.py, those of a
+    # homotopy in homotopy._frame; any other call builds a second frame.
+    src = pathlib.Path(curvemetrics.__file__).parent
+    offenders = [
+        f"{path.name}:{where}"
+        for path in sorted(src.glob("*.py"))
+        for where, name in _calls_by_function(path)
+        if name == "derivative_frame"
+        and path.name != "curves.py"
+        and (path.name, where) != ("homotopy.py", "_frame")
     ]
     assert offenders == []

@@ -300,6 +300,19 @@ def test_counterexample_rejects_non_integer_values(capsys, name):
     assert "'2.5'" in err
 
 
+@pytest.mark.parametrize(
+    "name, param",
+    [("tessellation", "tessellation count h"), ("zigzag", "zigzag count k"),
+     ("pulley", "pulley h")],
+)
+def test_counterexample_rejects_values_past_the_sample_budget(capsys, name, param):
+    # 1e20 implies more samples than numpy can allocate; the generator
+    # rejects it before allocating anything of that size.
+    assert main(["counterexample", "--name", name, "--values", "1e20"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {param} = 100000000000000000000 needs ")
+
+
 def test_counterexample_accepts_whole_float_values(capsys):
     assert main(["counterexample", "--name", "wiggle", "--values", "1,2"]) == 0
     ints = capsys.readouterr().out

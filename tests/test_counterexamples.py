@@ -185,6 +185,9 @@ def test_zigzag_total_energy_deflates():
 def test_pulley_validation():
     with pytest.raises(InputDataError):
         pulley(0)
+    # A few slices of a huge h still need about 4h features per slice.
+    with pytest.raises(InputDataError, match="pulley h = 100000000000000000000"):
+        pulley(10**20, n_v=5)
 
 
 def test_pulley_inextensible_and_sliding():

@@ -20,7 +20,6 @@ from curvemetrics.curves import (
     open_derivative,
     periodic_derivative,
     planar_normal,
-    project,
     resample_arclength,
     scale,
     tangent_frame,
@@ -28,6 +27,7 @@ from curvemetrics.curves import (
     unlift_direction,
 )
 from curvemetrics.errors import InputDataError, NotImmersedError
+from curvemetrics.homotopy import homotopy_frame
 
 from helpers import bits, ellipse, figure_eight, smooth_random_grid, unit_circle, v4_cone
 
@@ -252,16 +252,10 @@ def test_projection_splits_deformations(seed):
     frame = tangent_frame(c)
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(32, 2))
-    hn = project(frame, h, "normal")
-    ht = project(frame, h, "tangent")
+    hn = frame.project_normal(h)
+    ht = frame.project_tangent(h)
     assert np.max(np.abs(hn + ht - h)) < 1e-12
     assert np.max(np.abs(np.sum(hn * frame.T, axis=1))) < 1e-12
-
-
-def test_project_rejects_unknown_mode():
-    c = unit_circle(16)
-    with pytest.raises(InputDataError):
-        project(tangent_frame(c), np.zeros((16, 2)), "sideways")
 
 
 def test_arclength_circle():
@@ -352,7 +346,7 @@ def test_require_immersed_names_the_sample_or_the_slice():
 @pytest.mark.parametrize("name", ["cone", "random"])
 def test_curvature_kernel_grid_matches_per_slice(name):
     grid = v4_cone(n_theta=64, n_v=9) if name == "cone" else smooth_random_grid(seed=4)
-    frame = derivative_frame(grid.d_theta(), grid.scale_hint)
+    frame = homotopy_frame(grid)
     H = curvature_kernel(frame, grid.dtheta)
     for j in range(grid.n_v):
         fj = derivative_frame(

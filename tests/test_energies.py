@@ -33,6 +33,8 @@ from curvemetrics.flows import vstar_calculus
 from curvemetrics.homotopy import (
     HomotopyGrid,
     homotopy_frame,
+    length_profile,
+    max_tangential_speed,
     row_windows,
     sample_homotopy,
     shift_unwind,
@@ -44,11 +46,13 @@ from helpers import (
     constant_grid,
     radial_circle,
     raised,
+    reference_frame,
     reference_per_slice_integrand,
     smooth_random_grid,
     translating_circle,
     unit_circle,
     v4_cone,
+    wobbled,
     wobbled_grid,
 )
 
@@ -441,20 +445,28 @@ WINDOW_SPECS = [
     dim=st.integers(2, 3),
     pinch=st.booleans(),
     seed=st.integers(0, 2**16),
+    stall=st.booleans(),
 )
 # Two rows; three rows in windows of two, a one-row tail; k windows of
-# one row each.
-@example(rows=1, k=0, tail=2, periodic=True, n_theta=8, dim=2, pinch=False, seed=1)
-@example(rows=2, k=1, tail=1, periodic=False, n_theta=8, dim=2, pinch=False, seed=2)
-@example(rows=1, k=4, tail=0, periodic=True, n_theta=8, dim=2, pinch=True, seed=3)
+# one row each, the stalled slice in the third.
+@example(rows=1, k=0, tail=2, periodic=True, n_theta=8, dim=2, pinch=False, seed=1,
+         stall=False)
+@example(rows=2, k=1, tail=1, periodic=False, n_theta=8, dim=2, pinch=False, seed=2,
+         stall=False)
+@example(rows=1, k=4, tail=0, periodic=True, n_theta=8, dim=2, pinch=True, seed=3,
+         stall=True)
 def test_row_windows_match_the_whole_grid_kernel(
-    rows, k, tail, periodic, n_theta, dim, pinch, seed
+    rows, k, tail, periodic, n_theta, dim, pinch, seed, stall
 ):
     n_v = max(k * rows + tail, 2)
     values = np.random.default_rng(seed).normal(size=(n_v, n_theta, dim))
     if pinch:
         # Sample 1 has central-difference speed 0 on every slice.
         values[:, 2] = values[:, 0]
+    if stall:
+        # Slice n_v - 2 does not move (d_v C = 0), and on a two-slice
+        # grid neither slice does, so stable_lambda raises.
+        values[-1] = values[max(n_v - 3, 0)]
     C = HomotopyGrid(values=values, periodic=periodic)
     # A budget of exactly `rows` rows per window.
     with mock.patch.object(homotopy, "_WINDOW_BYTES", rows * values[0].nbytes):
@@ -474,6 +486,51 @@ def test_row_windows_match_the_whole_grid_kernel(
             length = float(C.integrate_v(np.sqrt(np.maximum(per_slice, 0.0))))
             got = path_len_energy(C, spec)
             assert np.array_equal(bits(got), bits([length, report.total]))
+        want = _whole_grid_reductions(C)
+        for name, reducer in _streamed_reducers(C).items():
+            try:
+                got = reducer(C)
+            except StalledHomotopyError as e:
+                got = str(e)
+            if isinstance(want[name], str):
+                assert got == want[name], name
+            else:
+                assert np.array_equal(bits(got), bits(want[name])), name
+
+
+def _streamed_reducers(C):
+    """The per-slice reducers that stream over windows, by name."""
+    reducers = {
+        "length_profile": length_profile,
+        "max_tangential_speed": max_tangential_speed,
+        "area_swept": area_swept,
+        "sup_speed_length": sup_speed_length,
+    }
+    if C.periodic:
+        reducers["stable_lambda"] = stable_lambda
+    return reducers
+
+
+def _whole_grid_reductions(C):
+    """What each streamed reducer gives, from the frame of the whole grid.
+
+    stable_lambda maps to its StalledHomotopyError message when it raises.
+    """
+    f = reference_frame(C)
+    big_m = C.integrate_theta(f.m * f.speed)
+    stalled = big_m <= 1e-12 * C.scale_hint**2
+    j = int(np.argmin(big_m))
+    return {
+        "length_profile": C.integrate_theta(f.speed),
+        "max_tangential_speed": float(np.max(np.abs(f.tangential))),
+        "area_swept": float(C.integrate_v(C.integrate_theta(np.sqrt(f.m) * f.speed))),
+        "sup_speed_length": float(C.integrate_v(np.sqrt(np.max(f.m, axis=1)))),
+        "stable_lambda": (
+            f"slice {j} has vanishing normal motion (M = {big_m[j]:.3e})"
+            if np.any(stalled)
+            else float(np.max(f.m / big_m[:, None]))
+        ),
+    }
 
 
 def test_energy_of_a_large_grid_traces_about_one_window():
@@ -495,6 +552,26 @@ def test_energy_of_a_large_grid_traces_about_one_window():
         finally:
             tracemalloc.stop()
         assert peak - start < 8 * 2**20, spec.kind
+
+
+def test_per_slice_reducers_of_a_large_grid_trace_about_one_window():
+    # The whole-grid frame of either 16 MB grid traced 40 MB
+    # (length_profile) to 94 MB (the reducers that read m).
+    grids = {
+        "tessellation": tessellate(conformal_stretch(0.25, 1.0), 4),
+        "wobbled": sample_homotopy(wobbled, 4000, 257),
+    }
+    for name, C in grids.items():
+        assert len(row_windows(C)) > 30
+        for reducer in _streamed_reducers(C).values():
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                reducer(C)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - start < 8 * 2**20, (name, reducer.__name__)
 
 
 GRADIENT_FACTORS = {

@@ -276,12 +276,13 @@ def test_vstar_fields_translating_circle():
 def test_d_vstar_and_d_s_of_simple_fields():
     C = translating_circle(n_theta=128, n_v=9)
     v_field = np.broadcast_to(C.v_grid()[:, None], (9, 128)).copy()
-    np.testing.assert_allclose(d_vstar(C, v_field), 1.0, atol=1e-12)
-    np.testing.assert_allclose(d_s(C, v_field), 0.0, atol=1e-12)
+    frame = homotopy_frame(C)
+    np.testing.assert_allclose(d_vstar(C, v_field, frame), 1.0, atol=1e-12)
+    np.testing.assert_allclose(d_s(C, v_field, frame), 0.0, atol=1e-12)
     # d_s of the x coordinate is the tangent's x component.
     x = C.values[..., 0]
     expected = np.broadcast_to(-np.sin(theta_grid(128))[None, :], (9, 128))
-    np.testing.assert_allclose(d_s(C, x), expected, atol=1e-3)
+    np.testing.assert_allclose(d_s(C, x, frame), expected, atol=1e-3)
 
 
 def test_identity_residuals_second_order():
@@ -550,7 +551,7 @@ def _continuum_gradient(C, factor):
     G = (
         scale(f.c_vstar, (2.0 * dphi * f.l_vstar)[:, None])
         + scale(f.c_vstar_vstar, phi2)
-        - scale(f.c_s, phi2 * dot(f.c_vstar_vstar, f.c_s))
+        - scale(f.T, phi2 * dot(f.c_vstar_vstar, f.T))
         - scale(f.c_vstar, phi2 * dot(f.c_vstar, f.c_ss))
         + scale(f.c_ss, phi[:, None] * f.m + (dphi * f.big_m)[:, None])
     )
@@ -641,9 +642,11 @@ def test_curvature_takes_one_derivative_pass_over_the_frame(monkeypatch):
         periodic[0] = 0
         run()
         assert periodic[0] == 2, name
+    # length_profile reads the speeds of the homotopy frame, whose V
+    # takes the one v pass.
     periodic[0] = opened[0] = 0
     length_profile(C)
-    assert (periodic[0], opened[0]) == (1, 0)
+    assert (periodic[0], opened[0]) == (1, 1)
 
 
 @pytest.mark.parametrize("name", ["cone", "random", "wobbled"])
