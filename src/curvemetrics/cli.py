@@ -120,14 +120,13 @@ def _save_grid(path, C):
 
 def _factor_from_args(args):
     """The --factor of args, or None when it is not given (flow's default)."""
-    name = getattr(args, "factor", "identity")
-    lam = getattr(args, "factor_lam", 0.0)
+    name = args.factor
     if name is None:
         return None
     if name == "identity":
         return ConformalFactor.identity()
     if name == "exp_length":
-        return ConformalFactor.exp_length(lam)
+        return ConformalFactor.exp_length(args.factor_lam)
     if name == "length":
         return ConformalFactor.length()
     raise InputDataError(f"unknown conformal factor '{name}'")
@@ -136,9 +135,9 @@ def _factor_from_args(args):
 def _spec_from_args(args) -> EnergySpec:
     return EnergySpec(
         kind=args.kind,
-        A=getattr(args, "A", 0.0),
-        alpha=getattr(args, "alpha", 2.0),
-        beta=getattr(args, "beta", 1.0),
+        A=args.A,
+        alpha=args.alpha,
+        beta=args.beta,
         factor=_factor_from_args(args),
     )
 

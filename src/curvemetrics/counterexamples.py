@@ -37,9 +37,19 @@ def _check_budget(name, value, samples):
 
 
 def winding_family(C: HomotopyGrid, k: int) -> HomotopyGrid:
-    """C_k(theta, v) = C(theta + 2 pi k v, v): k extra turns of sliding."""
+    """C_k(theta, v) = C(theta + 2 pi k v, v): k extra turns of sliding.
+
+    Slice j of the n_v slices at v = j / (n_v - 1) shifts by 2 pi k j /
+    (n_v - 1), so k and k +- (n_v - 1) give the same grid; k is resolved
+    only while 2 |k| < n_v - 1.
+    """
     if int(k) != k:
         raise InputDataError("winding number k must be an integer")
+    if 2 * abs(k) >= C.n_v - 1:
+        raise InputDataError(
+            f"winding number k = {k} needs 2|k| < n_v - 1 = {C.n_v - 1}; "
+            f"k and k +- {C.n_v - 1} give the same grid"
+        )
     return shift_unwind(C, 2.0 * np.pi * k * C.v_grid())
 
 

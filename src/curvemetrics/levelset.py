@@ -26,17 +26,24 @@ import numpy as np
 
 from .curves import SampledCurve, _bbox_diagonal, resample_arclength
 from .energies import ConformalFactor, EnergySpec, energy
-from .errors import CFLError, InputDataError, LevelSetError
+from .errors import InputDataError, LevelSetError
 from .homotopy import HomotopyGrid, linear_homotopy
+
+
+# Half-width of the narrow band, in cells of the coarser of dx and dy
+# (Adalsteinsson & Sethian, JCP 118, 1995).
+_BAND_WIDTH = 6.0
+_MARGIN = 0.25  # padding of embed's default box, see embed
 
 
 @dataclass
 class LevelSetGrid:
     """Scalar field psi[j, iy, ix] on a uniform box grid, one slice per v.
 
-    A grid is one state of the flow: the library never writes into psi,
-    every step and reinitialization returns a new grid. The zero
-    segments of a state are marched once and kept with it (_march).
+    A grid is one state of the flow, at flow time t: the library never
+    writes into psi, every step and reinitialization returns a new grid,
+    and lambda is an argument of each step. The zero segments of a state
+    are marched once and kept with it (_march).
     """
 
     psi: np.ndarray
@@ -44,8 +51,6 @@ class LevelSetGrid:
     ys: np.ndarray
     vs: np.ndarray
     t: float = 0.0
-    lam: Optional[float] = None
-    band_width: float = 6.0
     _segments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,7 +75,7 @@ class LevelSetGrid:
         return float(self.vs[1] - self.vs[0])
 
     def band_mask(self):
-        return np.abs(self.psi) <= self.band_width * max(self.dx, self.dy)
+        return np.abs(self.psi) <= _BAND_WIDTH * max(self.dx, self.dy)
 
 
 @dataclass
@@ -78,14 +83,12 @@ class SliceContours:
     """Closed zero-level polylines per slice (no duplicate endpoint).
 
     Orientation puts the negative side of psi on the left, as it does
-    for every zero segment. open_fragments holds the polylines that end
-    on the box boundary, end points included. Slices with no closed
-    contour, or with open fragments, are flagged rather than raised so
+    for every zero segment. Slices with no closed contour, or whose zero
+    set crosses the box boundary, are flagged rather than raised so
     callers can decide.
     """
 
     contours: List[List[np.ndarray]]
-    open_fragments: List[List[np.ndarray]]
     flagged: List[int]
 
 
@@ -317,15 +320,14 @@ def embed(
     ny: int = 64,
     nv: int = 17,
     box=None,
-    margin: float = 0.25,
-    band_width: float = 6.0,
 ) -> LevelSetGrid:
     """Signed-distance embedding of a homotopy (or an endpoint pair).
 
     source is a HomotopyGrid, or a (c0, c1) pair of SampledCurves whose
     interior slices come from the linear homotopy. Every slice polygon
     must be embedded; psi is the exact signed distance to the sample
-    polygon, negative inside.
+    polygon, negative inside. The default box pads the bounding box of
+    the homotopy by _MARGIN of its larger extent on each side.
     """
     if isinstance(source, HomotopyGrid):
         C = source
@@ -338,7 +340,7 @@ def embed(
     if box is None:
         lo = C.values.reshape(-1, 2).min(axis=0)
         hi = C.values.reshape(-1, 2).max(axis=0)
-        pad = margin * float(np.max(hi - lo))
+        pad = _MARGIN * float(np.max(hi - lo))
         box = (lo[0] - pad, hi[0] + pad, lo[1] - pad, hi[1] + pad)
     x0, x1, y0, y1 = box
     xs = np.linspace(x0, x1, nx)
@@ -346,10 +348,7 @@ def embed(
     vs = C.v_grid()
 
     # Built before psi is filled, so a grid too small is rejected first.
-    L = LevelSetGrid(
-        psi=np.empty((C.n_v, ny, nx)), xs=xs, ys=ys, vs=vs,
-        band_width=band_width,
-    )
+    L = LevelSetGrid(psi=np.empty((C.n_v, ny, nx)), xs=xs, ys=ys, vs=vs)
     one_group = np.zeros(C.n_theta, dtype=np.int64)
     for j in range(C.n_v):
         poly = C.values[j]
@@ -516,11 +515,10 @@ def _march(L: LevelSetGrid):
     return L._segments[1]
 
 
-def _bilinear(field, xs, ys, pts, *lead):
-    """Sample a field at points by bilinear interpolation.
+def _bilinear(field, xs, ys, pts, sl):
+    """Sample a field[j, iy, ix] at points by bilinear interpolation.
 
-    field is 2D, or lead holds one index array per leading axis that
-    picks the 2D slice each point is sampled in. The four corners of a
+    sl holds the slice each point is sampled in. The four corners of a
     point's cell are read through flat indices into field.
     """
     dx = xs[1] - xs[0]
@@ -533,8 +531,8 @@ def _bilinear(field, xs, ys, pts, *lead):
     ty = fy - iy
     sx = 1 - tx
     sy = 1 - ty
-    nx = field.shape[-1]
-    node = np.ravel_multi_index(lead + (iy, ix), field.shape)
+    ny, nx = field.shape[1:]
+    node = (sl * ny + iy) * nx + ix
     flat = field.reshape(-1)
     return (
         flat[node] * sx * sy
@@ -545,21 +543,22 @@ def _bilinear(field, xs, ys, pts, *lead):
 
 
 def extract_slices(L: LevelSetGrid) -> SliceContours:
-    """Zero contours of every slice; empty or fragmented slices are flagged.
+    """Zero contours of every slice; empty or box-crossing slices are flagged.
 
     The zero segments are chained by crossing id: a segment's successor
     is the one that starts where it ends. A chain that does not close
-    is an open fragment. It runs from whichever of its two end crossings
-    ranks lower in the key order of _zero_segments, and the fragments of
-    a slice are ordered by that crossing. Closed loops are ordered by
-    their lowest-ranked crossing, p or q of their lowest-key segment s.
-    A loop starts at p of s when that crossing is p, and two segments
-    on, at p of the successor of the successor of s, when it is q. The
-    extracted homotopy resamples each loop from its first point, so its
-    energies depend on these rules.
+    ends on the box boundary; it is skipped, and its slice is flagged
+    by the leaves_box of _zero_segments, since a chain ends there
+    exactly when the boundary ring of the slice changes sign. Closed
+    loops are ordered by their lowest-ranked crossing in the key order
+    of _zero_segments, p or q of their lowest-key segment s. A loop
+    starts at p of s when that crossing is p, and two segments on, at p
+    of the successor of the successor of s, when it is q. The extracted
+    homotopy resamples each loop from its first point, so its energies
+    depend on these rules.
     """
     nv = L.psi.shape[0]
-    sl, p, q, p_id, q_id, key = _march(L)[:6]
+    sl, p, q, p_id, q_id, key, leaves_box = _march(L)
     n = len(sl)
     by_start = np.argsort(p_id)
     at = by_start[np.minimum(np.searchsorted(p_id, q_id, sorter=by_start), n - 1)]
@@ -579,14 +578,8 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
             done[s] = True
         return run
 
-    fragments = [[] for _ in range(nv)]
-    runs = [chain(head) for head in heads]
-    runs.sort(key=lambda run: min(key[run[0]], key[run[-1]] ^ 1))
-    for run in runs:
-        frag = np.vstack([p[run], q[run[-1]]])
-        if key[run[-1]] ^ 1 < key[run[0]]:
-            frag = frag[::-1]
-        fragments[sl[run[0]]].append(frag)
+    for head in heads:
+        chain(head)
     contours = [[] for _ in range(nv)]
     for first in order:
         if not done[first]:
@@ -594,8 +587,8 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
             if key[first] & 1:
                 run = run[2:] + run[:2]
             contours[sl[first]].append(p[run])
-    flagged = [j for j in range(nv) if not contours[j] or fragments[j]]
-    return SliceContours(contours=contours, open_fragments=fragments, flagged=flagged)
+    flagged = [j for j in range(nv) if not contours[j] or leaves_box[j]]
+    return SliceContours(contours=contours, flagged=flagged)
 
 
 def _loop_length(poly):
@@ -700,8 +693,8 @@ class _EvolutionFields:
         self.L_v = L_v
         self.L = L
 
-    def rhs(self):
-        """psi_t, zero outside the interior band; lambda is L.lam.
+    def rhs(self, lam: float):
+        """psi_t at lambda = lam, zero outside the interior band.
 
         Each term is formed in one of two reused buffers with the
         operations of the formula in their order, and the terms are
@@ -709,9 +702,6 @@ class _EvolutionFields:
         no rounding.
         """
         L = self.L
-        lam = L.lam
-        if lam is None:
-            raise InputDataError("evolution needs lambda (set L.lam)")
         if np.any(self.floored & self.interior_band):
             raise LevelSetError(
                 "|grad psi| degenerated inside the band; reinitialize more often"
@@ -776,12 +766,9 @@ class _EvolutionFields:
         np.copyto(psi_t, 0.0, where=~self.interior_band)
         return psi_t
 
-    def cfl_dt(self):
-        """The largest stable explicit step for lambda = L.lam."""
+    def cfl_dt(self, lam: float):
+        """The largest stable explicit step at lambda = lam."""
         L = self.L
-        lam = L.lam
-        if lam is None:
-            raise InputDataError("the CFL estimate needs lambda (set L.lam)")
         if not np.any(self.interior_band):
             return 0.2 * L.dv * L.dv
         m = self.m[self.interior_band]
@@ -796,29 +783,29 @@ class _EvolutionFields:
             dt = min(dt, 0.5 * L.dv / a_max)
         return dt
 
+    def stabilizing_lambda(self) -> float:
+        """Max over band points of (psi_v^2/|grad psi|^2) / S (see levelset_lambda)."""
+        if np.any(self.S <= 1e-12):
+            raise LevelSetError("a slice has no normal motion; lambda is undefined")
+        ratio = self.m / self.S[:, None, None]
+        return float(np.max(ratio[self.band]))
+
 
 def levelset_lambda(L: LevelSetGrid) -> float:
     """Stabilizing lambda: max over band points of (psi_v^2/|grad psi|^2) / S."""
-    fields = _EvolutionFields(L)
-    if np.any(fields.S <= 1e-12):
-        raise LevelSetError("a slice has no normal motion; lambda is undefined")
-    ratio = fields.m / fields.S[:, None, None]
-    return float(np.max(ratio[fields.band]))
+    return _EvolutionFields(L).stabilizing_lambda()
 
 
-def evolve_step(L: LevelSetGrid, dt: Optional[float] = None) -> LevelSetGrid:
-    """One explicit Euler step of the level-set flow at lambda = L.lam.
+def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
+    """One explicit Euler step of the level-set flow at lambda = lam.
 
-    Endpoints stay pinned. dt = None takes the largest stable step; an
-    explicit dt above the stable bound raises CFLError.
+    The step is always the largest stable one, the CFL dt at lam, and
+    the endpoint slices stay pinned. run_geodesic passes every step the
+    lambda it froze at t = 0, levelset_lambda of the embedding.
     """
     fields = _EvolutionFields(L)
-    dt_max = fields.cfl_dt()
-    if dt is None:
-        dt = dt_max
-    elif dt > dt_max * (1.0 + 1e-9):
-        raise CFLError(f"dt = {dt:.3e} exceeds the stable bound {dt_max:.3e}")
-    psi = fields.rhs()
+    dt = fields.cfl_dt(lam)
+    psi = fields.rhs(lam)
     psi *= dt
     psi += L.psi
     return replace(L, psi=psi, t=L.t + dt)
@@ -876,17 +863,17 @@ class GeodesicResult:
 _N_THETA = 128
 
 
-def extracted_homotopy(L: LevelSetGrid, n_theta: int = _N_THETA) -> HomotopyGrid:
-    """Largest contour of every slice, arclength-resampled and aligned.
+def extracted_homotopy(L: LevelSetGrid) -> HomotopyGrid:
+    """Largest contour of every slice, arclength-resampled to _N_THETA and aligned.
 
     Slices are oriented anticlockwise and base points are chained to
     the nearest neighbor of the previous slice, so v-derivatives of the
     result measure real motion rather than parameterization drift.
     """
-    return _loops_homotopy(_largest_loops(extract_slices(L)), n_theta)
+    return _loops_homotopy(_largest_loops(extract_slices(L)))
 
 
-def _loops_homotopy(loops, n_theta: int) -> HomotopyGrid:
+def _loops_homotopy(loops) -> HomotopyGrid:
     """The homotopy through one closed polyline per slice (see extracted_homotopy)."""
     rows = []
     prev_base = None
@@ -899,7 +886,7 @@ def _loops_homotopy(loops, n_theta: int) -> HomotopyGrid:
         )
         if area < 0.0:
             poly = poly[::-1]
-        curve = resample_arclength(SampledCurve(points=poly), n_theta)
+        curve = resample_arclength(SampledCurve(points=poly), _N_THETA)
         pts = curve.points
         if prev_base is not None:
             shift = int(np.argmin(np.linalg.norm(pts - prev_base, axis=1)))
@@ -907,12 +894,6 @@ def _loops_homotopy(loops, n_theta: int) -> HomotopyGrid:
         prev_base = pts[0]
         rows.append(pts)
     return HomotopyGrid(values=np.stack(rows, axis=0), periodic=True)
-
-
-def _homotopy_energies(grid: HomotopyGrid, factor: ConformalFactor):
-    e_geom = energy(grid, EnergySpec(kind="geom_H0")).total
-    e_conf = energy(grid, EnergySpec(kind="conformal", factor=factor)).total
-    return e_geom, e_conf
 
 
 def _largest_loops(extraction: SliceContours):
@@ -968,45 +949,45 @@ def run_geodesic(
     one, about 1500 steps at the default grid.
     """
     L = embed((c0, c1), nx=nx, ny=ny, nv=nv, box=box)
-    stationary = False
+    fields = _EvolutionFields(L)
+    converged = False
     try:
-        lam = levelset_lambda(L)
+        lam = fields.stabilizing_lambda()
     except LevelSetError:
-        fields = _EvolutionFields(L)
         if float(np.max(fields.m[fields.band])) > 1e-10:
             raise
         # psi_v vanishes everywhere, so every update term vanishes
         # identically and the field is exactly stationary. Stepping
         # would only let reinitialization wander the zero set.
         lam = 0.0
-        stationary = True
-    # Set in place, not by replace(): L keeps the march lambda made.
-    L.lam = float(lam)
-    factor = ConformalFactor.exp_length(float(lam))
+        converged = True
+    del fields  # not held through the run: each step builds its own
+    factor = ConformalFactor.exp_length(lam)
     measure_every = reinit_every if reinit_every else 10
+    energies = []
+    conformals = []
+
+    def record(loops):
+        grid = _loops_homotopy(loops)
+        energies.append(energy(grid, EnergySpec(kind="geom_H0")).total)
+        conformals.append(energy(grid, EnergySpec(kind="conformal", factor=factor)).total)
+        return grid
 
     # Every run ends on a measurement step, so extraction and loops hold
     # the final state when the loop exits; homotopy does too when that
     # step also took a snapshot.
     extraction = extract_slices(L)
     loops = _largest_loops(extraction)
-    homotopy = _loops_homotopy(loops, _N_THETA)
-    e_geom, e_conf = _homotopy_energies(homotopy, factor)
-    energies = [e_geom]
-    conformals = [e_conf]
-    residual = np.inf
-    converged = False
+    homotopy = record(loops)
+    residual = 0.0 if converged else np.inf
     snapshot_is_final = True
     step = 0
-    if stationary:
-        converged = True
-        residual = 0.0
-    else:
+    if not converged:
         prev_loops = loops
         prev_t = L.t
         try:
             for step in range(1, max_steps + 1):
-                L = evolve_step(L)
+                L = evolve_step(L, lam)
                 if reinit_every and step % reinit_every == 0:
                     L = reinitialize(L)
                 snapshot = bool(snapshot_every) and step % snapshot_every == 0
@@ -1016,10 +997,7 @@ def run_geodesic(
                     extraction = extract_slices(L)
                     loops = _largest_loops(extraction)
                 if snapshot:
-                    homotopy = _loops_homotopy(loops, _N_THETA)
-                    e_geom, e_conf = _homotopy_energies(homotopy, factor)
-                    energies.append(e_geom)
-                    conformals.append(e_conf)
+                    homotopy = record(loops)
                 if measure:
                     residual = _loop_displacement(loops, prev_loops) / (L.t - prev_t)
                     prev_loops = loops
@@ -1030,10 +1008,7 @@ def run_geodesic(
         except LevelSetError as e:
             raise LevelSetError(f"step {step}, t = {L.t:.6g}: {e}") from e
     if not snapshot_is_final:
-        homotopy = _loops_homotopy(loops, _N_THETA)
-        e_geom, e_conf = _homotopy_energies(homotopy, factor)
-        energies.append(e_geom)
-        conformals.append(e_conf)
+        homotopy = record(loops)
     return GeodesicResult(
         grid=L,
         contours=extraction,
@@ -1043,5 +1018,5 @@ def run_geodesic(
         steps=step,
         converged=converged,
         residual=residual,
-        lam=float(lam),
+        lam=lam,
     )

@@ -369,9 +369,9 @@ class ReferenceEvolutionFields:
     """The level-set evolution fields as full-grid np.gradient / np.roll passes.
 
     The implementation before the slice-based step, kept verbatim but
-    for its interface (lambda is L.lam, and rhs returns psi_t alone):
-    every difference covers every slice, and the update terms are masked
-    to the interior band afterwards. The library's step must match it bit
+    for its interface (rhs and cfl_dt take lambda, and rhs returns psi_t
+    alone): every difference covers every slice, and the update terms
+    are masked to the interior band afterwards. The library's step must match it bit
     for bit over the whole grid.
     """
 
@@ -432,14 +432,11 @@ class ReferenceEvolutionFields:
         L_v = np.zeros(nv)
         L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * dv)
         self.L_v = L_v
-        self.lam = L.lam
         self.L = L
 
-    def rhs(self):
-        from curvemetrics.errors import InputDataError, LevelSetError
+    def rhs(self, lam):
+        from curvemetrics.errors import LevelSetError
 
-        if self.lam is None:
-            raise InputDataError("evolution needs lambda (set L.lam)")
         L = self.L
         if np.any(self.g2_raw[self.interior_band] < 0.09):
             raise LevelSetError(
@@ -461,10 +458,10 @@ class ReferenceEvolutionFields:
             - 2.0 * self.psi_xy * self.psi_x * self.psi_y
             + self.psi_yy * self.psi_x**2
         ) / self.g2
-        curv_coef = -0.5 * (self.m - self.lam * self.S[:, None, None])
+        curv_coef = -0.5 * (self.m - lam * self.S[:, None, None])
         curvature_term = curv_coef * curv_g
 
-        a = self.lam * self.L_v
+        a = lam * self.L_v
         psi = L.psi
         fwd = np.zeros_like(psi)
         bwd = np.zeros_like(psi)
@@ -475,18 +472,18 @@ class ReferenceEvolutionFields:
         psi_t = self.psi_vv + cross_term + ray_term + curvature_term + transport
         return np.where(self.interior_band, psi_t, 0.0)
 
-    def cfl_dt(self):
+    def cfl_dt(self, lam):
         L = self.L
         if not np.any(self.interior_band):
             return 0.2 * L.dv * L.dv
         m = self.m[self.interior_band]
         s_max = float(np.max(self.S))
         plane_coef = float(
-            np.max(m + 0.5 * np.abs(m - self.lam * s_max) + 2.0 * np.sqrt(m))
+            np.max(m + 0.5 * np.abs(m - lam * s_max) + 2.0 * np.sqrt(m))
         )
         plane_coef = max(plane_coef, 1e-6)
         dt = 0.2 * min(L.dv * L.dv, min(L.dx, L.dy) ** 2 / plane_coef)
-        a_max = float(np.max(np.abs(self.lam * self.L_v)))
+        a_max = float(np.max(np.abs(lam * self.L_v)))
         if a_max > 0.0:
             dt = min(dt, 0.5 * L.dv / a_max)
         return dt

@@ -79,3 +79,24 @@ def test_derivative_frame_is_called_only_by_the_two_frame_builders():
         and (path.name, where) != ("homotopy.py", "_frame")
     ]
     assert offenders == []
+
+
+def test_the_level_set_state_and_step_hold_no_settable_knob():
+    # Lambda is an argument of the step, the band width and the box
+    # margin are module constants, and a step always takes the CFL dt.
+    from dataclasses import fields
+
+    from curvemetrics import levelset
+
+    assert [f.name for f in fields(levelset.LevelSetGrid)] == [
+        "psi", "xs", "ys", "vs", "t", "_segments",
+    ]
+    assert list(inspect.signature(levelset.evolve_step).parameters) == ["L", "lam"]
+    offenders = [
+        f"{name}({param})"
+        for name, fn in _public_callables()
+        if name.startswith("curvemetrics.levelset.")
+        for param in inspect.signature(fn).parameters
+        if param in ("dt", "margin", "band_width", "n_theta")
+    ]
+    assert offenders == []

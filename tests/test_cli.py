@@ -313,6 +313,13 @@ def test_counterexample_rejects_values_past_the_sample_budget(capsys, name, para
     assert err.startswith(f"InputDataError: {param} = 100000000000000000000 needs ")
 
 
+@pytest.mark.parametrize("token, k", [("63", 63), ("1e17", 10**17), ("1,-32", -32)])
+def test_counterexample_rejects_an_aliased_winding_number(capsys, token, k):
+    # The default base has 64 slices: k and k +- 63 give the same grid.
+    assert main(["counterexample", "--name", "winding", "--values", token]) == 3
+    assert capsys.readouterr().err.startswith(f"InputDataError: winding number k = {k} needs ")
+
+
 def test_counterexample_accepts_whole_float_values(capsys):
     assert main(["counterexample", "--name", "wiggle", "--values", "1,2"]) == 0
     ints = capsys.readouterr().out

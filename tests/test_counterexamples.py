@@ -1,5 +1,7 @@
 """Tests for the pathological homotopy families against closed forms."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from curvemetrics.counterexamples import (
 from curvemetrics.curves import theta_grid
 from curvemetrics.energies import ConformalFactor, EnergySpec, energy
 from curvemetrics.errors import InputDataError
-from curvemetrics.homotopy import length_profile, sample_homotopy
+from curvemetrics.homotopy import length_profile, sample_homotopy, shift_unwind
 
 from helpers import (
     bits,
@@ -38,6 +40,18 @@ def test_winding_family_validation():
     C = translating_circle(n_theta=64, n_v=9)
     with pytest.raises(InputDataError):
         winding_family(C, 1.5)
+
+
+@pytest.mark.parametrize("k", [4, -4, 5, 12, 10**17])
+def test_winding_family_rejects_an_aliased_k(k):
+    # On 9 slices k and k +- 8 shift every slice alike, so only
+    # 2|k| < 8 names one grid.
+    C = translating_circle(n_theta=64, n_v=9)
+    want = f"winding number k = {k} needs 2|k| < n_v - 1 = 8"
+    with pytest.raises(InputDataError, match=re.escape(want)):
+        winding_family(C, k)
+    aliased = shift_unwind(C, 2.0 * np.pi * (3 - 8) * C.v_grid())
+    assert np.allclose(winding_family(C, 3).values, aliased.values, atol=1e-12)
 
 
 def test_winding_preserves_geometric_energy():

@@ -2,7 +2,6 @@
 
 import functools
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from curvemetrics.curves import SampledCurve, theta_grid
 from curvemetrics import levelset
 from curvemetrics.energies import ConformalFactor, EnergySpec, energy, stable_lambda
-from curvemetrics.errors import CFLError, InputDataError, LevelSetError
+from curvemetrics.errors import InputDataError, LevelSetError
 from curvemetrics.homotopy import linear_homotopy
 from curvemetrics.levelset import (
     LevelSetGrid,
@@ -90,7 +89,7 @@ def orient_loop(loop, psi2d, xs, ys):
     left = np.array([-d[1], d[0]]) / norm
     offset = 0.35 * min(xs[1] - xs[0], ys[1] - ys[0])
     probe = (mid + offset * left)[None, :]
-    value = _bilinear(psi2d, xs, ys, probe)[0]
+    value = _bilinear(psi2d[None], xs, ys, probe, np.zeros(1, dtype=np.int64))[0]
     return loop if value < 0.0 else loop[::-1]
 
 
@@ -213,7 +212,7 @@ def test_grid_validation():
 def test_band_mask():
     L = exact_circle_grid()
     band = L.band_mask()
-    width = L.band_width * max(L.dx, L.dy)
+    width = levelset._BAND_WIDTH * max(L.dx, L.dy)
     assert np.array_equal(band, np.abs(L.psi) <= width)
     assert band.any() and not band.all()
 
@@ -438,10 +437,9 @@ def test_rhs_vanishes_for_v_independent_field():
         xs=xs,
         ys=ys,
         vs=np.linspace(0.0, 1.0, 5),
-        lam=0.7,
     )
     fields = _EvolutionFields(L)
-    assert np.all(fields.rhs() == 0.0)
+    assert np.all(fields.rhs(0.7) == 0.0)
     assert np.ptp(fields.lengths) == 0.0
     # The same field admits no stabilizing lambda: nothing moves.
     with pytest.raises(LevelSetError):
@@ -451,8 +449,7 @@ def test_rhs_vanishes_for_v_independent_field():
 def test_evolve_step_pins_endpoints():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    L = replace(L, lam=levelset_lambda(L))
-    stepped = evolve_step(L)
+    stepped = evolve_step(L, levelset_lambda(L))
     assert np.array_equal(stepped.psi[0], L.psi[0])
     assert np.array_equal(stepped.psi[-1], L.psi[-1])
     assert not np.array_equal(stepped.psi[8], L.psi[8])
@@ -462,16 +459,11 @@ def test_evolve_step_pins_endpoints():
 def test_evolve_step_cfl():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    L = replace(L, lam=levelset_lambda(L))
-    dt = _EvolutionFields(L).cfl_dt()
+    lam = levelset_lambda(L)
+    dt = _EvolutionFields(L).cfl_dt(lam)
     assert 0.0 < dt <= 0.2 * L.dv * L.dv
-    with pytest.raises(CFLError):
-        evolve_step(L, dt=2.0 * dt)
-    # Lambda comes from L.lam alone; without it nothing evolves.
-    unset = replace(L, lam=None)
-    for run in (evolve_step, lambda L: _EvolutionFields(L).rhs()):
-        with pytest.raises(InputDataError, match="lambda"):
-            run(unset)
+    # The step always takes the largest stable dt.
+    assert evolve_step(L, lam).t == L.t + dt
 
 
 def test_levelset_lambda_translated_circles():
@@ -555,7 +547,7 @@ def test_zero_segments_match_chained_loops(field, xs, ys):
             seg = np.linalg.norm(nxt - poly, axis=1)
             mids = 0.5 * (poly + nxt)
             length += float(np.sum(seg))
-            S += float(np.sum(_bilinear(fields.m[j], xs, ys, mids) * seg))
+            S += float(np.sum(_bilinear(fields.m, xs, ys, mids, np.full(len(mids), j)) * seg))
         assert S > 0.0
         np.testing.assert_allclose(fields.lengths[j], length, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(fields.S[j], S, rtol=1e-12, atol=0.0)
@@ -589,9 +581,9 @@ def test_stencils_match_numpy_gradient_and_roll_form(f, axis):
 def test_reinitialize_is_signed_distance_to_extracted_loops(steps):
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    L = replace(L, lam=levelset_lambda(L))
+    lam = levelset_lambda(L)
     for _ in range(steps):
-        L = evolve_step(L)
+        L = evolve_step(L, lam)
     out = reinitialize(L)
     extraction = extract_slices(L)
     assert extraction.flagged == []
@@ -686,18 +678,18 @@ def poking_grid():
     # the right edge, so part of its zero set is an open fragment.
     poking = np.minimum(inner, np.hypot(gx - 1.7, gy) - 0.6)
     psi = np.stack([inner, poking, inner])
-    return LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3), lam=0.3)
+    return LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 3))
 
 
 def test_evolution_raises_when_zero_set_leaves_box():
     L = poking_grid()
     with pytest.raises(LevelSetError, match="slice 1: the zero set crosses the box"):
-        evolve_step(L)
+        evolve_step(L, 0.3)
     with pytest.raises(LevelSetError, match="slice 1"):
         _EvolutionFields(L)
     extraction = extract_slices(L)
     assert extraction.flagged == [1]
-    assert len(extraction.contours[1]) == 1 and extraction.open_fragments[1]
+    assert len(extraction.contours[1]) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -705,10 +697,10 @@ def evolved_circle_states():
     """circle_pair() on 9x48x48, after 0, 30 and 120 steps (reinit every 10)."""
     c0, c1 = circle_pair()
     L = embed((c0, c1), nx=48, ny=48, nv=9)
-    L = replace(L, lam=levelset_lambda(L))
+    lam = levelset_lambda(L)
     states = {0: L}
     for step in range(1, 121):
-        L = evolve_step(L)
+        L = evolve_step(L, lam)
         if step % 10 == 0:
             L = reinitialize(L)
         if step in (30, 120):
@@ -756,13 +748,14 @@ def test_zero_segments_match_reference_march(make, leaves):
 def test_extract_slices_matches_reference_march(make, n_fragments):
     L = make()
     extraction = extract_slices(L)
-    assert sum(map(len, extraction.open_fragments)) == n_fragments
-    for j in range(L.psi.shape[0]):
-        loops, frags = reference_march(L.psi[j], L.xs, L.ys)
-        for got, want in [(extraction.contours[j], loops), (extraction.open_fragments[j], frags)]:
-            assert len(got) == len(want)
-            for a, b in zip(got, want):
-                assert a.shape == b.shape and np.array_equal(a, b)
+    marched = [reference_march(L.psi[j], L.xs, L.ys) for j in range(L.psi.shape[0])]
+    assert sum(len(frags) for _, frags in marched) == n_fragments
+    for j, (loops, frags) in enumerate(marched):
+        got = extraction.contours[j]
+        assert len(got) == len(loops)
+        for a, b in zip(got, loops):
+            assert a.shape == b.shape and np.array_equal(a, b)
+        # A slice with an open fragment is flagged by its box crossing.
         assert (j in extraction.flagged) == (not loops or bool(frags))
 
 
@@ -847,9 +840,9 @@ def test_reinitialize_raises_when_curve_vanishes():
 def test_extracted_homotopy_structure():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
-    H = extracted_homotopy(L, n_theta=96)
+    H = extracted_homotopy(L)
     assert H.periodic
-    assert H.values.shape == (17, 96, 2)
+    assert H.values.shape == (17, levelset._N_THETA, 2)
     for j in range(H.n_v):
         assert signed_area(H.values[j]) > 0.0
     base_jumps = np.linalg.norm(np.diff(H.values[:, 0, :], axis=0), axis=1)
@@ -860,7 +853,7 @@ def test_embedded_disjoint_circles_interpolate_monotonically():
     c0 = unit_circle(radius=0.6, center=(-1.2, 0.0))
     c1 = unit_circle(radius=0.6, center=(1.2, 0.0))
     L = embed((c0, c1), nv=9)
-    H = extracted_homotopy(L, n_theta=64)
+    H = extracted_homotopy(L)
     centers = H.values.mean(axis=1)
     assert np.all(np.diff(centers[:, 0]) > 0.0)
 
@@ -1101,25 +1094,24 @@ def test_evolution_matches_reference_fields(make, last_step):
     L = make()
     lam = levelset_lambda(L)
     assert_same_bits(lam, ReferenceEvolutionFields(L).lam_ratio())
-    L = replace(L, lam=lam)
     for step in range(1, 31):
         ref = ReferenceEvolutionFields(L)
-        want_t = outcome(ref.rhs)
+        want_t = outcome(ref.rhs, lam)
         if isinstance(want_t, tuple):
             assert step == last_step
-            for run in (lambda L: _EvolutionFields(L).rhs(), evolve_step):
+            for run in (lambda L, lam: _EvolutionFields(L).rhs(lam), evolve_step):
                 with pytest.raises(LevelSetError, match=re.escape(want_t[1])):
-                    run(L)
+                    run(L, lam)
             return
         got = _EvolutionFields(L)
-        assert_same_bits(got.rhs(), want_t)
+        assert_same_bits(got.rhs(lam), want_t)
         for key in ("lengths", "S", "L_v"):
             assert_same_bits(getattr(got, key), getattr(ref, key))
-        dt = ref.cfl_dt()
-        assert_same_bits(got.cfl_dt(), dt)
+        dt = ref.cfl_dt(lam)
+        assert_same_bits(got.cfl_dt(lam), dt)
         want_lam = outcome(ReferenceEvolutionFields(L).lam_ratio)
         assert outcome(levelset_lambda, L) == want_lam
-        stepped = evolve_step(L)
+        stepped = evolve_step(L, lam)
         assert_same_bits(stepped.psi, L.psi + dt * want_t)
         assert_same_bits(stepped.t, L.t + dt)
         L = stepped
