@@ -52,10 +52,8 @@ from .flows import (
     VStarField,
     commutator_check,
     energy_derivative_check,
-    heat_flow_step,
     identity_residuals,
     integrate_heat_flow,
-    mm_arclength_flow_step,
     mm_normal_speed,
     run_homotopy_flow,
     vstar_calculus,

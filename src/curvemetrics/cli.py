@@ -266,9 +266,10 @@ def _cmd_flow(args):
 
     if args.kind in ("heat", "mm"):
         c = _load_curve(args.curve)
-        loop = flows._curve_flow_loop(c, None if args.kind == "heat" else args.A, args.dt)
+        A = None if args.kind == "heat" else args.A
+        loop = flows.iter_curve_flow(c, A, args.dt, steps=args.steps)
         lengths = []
-        for step, (length, c) in zip(range(1, args.steps + 1), loop):
+        for step, (length, c) in enumerate(loop, start=1):
             lengths.append(length)
             if prefix and dump_every and step % dump_every == 0:
                 curveio.save_curve_csv(f"{prefix}{step:06d}.csv", c)
@@ -286,9 +287,10 @@ def _cmd_flow(args):
     # or stable_lambda; state.lam is the lambda the run used.
     factor = _factor_from_args(args)
     # One run; the dumps read its grids, so they cannot change its output.
-    loop = flows._homotopy_flow_loop(
-        C, args.kind, args.steps, args.dt, factor, args.lam, args.drop_magnitude,
-        args.renormalize_every, args.stop_displacement,
+    loop = flows.iter_homotopy_flow(
+        C, kind=args.kind, steps=args.steps, dt=args.dt, factor=factor, lam=args.lam,
+        drop_magnitude=args.drop_magnitude, renormalize_every=args.renormalize_every,
+        stop_displacement=args.stop_displacement,
     )
     for k, grid, state in loop:
         if prefix and dump_every and (k % dump_every == 0 or state is not None):

@@ -6,6 +6,11 @@ energy flow C_t = C_v*v* - (1/2) m C_ss and its conformal
 stabilization, where v* differentiates along the normal motion:
 d_v* f = d_v f - (C_v . C_s) d_s f.
 
+Each family runs as one public generator that yields after every
+step: iter_curve_flow for the curve flows, iter_homotopy_flow for the
+homotopy flows. integrate_heat_flow, run_homotopy_flow and the CLI
+drain them; a one-step run is the single step.
+
 The v* fields (VStarField) extend the whole-grid homotopy frame, and
 d_s and d_vstar read a frame the caller built, so a flow step builds
 its frame once.
@@ -52,57 +57,45 @@ def mm_normal_speed(kappa, A):
     return kappa / (1.0 + A * kappa * kappa)
 
 
-def _heat_dt(frame, dtheta) -> float:
-    """0.2 min(ds)^2 of a curve frame."""
-    ds_min = float(np.min(frame.speed)) * dtheta
-    return 0.2 * ds_min * ds_min
-
-
-def heat_cfl_dt(c: SampledCurve) -> float:
-    """Largest stable explicit step for the heat flow, 0.2 min(ds)^2."""
-    return _heat_dt(tangent_frame(c), c.dtheta)
-
-
 def _require_dt(dt):
     """A caller-given step must be a finite number > 0; None means the CFL step."""
     if dt is not None and not 0.0 < dt < np.inf:
         raise InputDataError(f"dt must be a finite number > 0, got {dt!r}")
 
 
-def heat_flow_step(c: SampledCurve, dt: float) -> SampledCurve:
-    """Explicit Euler step of the geometric heat flow c <- c + dt C_ss."""
-    return next(_curve_flow_loop(c, None, dt))[1]
+def iter_curve_flow(
+    c: SampledCurve,
+    A: Optional[float] = None,
+    dt: Optional[float] = None,
+    t_end: float = np.inf,
+    steps: Optional[int] = None,
+):
+    """Euler steps c + dt H / (1 + A |H|^2), until t_end or for `steps` steps.
 
-
-def mm_arclength_flow_step(c: SampledCurve, A: float, dt: float) -> SampledCurve:
-    """Explicit Euler step with normal speed kappa / (1 + A kappa^2).
-
-    A = 0 is the heat flow; A > 0 caps the speed at 1 / (2 sqrt(A)), so
-    fine necks stop collapsing faster than wide arcs.
-    """
-    return next(_curve_flow_loop(c, A, dt))[1]
-
-
-def _curve_flow_loop(c: SampledCurve, A, dt, t_end=np.inf):
-    """Euler steps c + dt H / (1 + A |H|^2), the last clamped to end at t_end.
-
-    Each step takes the CFL dt (dt None), the length (arclength bit for
-    bit), H and the update from one frame of the curve it starts from,
-    and yields (that length, the new curve). A = None is the heat flow:
-    A = 0 in any dimension, without the A >= 0 and planarity checks.
+    A = None is the heat flow in any dimension; A >= 0 is the planar
+    arclength flow, whose normal speed kappa / (1 + A kappa^2) is capped
+    at 1 / (2 sqrt(A)) for A > 0. A, the dimension and a given dt
+    (finite, > 0) are checked once, before the first step. Each step
+    takes the CFL dt 0.2 min(ds)^2 (dt None; a larger given dt raises
+    CFLError), the length (arclength bit for bit), H and the update from
+    one frame of the curve it starts from, ends at t_end at the latest,
+    and yields (that length, the new curve).
     """
     what = "heat flow" if A is None else "the arclength flow"
+    if A is not None and A < 0.0:
+        raise InputDataError("the arclength flow needs A >= 0")
+    if A is not None and c.dim != 2:
+        raise InputDataError("the bounded arclength flow is planar")
+    _require_dt(dt)
     t = 0.0
-    while t < t_end - 1e-15:
+    k = 0
+    while t < t_end - 1e-15 and (steps is None or k < steps):
         frame = tangent_frame(c)
-        dt_max = _heat_dt(frame, c.dtheta)
+        ds_min = float(np.min(frame.speed)) * c.dtheta
+        dt_max = 0.2 * ds_min * ds_min
         step = min(dt_max if dt is None else dt, t_end - t)
-        if A is not None and A < 0.0:
-            raise InputDataError("the arclength flow needs A >= 0")
         if not immersed(c):
             raise NotImmersedError(f"{what} needs an immersed curve")
-        if A is not None and c.dim != 2:
-            raise InputDataError("the bounded arclength flow is planar")
         frame.require_immersed(what)
         if step > dt_max * (1.0 + 1e-12):
             raise CFLError(f"dt = {step:.3e} exceeds the stable bound {dt_max:.3e}")
@@ -110,18 +103,20 @@ def _curve_flow_loop(c: SampledCurve, A, dt, t_end=np.inf):
         H = scale(H, 1.0 + (A or 0.0) * dot(H, H), divide=True)
         c = SampledCurve(points=c.points + step * H, scale_hint=c.scale_hint)
         t += step
+        k += 1
         yield frame_length(frame, c.dtheta), c
 
 
 def integrate_heat_flow(c: SampledCurve, t_end: float, dt: Optional[float] = None):
-    """March the heat flow to t_end with adaptive CFL steps, or a given dt > 0.
+    """March the heat flow to t_end >= 0 with adaptive CFL steps, or a given dt > 0.
 
     Returns the final curve and the polygon lengths after each step
     (index 0 is the initial length).
     """
-    _require_dt(dt)
+    if not 0.0 <= t_end < np.inf:
+        raise InputDataError(f"t_end must be a finite number >= 0, got {t_end!r}")
     lengths = [float(np.sum(c.edge_lengths()))]
-    for _length, c in _curve_flow_loop(c, None, dt, t_end):
+    for _length, c in iter_curve_flow(c, dt=dt, t_end=t_end):
         lengths.append(float(np.sum(c.edge_lengths())))
     return c, np.array(lengths)
 
@@ -254,16 +249,6 @@ def _step(C: HomotopyGrid, fields: VStarField, terms, dt, drop_magnitude) -> Hom
     return HomotopyGrid(values=values, periodic=True)
 
 
-def _margin(terms) -> float:
-    _phi, _dphi, coef_s = terms
-    return 2.0 * float(np.min(coef_s))
-
-
-def stability_margin(C: HomotopyGrid, factor: ConformalFactor) -> float:
-    """min over the grid of phi' M - phi m, nonnegative when lambda is stable."""
-    return _margin(_factor_terms(vstar_calculus(C), factor))
-
-
 @dataclass
 class FlowState:
     """Result of a homotopy flow run."""
@@ -287,7 +272,7 @@ def _renormalize_interior(C: HomotopyGrid) -> HomotopyGrid:
     return HomotopyGrid(values=values, periodic=True)
 
 
-def run_homotopy_flow(
+def iter_homotopy_flow(
     C: HomotopyGrid,
     kind: str = "conformal",
     steps: int = 1000,
@@ -297,8 +282,8 @@ def run_homotopy_flow(
     drop_magnitude: bool = False,
     renormalize_every: int = 10,
     stop_displacement: float = 0.0,
-) -> FlowState:
-    """Drive the h0 or conformal homotopy flow for a number of steps.
+):
+    """Drive the h0 or conformal homotopy flow, one item per step.
 
     lambda (and with it the conformal factor, unless one is supplied)
     is frozen from stable_lambda at t = 0. Slices are re-sampled at
@@ -307,31 +292,18 @@ def run_homotopy_flow(
     the per-step displacement falls below stop_displacement, and
     reports rather than raises a blow-up. Each step computes the v*
     fields once and shares them between the CFL bound, the stability
-    margin, the update and the energy trace; h0 steps with the
-    identity factor. Every trace entry but the last is the energy of
-    the grid a step started from, taken from that step's fields with
-    the formula of energies.energy; the last is one energy() call on
-    the final grid. A given dt caps the CFL step; it must be a finite
-    number > 0.
-    """
-    for _k, _grid, state in _homotopy_flow_loop(
-        C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
-        stop_displacement,
-    ):
-        pass
-    return state
-
-
-def _homotopy_flow_loop(
-    C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
-    stop_displacement,
-):
-    """The step loop of run_homotopy_flow, one item per step.
+    margin min(phi' M - phi m), the update and the energy trace; h0
+    steps with the identity factor. Every trace entry but the last is
+    the energy of the grid a step started from, taken from that step's
+    fields with the formula of energies.energy; the last is one
+    energy() call on the final grid. A given dt caps the CFL step; it
+    must be a finite number > 0.
 
     Yields (k, grid, None) after every step but the last, with the
     grid step k + 1 starts from, then (k, grid, state) with the final
     FlowState. k is state.steps there; after a blow-up the grid is the
-    last one before the failed step.
+    last one before the failed step, and state.dt is the dt of the
+    last step taken (0.0 if none was).
     """
     if kind not in ("h0", "conformal"):
         raise InputDataError(f"unknown homotopy flow kind {kind!r}")
@@ -346,7 +318,6 @@ def _homotopy_flow_loop(
     else:
         spec = EnergySpec(kind="geom_H0")
         step_factor = ConformalFactor.identity()
-    lam_value = step_factor.lam
 
     energies = []
     margins = [] if kind == "conformal" else None
@@ -355,7 +326,7 @@ def _homotopy_flow_loop(
     converged = False
     blew_up = False
     k = 0
-    step_dt = dt
+    step_dt = 0.0
     for k in range(1, steps + 1):
         fields = vstar_calculus(C)
         terms = _factor_terms(fields, step_factor)
@@ -364,7 +335,7 @@ def _homotopy_flow_loop(
             current_dt = min(dt, current_dt)
         try:
             if margins is not None:
-                margins.append(_margin(terms))
+                margins.append(2.0 * float(np.min(terms[2])))
             new = _step(C, fields, terms, current_dt, drop_magnitude)
         except NumericalFailureError:
             blew_up = True
@@ -387,14 +358,34 @@ def _homotopy_flow_loop(
         grid=C,
         t=t,
         steps=k,
-        lam=lam_value,
-        dt=step_dt if step_dt is not None else 0.0,
+        lam=step_factor.lam,
+        dt=step_dt,
         energy_trace=np.array(energies),
         margin_trace=np.array(margins) if margins is not None else None,
         converged=converged,
         blew_up=blew_up,
         last_displacement=displacement,
     )
+
+
+def run_homotopy_flow(
+    C: HomotopyGrid,
+    kind: str = "conformal",
+    steps: int = 1000,
+    dt: Optional[float] = None,
+    factor: Optional[ConformalFactor] = None,
+    lam: Optional[float] = None,
+    drop_magnitude: bool = False,
+    renormalize_every: int = 10,
+    stop_displacement: float = 0.0,
+) -> FlowState:
+    """The final FlowState of iter_homotopy_flow with the same arguments."""
+    for _k, _grid, state in iter_homotopy_flow(
+        C, kind, steps, dt, factor, lam, drop_magnitude, renormalize_every,
+        stop_displacement,
+    ):
+        pass
+    return state
 
 
 def _smooth_perturbation(C: HomotopyGrid, rng) -> np.ndarray:

@@ -10,6 +10,7 @@ from curvemetrics.curves import (
     dot,
     periodic_derivative,
     scale,
+    tangent_frame,
     theta_grid,
 )
 from curvemetrics.homotopy import HomotopyGrid, sample_homotopy
@@ -143,30 +144,47 @@ def reference_curvature(points, dtheta, scale_hint):
     return H, T, speed
 
 
+def heat_cfl_dt(c):
+    """The stable explicit step of the curve flows, 0.2 (min speed dtheta)^2."""
+    ds_min = float(np.min(tangent_frame(c).speed)) * c.dtheta
+    return 0.2 * ds_min * ds_min
+
+
 def reference_curve_flow(c, A=None, dt=None, steps=None, t_end=np.inf):
-    """The curve flows as the public-step loop they ran before one generator.
+    """The curve flows as a loop of primitives, one Euler step at a time.
 
     The loop of integrate_heat_flow (the t_end clamp) and of the CLI
-    heat/mm branch (a step count), kept as it was: each step takes its
-    CFL dt from heat_cfl_dt, then calls heat_flow_step (A None) or
-    mm_arclength_flow_step, which build the curve frame again. Returns
-    every curve, index 0 the input. The shared loop must match it bit
-    for bit; the single steps are held to reference_curvature.
+    heat/mm branch (a step count): each step takes heat_cfl_dt (dt
+    None) or dt, clamped to end at t_end, and H from
+    reference_curvature, and moves c by dt H / (1 + A |H|^2), with A = 0
+    for the heat flow (A None). Returns every curve, index 0 the input.
+    flows.iter_curve_flow must match it bit for bit.
     """
-    from curvemetrics.flows import heat_cfl_dt, heat_flow_step, mm_arclength_flow_step
-
     curves = [c]
     t = 0.0
     while (steps is None or len(curves) <= steps) and t < t_end - 1e-15:
         step = heat_cfl_dt(c) if dt is None else dt
         step = min(step, t_end - t)
-        if A is None:
-            c = heat_flow_step(c, step)
-        else:
-            c = mm_arclength_flow_step(c, A, step)
+        H, _T, _speed = reference_curvature(c.points, c.dtheta, c.scale_hint)
+        H = scale(H, 1.0 + (A or 0.0) * dot(H, H), divide=True)
+        c = SampledCurve(points=c.points + step * H, scale_hint=c.scale_hint)
         t += step
         curves.append(c)
     return curves
+
+
+def reference_margin(C, factor):
+    """min over the grid of phi' M - phi m, from the public v* fields.
+
+    phi and phi' are the factor on the slice lengths; the margin is
+    nonnegative when the factor's lambda is stable.
+    """
+    from curvemetrics.flows import vstar_calculus
+
+    fields = vstar_calculus(C)
+    phi = np.atleast_1d(factor.value(fields.lengths))
+    dphi = np.atleast_1d(factor.derivative(fields.lengths))
+    return float(np.min((dphi * fields.big_m)[:, None] - phi[:, None] * fields.m))
 
 
 def raised(fn, *args):

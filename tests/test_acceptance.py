@@ -32,7 +32,7 @@ from curvemetrics.flows import (
     identity_residuals,
     integrate_heat_flow,
     mm_normal_speed,
-    stability_margin,
+    run_homotopy_flow,
 )
 from curvemetrics.homotopy import linear_homotopy, reparam_horizontal
 from curvemetrics.levelset import run_geodesic
@@ -165,7 +165,7 @@ def test_criterion_11_stability_lambda_and_margin():
     C = translating_circle()
     lam = stable_lambda(C)
     assert abs(lam * np.pi - 1.0) < 5e-3, f"lambda = {lam}, want 1/pi within 0.5%"
-    margin = stability_margin(C, ConformalFactor.exp_length(lam))
+    margin = run_homotopy_flow(C, kind="conformal", steps=1, lam=lam).margin_trace[0]
     assert margin >= -1e-9, f"stability margin {margin}"
 
 

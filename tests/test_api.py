@@ -100,3 +100,39 @@ def test_the_level_set_state_and_step_hold_no_settable_knob():
         if param in ("dt", "margin", "band_width", "n_theta")
     ]
     assert offenders == []
+
+
+def test_the_flows_run_as_public_generators_the_cli_drains():
+    # Each flow family has one public run generator; a one-step run is
+    # the single step, so flows offers no step-level function, and the
+    # command line reaches no private name of flows.
+    from curvemetrics import flows
+
+    offenders = [
+        name
+        for name, fn in vars(flows).items()
+        if inspect.isfunction(fn)
+        and fn.__module__ == flows.__name__
+        and not name.startswith("_")
+        and (name.endswith("_step") or name in ("heat_cfl_dt", "stability_margin"))
+    ]
+    assert offenders == []
+    assert inspect.isgeneratorfunction(flows.iter_curve_flow)
+    assert inspect.isgeneratorfunction(flows.iter_homotopy_flow)
+    tree = ast.parse((pathlib.Path(curvemetrics.__file__).parent / "cli.py").read_text())
+    private = [
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "flows"
+        and node.attr.startswith("_")
+    ]
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("flows")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private + imported == []

@@ -3,6 +3,20 @@
 Runs each traced workload at toy size (5 flow steps, a toy geodesic
 grid, one set of CLI commands) in a subprocess and reads the JSON record
 on the last line, and the per-operation outputs printed above it.
+
+The outputs are also held to golden files, one per workload: the
+`output` lines of a seed-1 toy run, checked in under tests/golden/.
+Each record holds the numbers of one operation (for a CLI command, its
+exit code and a digest of everything it printed and wrote), so a change
+that moves one bit of a result fails here and names the operation. The
+records are the same with and without tracing and from run to run. A
+change that moves an output on purpose regenerates the file, from the
+repository root, with
+
+    python3 perfbench/run.py --workload W --toy --seed 1 --seconds 1 --trace 1 \
+        | grep '^output ' > tests/golden/W.txt
+
+and names each moved record in its change notes.
 """
 
 import json
@@ -11,10 +25,24 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def parse_outputs(lines):
+    """The records of the `output <label>: <json>` lines, by operation label."""
+    outputs = {}
+    for line in lines:
+        if line.startswith("output "):
+            label, _, record = line[len("output "):].partition(": ")
+            outputs[label] = json.loads(record)
+    return outputs
 
 
 def run_toy(workload):
-    """The metrics of a traced toy run, and its outputs by operation label."""
+    """The metrics of a traced toy run, and its outputs by operation label.
+
+    The outputs must equal the workload's golden file record by record.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--toy",
          "--seed", "1", "--seconds", "1", "--trace", "1"],
@@ -25,11 +53,15 @@ def run_toy(workload):
     result = json.loads(lines[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    outputs = {}
-    for line in lines:
-        if line.startswith("output "):
-            label, _, record = line[len("output "):].partition(": ")
-            outputs[label] = json.loads(record)
+    outputs = parse_outputs(lines)
+    golden = parse_outputs((GOLDEN / f"{workload}.txt").read_text().splitlines())
+    assert list(outputs) == list(golden)
+    moved = {
+        label: {"golden": record, "now": outputs[label]}
+        for label, record in golden.items()
+        if outputs[label] != record
+    }
+    assert moved == {}
     return result["metrics"], outputs
 
 

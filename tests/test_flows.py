@@ -36,14 +36,11 @@ from curvemetrics.flows import (
     d_s,
     d_vstar,
     energy_derivative_check,
-    heat_cfl_dt,
-    heat_flow_step,
     identity_residuals,
     integrate_heat_flow,
-    mm_arclength_flow_step,
+    iter_curve_flow,
     mm_normal_speed,
     run_homotopy_flow,
-    stability_margin,
     vstar_calculus,
 )
 from curvemetrics.homotopy import (
@@ -55,8 +52,10 @@ from curvemetrics.homotopy import (
 
 from helpers import (
     bits,
+    heat_cfl_dt,
     reference_curve_flow,
     reference_curvature,
+    reference_margin,
     smooth_random_grid,
     translating_circle,
     unit_circle,
@@ -74,16 +73,29 @@ def test_mm_normal_speed_values():
     assert np.max(mm_normal_speed(kappa, 4.0)) <= 0.25 + 1e-12
 
 
+def _one_step(c, A=None, dt=None):
+    """The curve after a one-step run of iter_curve_flow."""
+    [(_length, new)] = iter_curve_flow(c, A, dt, steps=1)
+    return new
+
+
 def test_heat_cfl_bound():
     c = unit_circle(n=128)
     dtheta = 2.0 * np.pi / 128
-    assert heat_cfl_dt(c) == pytest.approx(0.2 * dtheta**2, rel=1e-3)
-    with pytest.raises(CFLError):
-        heat_flow_step(c, 2.0 * heat_cfl_dt(c))
+    bound = heat_cfl_dt(c)
+    assert bound == pytest.approx(0.2 * dtheta**2, rel=1e-3)
+    for A in (None, 0.5):
+        with pytest.raises(CFLError):
+            _one_step(c, A, 2.0 * bound)
+        # The bound is 0.2 min(ds)^2 itself: just above it raises, just
+        # below it steps.
+        with pytest.raises(CFLError, match="exceeds the stable bound"):
+            _one_step(c, A, bound * (1.0 + 1e-9))
+        assert not np.array_equal(_one_step(c, A, bound * (1.0 - 1e-9)).points, c.points)
     points = c.points.copy()
     points[1] = points[0]
     with pytest.raises(NotImmersedError):
-        heat_flow_step(SampledCurve(points=points), 1e-6)
+        _one_step(SampledCurve(points=points), dt=1e-6)
 
 
 def test_zero_central_speed_is_rejected_naming_the_sample(tmp_path, capsys):
@@ -96,8 +108,9 @@ def test_zero_central_speed_is_rejected_naming_the_sample(tmp_path, capsys):
     assert heat_cfl_dt(c) == 0.0
     for run in (
         lambda: curvature(c),
-        lambda: heat_flow_step(c, 0.0),
-        lambda: mm_arclength_flow_step(c, 0.5, 0.0),
+        # A one-step run at the CFL dt, which is 0.
+        lambda: _one_step(c),
+        lambda: _one_step(c, 0.5),
         # The CFL step is 0, so without the check this never advances.
         lambda: integrate_heat_flow(c, 0.01),
     ):
@@ -129,19 +142,19 @@ def test_integrate_heat_flow_rejects_oversized_dt():
 def test_mm_step_reduces_to_heat_at_zero_A():
     c = unit_circle(n=128)
     dt = heat_cfl_dt(c)
-    heat = heat_flow_step(c, dt)
-    mm0 = mm_arclength_flow_step(c, 0.0, dt)
+    heat = _one_step(c, None, dt)
+    mm0 = _one_step(c, 0.0, dt)
     assert np.array_equal(heat.points, mm0.points)
     # A > 0 shrinks the step: kappa = 1, so displacement scales by 1/(1+A).
-    mm4 = mm_arclength_flow_step(c, 4.0, dt)
+    mm4 = _one_step(c, 4.0, dt)
     d_heat = np.linalg.norm(heat.points - c.points, axis=1)
     d_mm = np.linalg.norm(mm4.points - c.points, axis=1)
     np.testing.assert_allclose(d_mm, d_heat / 5.0, rtol=1e-6)
     with pytest.raises(InputDataError):
-        mm_arclength_flow_step(c, -1.0, dt)
+        _one_step(c, -1.0, dt)
     ring3d = np.concatenate([c.points, np.zeros((128, 1))], axis=1)
     with pytest.raises(InputDataError):
-        mm_arclength_flow_step(SampledCurve(points=ring3d), 4.0, dt)
+        _one_step(SampledCurve(points=ring3d), 4.0, dt)
 
 
 def _wobbly_curve(n, modes, amps, phases, sx, sy):
@@ -166,7 +179,7 @@ def _wobbly_curve(n, modes, amps, phases, sx, sy):
 def test_curve_flow_step_at_the_cfl_dt_never_lengthens(n, modes, amps, phases, sx, sy, A):
     c = _wobbly_curve(n, modes, amps, phases, sx, sy)
     dt = heat_cfl_dt(c)
-    new = heat_flow_step(c, dt) if A is None else mm_arclength_flow_step(c, A, dt)
+    new = _one_step(c, A, dt)
     assert np.sum(new.edge_lengths()) <= np.sum(c.edge_lengths())
     assert curves.arclength(new) <= curves.arclength(c)
 
@@ -180,7 +193,7 @@ def test_curve_flow_loop_matches_the_public_step_loop(A, given_dt):
     t_end = 7.5 * heat_cfl_dt(c)
     reference = reference_curve_flow(c, A, dt, t_end=t_end)
     assert len(reference) > 3
-    items = list(flows._curve_flow_loop(c, A, dt, t_end))
+    items = list(iter_curve_flow(c, A, dt, t_end))
     assert len(items) == len(reference) - 1
     for (length, new), before, after in zip(items, reference, reference[1:]):
         assert bits(length) == bits(curves.arclength(before))
@@ -247,6 +260,41 @@ def test_caller_dt_must_be_a_finite_positive_number(dt):
             run_homotopy_flow(C, kind=kind, steps=3, dt=dt)
 
 
+def test_integrate_heat_flow_rejects_a_bad_end_time():
+    c = unit_circle(n=64)
+    for t_end in (np.nan, -1.0, -1e-300, np.inf):
+        with pytest.raises(InputDataError, match="t_end must be a finite number >= 0"):
+            integrate_heat_flow(c, t_end)
+    # t_end = 0 is a run of no steps.
+    final, lengths = integrate_heat_flow(c, 0.0)
+    assert final is c and lengths.size == 1
+
+
+@pytest.mark.parametrize("steps", ["0", "3"])
+def test_curve_flow_checks_its_input_before_the_first_step(tmp_path, capsys, steps):
+    # A < 0, a 3-D curve for the planar mm flow and a bad dt are
+    # rejected before any step, so a zero-step run rejects them too.
+    flat = tmp_path / "c.csv"
+    curveio.save_curve_csv(flat, unit_circle(n=64))
+    ring3d = np.concatenate([unit_circle(n=64).points, np.zeros((64, 1))], axis=1)
+    space = tmp_path / "c3.csv"
+    curveio.save_curve_csv(space, SampledCurve(points=ring3d))
+    cases = [
+        (["--A", "-1", "--curve", str(flat)], "the arclength flow needs A >= 0"),
+        (["--A", "0.5", "--curve", str(space)], "the bounded arclength flow is planar"),
+    ]
+    for extra, message in cases:
+        assert main(["flow", "--kind", "mm", *extra, "--steps", steps]) == 3
+        err = capsys.readouterr().err
+        assert "InputDataError" in err and message in err
+    c = unit_circle(n=64)
+    for A, dt in ((-1.0, None), (0.5, 0.0), (None, np.nan)):
+        with pytest.raises(InputDataError):
+            list(iter_curve_flow(c, A, dt, steps=int(steps)))
+    # The heat flow takes a curve in any dimension.
+    assert main(["flow", "--kind", "heat", "--curve", str(space), "--steps", steps]) == 0
+
+
 def test_vstar_fields_translating_circle():
     C = translating_circle(n_theta=256, n_v=16)
     fields = vstar_calculus(C)
@@ -311,6 +359,31 @@ def test_homotopy_cfl_bound():
     assert 0.0 < dt <= 0.2 * C.dv**2
 
 
+def test_flow_state_dt_is_the_dt_of_the_last_step_taken(monkeypatch):
+    C = translating_circle(n_theta=128, n_v=17)
+    one = run_homotopy_flow(C, kind="h0", steps=1, dt=1.0, renormalize_every=0)
+    assert 0.0 < one.dt < 1.0
+    for dt in (None, 1.0):
+        assert run_homotopy_flow(C, kind="h0", steps=0, dt=dt).dt == 0.0
+    assert run_homotopy_flow(C, kind="h0", steps=2, dt=1e-6).dt == 1e-6
+
+    original = flows._step
+    calls = []
+
+    def failing(C, fields, terms, dt, drop_magnitude):
+        calls.append(dt)
+        if len(calls) == fail_at:
+            raise NumericalFailureError("flow blew up: field norm exceeded the cap")
+        return original(C, fields, terms, dt, drop_magnitude)
+
+    monkeypatch.setattr(flows, "_step", failing)
+    for fail_at in (1, 2):
+        calls.clear()
+        state = run_homotopy_flow(C, kind="h0", steps=5, dt=1.0, renormalize_every=0)
+        assert state.blew_up and state.steps == fail_at
+        assert state.dt == (0.0 if fail_at == 1 else calls[0])
+
+
 def test_h0_step_pins_endpoints():
     C = translating_circle(n_theta=128, n_v=17)
     state = run_homotopy_flow(C, kind="h0", steps=1, renormalize_every=0)
@@ -340,8 +413,13 @@ def test_conformal_step_with_identity_factor_is_h0():
 def test_stability_margin_at_stable_lambda():
     C = translating_circle(n_theta=256, n_v=64)
     lam = stable_lambda(C)
-    assert abs(stability_margin(C, ConformalFactor.exp_length(lam))) <= 1e-9
-    assert stability_margin(C, ConformalFactor.exp_length(0.5 * lam)) < -0.5
+    stable, unstable = (
+        run_homotopy_flow(C, steps=1, lam=x).margin_trace[0] for x in (lam, 0.5 * lam)
+    )
+    assert stable == reference_margin(C, ConformalFactor.exp_length(lam))
+    assert unstable == reference_margin(C, ConformalFactor.exp_length(0.5 * lam))
+    assert abs(stable) <= 1e-9
+    assert unstable < -0.5
 
 
 def test_run_conformal_flow_reports_state():
@@ -383,7 +461,7 @@ def test_run_flow_matches_the_public_step_loop(kind, renormalize_every):
     energies = [energy(G, spec).total]
     for k in range(1, 6):
         if factor is not None:
-            margins.append(stability_margin(G, factor))
+            margins.append(reference_margin(G, factor))
         one = run_homotopy_flow(G, kind, steps=1, factor=factor, renormalize_every=0)
         G = one.grid
         if renormalize_every and k % renormalize_every == 0:
@@ -426,7 +504,7 @@ def test_run_flow_renormalizes_without_per_slice_curves(kind, monkeypatch):
     energies = [energy(G, spec).total]
     for k in range(1, 6):
         if factor is not None:
-            margins.append(stability_margin(G, factor))
+            margins.append(reference_margin(G, factor))
         one = run_homotopy_flow(G, kind, steps=1, factor=factor, renormalize_every=0)
         G = one.grid
         if k % 2 == 0:
@@ -462,12 +540,8 @@ def test_run_flow_builds_vstar_fields_once_per_step(kind, monkeypatch):
         energy_calls.append(spec.kind)
         return original_energy(C, spec)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the flow loop must reuse its v* fields")
-
     monkeypatch.setattr(flows, "vstar_calculus", counting)
     monkeypatch.setattr(flows, "energy", counting_energy)
-    monkeypatch.setattr(flows, "stability_margin", forbidden)
     C = translating_circle(n_theta=64, n_v=9)
     state = run_homotopy_flow(C, kind=kind, steps=4, renormalize_every=2)
     assert state.steps == 4
@@ -634,8 +708,8 @@ def test_curvature_takes_one_derivative_pass_over_the_frame(monkeypatch):
     runs = {
         "energy J": lambda: energy(C, EnergySpec(kind="J")),
         "energy MM": lambda: energy(C, EnergySpec(kind="MM", A=0.5)),
-        "heat step": lambda: heat_flow_step(c, dt),
-        "mm step": lambda: mm_arclength_flow_step(c, 0.5, dt),
+        "heat step": lambda: _one_step(c, None, dt),
+        "mm step": lambda: _one_step(c, 0.5, dt),
         "inner MM": lambda: inner_product(c, h, h, EnergySpec(kind="MM", A=0.5)),
     }
     for name, run in runs.items():
@@ -671,11 +745,9 @@ def test_frame_curvature_matches_the_standalone_kernel(name):
         Hj, _Tj, _sj = reference_curvature(c.points, c.dtheta, c.scale_hint)
         assert np.array_equal(curvature(c).H, Hj)
         dt = heat_cfl_dt(c)
-        assert np.array_equal(heat_flow_step(c, dt).points, c.points + dt * Hj)
+        assert np.array_equal(_one_step(c, None, dt).points, c.points + dt * Hj)
         bounded = scale(Hj, 1.0 + 0.3 * dot(Hj, Hj), divide=True)
-        assert np.array_equal(
-            mm_arclength_flow_step(c, 0.3, dt).points, c.points + dt * bounded
-        )
+        assert np.array_equal(_one_step(c, 0.3, dt).points, c.points + dt * bounded)
     immersed_part = HomotopyGrid(values=C.values[first:])
     H_i, _T_i, _s_i = reference_curvature(
         immersed_part.values, C.dtheta, immersed_part.scale_hint
