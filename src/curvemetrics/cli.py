@@ -157,31 +157,43 @@ def _whole(tok):
     return int(x)
 
 
-def _auto_or_number(flag, positive=False):
-    """Converter of a flag that takes `auto` (None) or a finite number.
+def _number(flag, above=None, at_least=None, auto=False):
+    """Converter of a flag that takes a finite number, or `auto` (None) with auto.
 
-    With positive the number must also be > 0. Any other token raises
+    The number must also be > above and >= at_least where they are
+    given. Any other token, nan and inf among them, raises
     InputDataError naming the flag, on the command line and in a
-    --config file alike.
+    --config file alike. A range that holds for only some kinds (A,
+    alpha, beta, the factor's lambda) is the library's to check.
     """
+    need = "a finite number"
+    if above is not None:
+        need += f" > {above:g}"
+    if at_least is not None:
+        need += f" >= {at_least:g}"
+    if auto:
+        need = "auto or " + need
 
     def convert(token):
-        if token == "auto":
+        if auto and token == "auto":
             return None
         try:
             value = float(token)
         except ValueError:
             value = np.nan
-        if not (np.isfinite(value) and (value > 0.0 or not positive)):
-            need = "a finite number > 0" if positive else "a finite number"
-            raise InputDataError(f"{flag} takes auto or {need}, got {token!r}")
+        if not (
+            np.isfinite(value)
+            and (above is None or value > above)
+            and (at_least is None or value >= at_least)
+        ):
+            raise InputDataError(f"{flag} takes {need}, got {token!r}")
         return value
 
     return convert
 
 
 def _count(flag):
-    """Converter of a flag that takes a whole number >= 0, as _auto_or_number."""
+    """Converter of a flag that takes a whole number >= 0, as _number."""
 
     def convert(token):
         try:
@@ -317,7 +329,6 @@ def _cmd_geodesic(args):
         nv=args.nv,
         max_steps=args.steps,
         tol=args.tol,
-        reinit_every=args.reinit_every,
     )
     os.makedirs(args.out, exist_ok=True)
     for j, loops in enumerate(result.contours.contours):
@@ -591,12 +602,12 @@ def build_parser(config=None, command=None):
     p = add_command("energy")
     helper.add(p, "--grid", "--homotopy", dest="grid", required=True)
     helper.add(p, "--kind", default="geom_H0")
-    helper.add(p, "--alpha", type=float, default=2.0)
-    helper.add(p, "--beta", type=float, default=1.0)
-    helper.add(p, "--A", type=float, default=0.0)
+    helper.add(p, "--alpha", type=_number("--alpha"), default=2.0)
+    helper.add(p, "--beta", type=_number("--beta"), default=1.0)
+    helper.add(p, "--A", type=_number("--A"), default=0.0)
     helper.add(p, "--factor", default="identity",
                choices=["identity", "exp_length", "length"])
-    helper.add(p, "--factor-lam", type=float, default=0.0)
+    helper.add(p, "--factor-lam", type=_number("--factor-lam"), default=0.0)
     helper.add(p, "--out")
 
     p = add_command("inner")
@@ -604,10 +615,10 @@ def build_parser(config=None, command=None):
     helper.add(p, "--h", required=True)
     helper.add(p, "--k", required=True)
     helper.add(p, "--metric", default="geom_H0")
-    helper.add(p, "--A", type=float, default=0.0)
+    helper.add(p, "--A", type=_number("--A"), default=0.0)
     helper.add(p, "--factor", default="identity",
                choices=["identity", "exp_length", "length"])
-    helper.add(p, "--factor-lam", type=float, default=0.0)
+    helper.add(p, "--factor-lam", type=_number("--factor-lam"), default=0.0)
 
     p = add_command("reparam")
     helper.add(p, "--grid", required=True)
@@ -620,16 +631,17 @@ def build_parser(config=None, command=None):
     helper.add(p, "--curve", help="input for heat and mm kinds")
     helper.add(p, "--grid", help="input for h0 and conformal kinds")
     helper.add(p, "--steps", type=_count("--steps"), default=100)
-    helper.add(p, "--dt", type=_auto_or_number("--dt", positive=True), default="auto")
-    helper.add(p, "--A", type=float, default=0.0)
-    helper.add(p, "--lam", type=_auto_or_number("--lam"), default="auto")
+    helper.add(p, "--dt", type=_number("--dt", above=0.0, auto=True), default="auto")
+    helper.add(p, "--A", type=_number("--A"), default=0.0)
+    helper.add(p, "--lam", type=_number("--lam", auto=True), default="auto")
     helper.add(p, "--factor", default=None,
                choices=["identity", "exp_length", "length"],
                help="conformal factor; default e^(lam L)")
-    helper.add(p, "--factor-lam", type=float, default=0.0)
+    helper.add(p, "--factor-lam", type=_number("--factor-lam"), default=0.0)
     helper.add(p, "--drop-magnitude", action="store_true")
     helper.add(p, "--renormalize-every", type=_count("--renormalize-every"), default=10)
-    helper.add(p, "--stop-displacement", type=float, default=0.0)
+    helper.add(p, "--stop-displacement", type=_number("--stop-displacement", at_least=0.0),
+               default=0.0)
     helper.add(p, "--dump-every", type=_count("--dump-every"), default=0)
     helper.add(p, "--out-prefix")
 
@@ -640,8 +652,7 @@ def build_parser(config=None, command=None):
     helper.add(p, "--ny", type=_count("--ny"), default=64)
     helper.add(p, "--nv", type=_count("--nv"), default=17)
     helper.add(p, "--steps", type=_count("--steps"), default=1500)
-    helper.add(p, "--tol", type=float, default=1e-3)
-    helper.add(p, "--reinit-every", type=_count("--reinit-every"), default=10)
+    helper.add(p, "--tol", type=_number("--tol", at_least=0.0), default=1e-3)
     helper.add(p, "--out", required=True)
 
     p = add_command("counterexample")

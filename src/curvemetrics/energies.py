@@ -87,8 +87,10 @@ class ConformalFactor:
     def __post_init__(self):
         if self.kind not in ("identity", "exp_lambda_L", "length"):
             raise InputDataError(f"unknown conformal factor kind {self.kind!r}")
-        if self.kind == "exp_lambda_L" and self.lam < 0.0:
-            raise InputDataError("exp_lambda_L needs lambda >= 0")
+        if self.kind == "exp_lambda_L" and not 0.0 <= self.lam < np.inf:
+            raise InputDataError(
+                f"exp_lambda_L needs lambda >= 0 and finite, got {self.lam!r}"
+            )
 
     @classmethod
     def identity(cls):
@@ -138,10 +140,12 @@ class EnergySpec:
 
     def __post_init__(self):
         self.kind = normalize_kind(self.kind)
-        if self.kind == "MM" and self.A < 0.0:
-            raise InputDataError("MM needs A >= 0")
-        if self.kind == "alpha_beta" and (self.alpha <= 0.0 or self.beta <= 0.0):
-            raise InputDataError("alpha_beta needs alpha > 0 and beta > 0")
+        if self.kind == "MM" and not 0.0 <= self.A < np.inf:
+            raise InputDataError(f"MM needs A >= 0 and finite, got {self.A!r}")
+        if self.kind == "alpha_beta" and not (
+            0.0 < self.alpha < np.inf and 0.0 < self.beta < np.inf
+        ):
+            raise InputDataError("alpha_beta needs finite alpha > 0 and beta > 0")
 
 
 @dataclass

@@ -82,8 +82,8 @@ def iter_curve_flow(
     and yields (that length, the new curve).
     """
     what = "heat flow" if A is None else "the arclength flow"
-    if A is not None and A < 0.0:
-        raise InputDataError("the arclength flow needs A >= 0")
+    if A is not None and not 0.0 <= A < np.inf:
+        raise InputDataError(f"the arclength flow needs A >= 0 and finite, got {A!r}")
     if A is not None and c.dim != 2:
         raise InputDataError("the bounded arclength flow is planar")
     _require_dt(dt)
@@ -308,6 +308,10 @@ def iter_homotopy_flow(
     if kind not in ("h0", "conformal"):
         raise InputDataError(f"unknown homotopy flow kind {kind!r}")
     _require_dt(dt)
+    if not 0.0 <= stop_displacement < np.inf:
+        raise InputDataError(
+            f"stop_displacement must be a finite number >= 0, got {stop_displacement!r}"
+        )
     if kind == "conformal" and factor is None:
         if lam is None:
             lam = stable_lambda(C)

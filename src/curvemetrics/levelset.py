@@ -34,6 +34,15 @@ from .homotopy import HomotopyGrid, linear_homotopy
 # (Adalsteinsson & Sethian, JCP 118, 1995).
 _BAND_WIDTH = 6.0
 _MARGIN = 0.25  # padding of embed's default box, see embed
+# run_geodesic reinitializes a state whose |grad psi| leaves
+# [_GRAD_LOW, _GRAD_HIGH] within _FRONT_WIDTH cells of the front, or
+# falls to the 0.3 that rhs refuses anywhere in the band (see
+# _EvolutionFields.needs_reinitialization).
+_GRAD_LOW = 0.5
+_GRAD_HIGH = 2.0
+_FRONT_WIDTH = 3.0
+# Steps between two convergence measurements of run_geodesic.
+_MEASURE_EVERY = 10
 
 
 @dataclass
@@ -43,7 +52,8 @@ class LevelSetGrid:
     A grid is one state of the flow, at flow time t: the library never
     writes into psi, every step and reinitialization returns a new grid,
     and lambda is an argument of each step. The zero segments of a state
-    are marched once and kept with it (_march).
+    are marched once and kept with it (_march), and so are its evolution
+    fields (_evolution_fields).
     """
 
     psi: np.ndarray
@@ -52,6 +62,7 @@ class LevelSetGrid:
     vs: np.ndarray
     t: float = 0.0
     _segments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _fields: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.psi.ndim != 3:
@@ -507,8 +518,8 @@ def _zero_segments(psi, xs, ys):
 def _march(L: LevelSetGrid):
     """_zero_segments of L's psi, marched once per state and kept on L.
 
-    The measurement at a reinitialization step and the evolution step
-    after it read the same state, so they share one march.
+    The fields of a state, its reinitialization and its extraction all
+    read the same march.
     """
     if L._segments is None or L._segments[0] is not L.psi:
         L._segments = (L.psi, _zero_segments(L.psi, L.xs, L.ys))
@@ -643,11 +654,15 @@ class _EvolutionFields:
     psi_x, psi_y, psi_v, m and S cover every slice, because the CFL
     bound and lambda read them there; the second derivatives and the
     update terms are taken on the interior slices only, the pinned
-    endpoints never being updated.
+    endpoints never being updated. The fields keep L's psi and steps,
+    not L, so a state that keeps its fields (_evolution_fields) holds no
+    reference cycle.
     """
 
     def __init__(self, L: LevelSetGrid):
         psi = L.psi
+        self.psi = psi
+        self.dx, self.dy, self.dv = L.dx, L.dy, L.dv
         self.psi_x = _gradient(psi, L.dx, 2)
         self.psi_y = _gradient(psi, L.dy, 1)
         self.psi_v = _gradient(psi, L.dv, 0)
@@ -691,7 +706,6 @@ class _EvolutionFields:
         L_v = np.zeros(nv)
         L_v[1:-1] = (self.lengths[2:] - self.lengths[:-2]) / (2.0 * L.dv)
         self.L_v = L_v
-        self.L = L
 
     def rhs(self, lam: float):
         """psi_t at lambda = lam, zero outside the interior band.
@@ -701,31 +715,30 @@ class _EvolutionFields:
         summed in the order of the formula, so reusing buffers changes
         no rounding.
         """
-        L = self.L
         if np.any(self.floored & self.interior_band):
             raise LevelSetError(
-                "|grad psi| degenerated inside the band; reinitialize more often"
+                "|grad psi| degenerated inside the band; reinitialize the field first"
             )
         mid = slice(1, -1)
-        psi = L.psi[mid]
+        psi = self.psi[mid]
         psi_x, psi_y, psi_v = self.psi_x[mid], self.psi_y[mid], self.psi_v[mid]
         psi_x2, psi_y2, g2 = self.psi_x2[mid], self.psi_y2[mid], self.g2[mid]
         # psi_t accumulates in psi_vv, its end planes zeroed with the
         # rest of the outside of the interior band at the end.
-        psi_t = _second_difference(L.psi, L.dv, 0)
+        psi_t = _second_difference(self.psi, self.dv, 0)
         rate = psi_t[mid]
-        psi_xx = _second_difference(psi, L.dx, 2)
-        psi_yy = _second_difference(psi, L.dy, 1)
+        psi_xx = _second_difference(psi, self.dx, 2)
+        psi_yy = _second_difference(psi, self.dy, 1)
         # 2 psi_xy psi_x psi_y, shared by two terms; doubling is exact.
-        xy_xy = _gradient(psi_x, L.dy, 1)
+        xy_xy = _gradient(psi_x, self.dy, 1)
         xy_xy *= psi_x
         xy_xy *= psi_y
         xy_xy *= 2.0
 
         # -(2 psi_v / g2) (psi_vx psi_x + psi_vy psi_y)
-        term = _gradient(psi_v, L.dx, 2)
+        term = _gradient(psi_v, self.dx, 2)
         term *= psi_x
-        buf = _gradient(psi_v, L.dy, 1)
+        buf = _gradient(psi_v, self.dy, 1)
         buf *= psi_y
         term += buf
         np.multiply(2.0, psi_v, out=buf)
@@ -758,9 +771,9 @@ class _EvolutionFields:
         # Upwind v-difference, forward where a = lam L_v > 0.
         a = (lam * self.L_v)[mid, None, None]
         forward = a > 0.0
-        np.subtract(L.psi[2:], psi, out=term, where=forward)
-        np.subtract(psi, L.psi[:-2], out=term, where=~forward)
-        term /= L.dv
+        np.subtract(self.psi[2:], psi, out=term, where=forward)
+        np.subtract(psi, self.psi[:-2], out=term, where=~forward)
+        term /= self.dv
         term *= a
         rate += term
         np.copyto(psi_t, 0.0, where=~self.interior_band)
@@ -768,19 +781,18 @@ class _EvolutionFields:
 
     def cfl_dt(self, lam: float):
         """The largest stable explicit step at lambda = lam."""
-        L = self.L
         if not np.any(self.interior_band):
-            return 0.2 * L.dv * L.dv
+            return 0.2 * self.dv * self.dv
         m = self.m[self.interior_band]
         s_max = float(np.max(self.S))
         plane_coef = float(
             np.max(m + 0.5 * np.abs(m - lam * s_max) + 2.0 * np.sqrt(m))
         )
         plane_coef = max(plane_coef, 1e-6)
-        dt = 0.2 * min(L.dv * L.dv, min(L.dx, L.dy) ** 2 / plane_coef)
+        dt = 0.2 * min(self.dv * self.dv, min(self.dx, self.dy) ** 2 / plane_coef)
         a_max = float(np.max(np.abs(lam * self.L_v)))
         if a_max > 0.0:
-            dt = min(dt, 0.5 * L.dv / a_max)
+            dt = min(dt, 0.5 * self.dv / a_max)
         return dt
 
     def stabilizing_lambda(self) -> float:
@@ -790,10 +802,41 @@ class _EvolutionFields:
         ratio = self.m / self.S[:, None, None]
         return float(np.max(ratio[self.band]))
 
+    def needs_reinitialization(self) -> bool:
+        """Whether the field has drifted too far from a signed distance to step.
+
+        True when |grad psi| leaves [_GRAD_LOW, _GRAD_HIGH] at an
+        interior-slice node within _FRONT_WIDTH cells of the zero set, or
+        when rhs would refuse the state (|grad psi| < 0.3 in the interior
+        band). Only the floor is checked in the outer band: near a
+        medial axis the central differences of even an exact distance
+        give |grad psi| about _GRAD_LOW, and a reinitialization there
+        does not last a step. A NaN gradient counts as out of range.
+        """
+        if np.any(self.floored & self.interior_band):
+            return True
+        near = np.abs(self.psi) <= _FRONT_WIDTH * max(self.dx, self.dy)
+        near[0] = near[-1] = False
+        g2 = self.g2[near]
+        if not g2.size:
+            return False
+        return not (_GRAD_LOW**2 <= g2.min() and g2.max() <= _GRAD_HIGH**2)
+
+
+def _evolution_fields(L: LevelSetGrid) -> _EvolutionFields:
+    """_EvolutionFields of L's psi, built once per state and kept on L.
+
+    run_geodesic's reinitialization check, levelset_lambda and the step
+    from a state all read the same fields.
+    """
+    if L._fields is None or L._fields[0] is not L.psi:
+        L._fields = (L.psi, _EvolutionFields(L))
+    return L._fields[1]
+
 
 def levelset_lambda(L: LevelSetGrid) -> float:
     """Stabilizing lambda: max over band points of (psi_v^2/|grad psi|^2) / S."""
-    return _EvolutionFields(L).stabilizing_lambda()
+    return _evolution_fields(L).stabilizing_lambda()
 
 
 def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
@@ -803,7 +846,7 @@ def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
     the endpoint slices stay pinned. run_geodesic passes every step the
     lambda it froze at t = 0, levelset_lambda of the embedding.
     """
-    fields = _EvolutionFields(L)
+    fields = _evolution_fields(L)
     dt = fields.cfl_dt(lam)
     psi = fields.rhs(lam)
     psi *= dt
@@ -928,7 +971,6 @@ def run_geodesic(
     nv: int = 17,
     max_steps: int = 1500,
     tol: float = 1e-3,
-    reinit_every: int = 10,
     snapshot_every: int = 50,
     box=None,
 ) -> GeodesicResult:
@@ -936,20 +978,26 @@ def run_geodesic(
 
     Embeds the linear homotopy, freezes lambda at t = 0 (band maximum
     of the speed ratio, the level-set analog of the stable choice),
-    then alternates evolution steps at the CFL dt with periodic
-    reinitialization. Slices are extracted at _N_THETA samples.
-    Convergence is judged on the zero set itself: once per
-    reinitialization cycle the extracted slice contours are compared
-    with the previous cycle's, and the run stops when their largest
-    displacement per unit flow time drops below tol. Pointwise psi
-    rates are no good for this; the off-zero level sets never settle
-    because every slice is driven by the zero contour's own integrals.
-    Non-convergence within max_steps is reported in the result, not
-    raised. Unit-circle-sized problems typically need flow time around
-    one, about 1500 steps at the default grid.
+    then takes evolution steps at the CFL dt. A state is reinitialized
+    before its step only when its field has drifted from a signed
+    distance (Sussman, Smereka & Osher, JCP 114, 1994): when |grad psi|
+    within 3 cells of the front leaves [0.5, 2], or falls below the 0.3
+    that the step refuses anywhere in the band. The check reads the
+    fields the step builds anyway; there is no fixed cadence. Slices are
+    extracted at _N_THETA samples. Convergence is judged on the zero set
+    itself: every 10 steps the extracted slice contours are compared
+    with those of the previous measurement, and the run stops when
+    their largest displacement per unit flow time drops below tol >= 0.
+    Pointwise psi rates are no good for this; the off-zero level sets
+    never settle because every slice is driven by the zero contour's own
+    integrals. Non-convergence within max_steps is reported in the
+    result, not raised. Unit-circle-sized problems typically need flow
+    time around one, about 1000 steps at the default grid.
     """
+    if not 0.0 <= tol < np.inf:
+        raise InputDataError(f"tol must be a finite number >= 0, got {tol!r}")
     L = embed((c0, c1), nx=nx, ny=ny, nv=nv, box=box)
-    fields = _EvolutionFields(L)
+    fields = _evolution_fields(L)
     converged = False
     try:
         lam = fields.stabilizing_lambda()
@@ -957,13 +1005,11 @@ def run_geodesic(
         if float(np.max(fields.m[fields.band])) > 1e-10:
             raise
         # psi_v vanishes everywhere, so every update term vanishes
-        # identically and the field is exactly stationary. Stepping
-        # would only let reinitialization wander the zero set.
+        # identically and the field is exactly stationary.
         lam = 0.0
         converged = True
-    del fields  # not held through the run: each step builds its own
+    del fields  # held by L, and freed with it after the first step
     factor = ConformalFactor.exp_length(lam)
-    measure_every = reinit_every if reinit_every else 10
     energies = []
     conformals = []
 
@@ -987,11 +1033,11 @@ def run_geodesic(
         prev_t = L.t
         try:
             for step in range(1, max_steps + 1):
-                L = evolve_step(L, lam)
-                if reinit_every and step % reinit_every == 0:
+                if _evolution_fields(L).needs_reinitialization():
                     L = reinitialize(L)
+                L = evolve_step(L, lam)
                 snapshot = bool(snapshot_every) and step % snapshot_every == 0
-                measure = step % measure_every == 0 or step == max_steps
+                measure = step % _MEASURE_EVERY == 0 or step == max_steps
                 snapshot_is_final = snapshot
                 if snapshot or measure:
                     extraction = extract_slices(L)

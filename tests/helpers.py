@@ -458,7 +458,7 @@ class ReferenceEvolutionFields:
         L = self.L
         if np.any(self.g2_raw[self.interior_band] < 0.09):
             raise LevelSetError(
-                "|grad psi| degenerated inside the band; reinitialize more often"
+                "|grad psi| degenerated inside the band; reinitialize the field first"
             )
         psi_vx = np.gradient(self.psi_v, L.dx, axis=2)
         psi_vy = np.gradient(self.psi_v, L.dy, axis=1)

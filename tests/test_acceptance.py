@@ -234,26 +234,30 @@ def test_criterion_15_levelset_geodesic_translated_circles():
     conf = result.conformal_trace
     c_linear = energy(linear, conf_spec).total
     # No worse than the linear homotopy in the descended energy; measured
-    # 2.7934 against 2.8424 (-1.7%).
+    # 2.7877 against 2.8424 (-1.9%).
     assert conf[-1] <= c_linear, (
         f"extracted conformal energy {conf[-1]} exceeds the linear "
         f"homotopy's {c_linear}"
     )
     # A real drop: the t = 0 extraction bias is only -0.19%, so a solver
-    # that never moved fails this; measured ratio 0.985.
+    # that never moved fails this; measured ratio 0.983.
     assert conf[-1] < 0.995 * conf[0], f"conformal energy barely moved: {conf}"
     # Descent at every snapshot, up to re-extraction noise; measured
-    # largest rise 2.7e-4 relative.
-    assert np.max(np.diff(conf)) < 2e-3 * conf[0], f"conformal energy rose: {conf}"
-    # Plain E^N stays within 1% of linear. The exact conformal minimizer
-    # over circle families already ends +0.40% above linear at lam = 1/pi
-    # (see test_energies); the solve measures +0.48%.
+    # largest rise 1.26e-4 relative.
+    assert np.max(np.diff(conf)) < 5e-4 * conf[0], f"conformal energy rose: {conf}"
+    # The run ends at the lowest conformal energy it reached, up to that
+    # noise; measured 4.5e-5 relative above the trace minimum. A fixed
+    # reinitialization cadence made it climb 1.1e-3 after its minimum.
+    assert conf[-1] <= (1.0 + 2e-4) * conf.min(), f"conformal energy climbed: {conf}"
+    # Plain E^N ends no higher than linear; measured -0.30%. The
+    # conformal descent need not lower it: the exact conformal minimizer
+    # over circle families ends +0.40% above linear at lam = 1/pi (see
+    # test_energies).
     e_final = result.energy_trace[-1]
     e_linear = energy(linear, GEOM).total
-    assert e_final <= 1.01 * e_linear, (
+    assert e_final <= e_linear, (
         f"extracted E^N {e_final} exceeds the linear homotopy's {e_linear} "
-        f"by {100 * (e_final / e_linear - 1):.2f}%, beyond the +0.40% that "
-        "the conformal minimizer trades for its drop at lam = 1/pi"
+        f"by {100 * (e_final / e_linear - 1):.2f}%"
     )
 
 

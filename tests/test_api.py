@@ -89,7 +89,7 @@ def test_the_level_set_state_and_step_hold_no_settable_knob():
     from curvemetrics import levelset
 
     assert [f.name for f in fields(levelset.LevelSetGrid)] == [
-        "psi", "xs", "ys", "vs", "t", "_segments",
+        "psi", "xs", "ys", "vs", "t", "_segments", "_fields",
     ]
     assert list(inspect.signature(levelset.evolve_step).parameters) == ["L", "lam"]
     offenders = [

@@ -401,10 +401,16 @@ def test_geodesic_subcommand_writes_artifacts(tmp_path, capsys):
 
 
 def test_geodesic_level_set_failure_exits_4_with_its_step(tmp_path, capsys, monkeypatch):
-    def vanished(L):
-        raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+    original = levelset.evolve_step
+    calls = []
 
-    monkeypatch.setattr(levelset, "reinitialize", vanished)
+    def vanishing(L, lam):
+        calls.append(L.t)
+        if len(calls) == 10:
+            raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+        return original(L, lam)
+
+    monkeypatch.setattr(levelset, "evolve_step", vanishing)
     c0 = write_circle(tmp_path, "c0.json")
     c1 = write_circle(tmp_path, "c1.json", center=(0.5, 0.0))
     code = main(
@@ -569,7 +575,7 @@ def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
     h = str(tmp_path / "h.csv")
     curveio.save_pointset_csv(h, unit_circle(n=16).points)
     cfg = tmp_path / "geo.cfg"
-    cfg.write_text("nx=32\nreinit_every=5\n")
+    cfg.write_text("nx=32\ntol=0.01\n")
     assert main(["--config", str(cfg), "hausdorff", "--a", h, "--b", h]) == 0
     assert capsys.readouterr().err == ""
 
@@ -846,6 +852,63 @@ def test_flow_dt_and_lam_take_auto_or_a_finite_number(tmp_path, capsys, flag, to
     err = capsys.readouterr().err
     assert err.startswith("InputDataError: ") and flag in err and repr(token) in err
 
+
+_NUMBER_FLAGS = [
+    ("energy", ["--grid", "g.csv"], "--A"),
+    ("energy", ["--grid", "g.csv"], "--alpha"),
+    ("energy", ["--grid", "g.csv"], "--beta"),
+    ("energy", ["--grid", "g.csv"], "--factor-lam"),
+    ("inner", ["--curve", "c.csv", "--h", "h.csv", "--k", "k.csv"], "--A"),
+    ("inner", ["--curve", "c.csv", "--h", "h.csv", "--k", "k.csv"], "--factor-lam"),
+    ("flow", ["--curve", "c.csv"], "--A"),
+    ("flow", ["--curve", "c.csv"], "--factor-lam"),
+    ("flow", ["--grid", "g.csv"], "--stop-displacement"),
+    ("geodesic", ["--c0", "a.csv", "--c1", "b.csv", "--out", "o"], "--tol"),
+]
+
+
+@pytest.mark.parametrize("command, required, flag", _NUMBER_FLAGS)
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("from_config", [False, True])
+def test_number_flags_take_only_finite_numbers(tmp_path, capsys, command, required, flag,
+                                               token, from_config):
+    # The value is converted before any file is read.
+    argv = [command, *required]
+    if from_config:
+        cfg = tmp_path / "numbers.cfg"
+        cfg.write_text(f"{flag.lstrip('-')}={token}\n")
+        argv = ["--config", str(cfg), *argv]
+    else:
+        argv += [f"{flag}={token}"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"InputDataError: {flag} takes a finite number") and repr(token) in err
+
+
+@pytest.mark.parametrize(
+    "command, required, flag",
+    [("flow", ["--grid", "g.csv"], "--stop-displacement"),
+     ("geodesic", ["--c0", "a.csv", "--c1", "b.csv", "--out", "o"], "--tol")],
+)
+def test_tol_and_stop_displacement_take_numbers_at_least_0(capsys, command, required, flag):
+    assert main([command, *required, f"{flag}=-1e-3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"InputDataError: {flag} takes a finite number >= 0, got '-1e-3'"
+    )
+
+
+def test_geodesic_has_no_reinitialization_cadence(tmp_path, capsys):
+    # The solver reinitializes when its field asks for it; no option or
+    # config key sets a cadence.
+    argv = ["geodesic", "--c0", "a.csv", "--c1", "b.csv", "--out", "o"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--reinit-every", "5"])
+    assert exc.value.code == 2
+    assert "--reinit-every" in capsys.readouterr().err
+    cfg = tmp_path / "geo.cfg"
+    cfg.write_text("reinit_every=5\n")
+    assert main(["--config", str(cfg), *argv]) == 3
+    assert "reinit_every" in capsys.readouterr().err
 
 
 def reference_total(C, spec):

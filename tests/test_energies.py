@@ -635,3 +635,17 @@ def test_energy_gradient_is_rigid_motion_equivariant(angle, shift, kind, seed):
     G = energy_gradient(C, GRADIENT_FACTORS[kind])
     got = energy_gradient(moved, GRADIENT_FACTORS[kind])
     np.testing.assert_allclose(got, G @ R.T, rtol=0.0, atol=1e-9 * np.max(np.abs(G)))
+
+
+def test_energy_spec_and_factor_reject_non_finite_parameters():
+    bad = [
+        dict(kind="MM", A=np.nan), dict(kind="MM", A=np.inf), dict(kind="MM", A=-1.0),
+        dict(kind="alpha_beta", alpha=np.nan), dict(kind="alpha_beta", beta=np.inf),
+        dict(kind="alpha_beta", alpha=0.0),
+    ]
+    for params in bad:
+        with pytest.raises(InputDataError):
+            EnergySpec(**params)
+    for lam in (np.nan, np.inf, -1.0):
+        with pytest.raises(InputDataError, match="exp_lambda_L needs lambda >= 0"):
+            ConformalFactor.exp_length(lam)

@@ -753,3 +753,15 @@ def test_frame_curvature_matches_the_standalone_kernel(name):
         immersed_part.values, C.dtheta, immersed_part.scale_hint
     )
     assert np.array_equal(vstar_calculus(immersed_part).c_ss, H_i)
+
+
+def test_flows_reject_a_non_finite_a_or_stop_displacement():
+    # The checks run before the first step, and NaN fails them too.
+    c = unit_circle(n=64)
+    for A in (np.nan, np.inf, -1.0):
+        with pytest.raises(InputDataError, match="the arclength flow needs A >= 0"):
+            next(iter_curve_flow(c, A, steps=0))
+    C = translating_circle(n_theta=64, n_v=8)
+    for stop in (np.nan, np.inf, -1.0):
+        with pytest.raises(InputDataError, match="stop_displacement must be a finite number"):
+            next(flows.iter_homotopy_flow(C, steps=0, stop_displacement=stop))

@@ -775,13 +775,18 @@ def test_single_node_loops_keep_negative_side_on_left():
 
 
 def test_run_geodesic_names_the_step_of_a_level_set_failure(monkeypatch):
-    def vanished(L):
-        raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+    calls = []
 
-    monkeypatch.setattr(levelset, "reinitialize", vanished)
+    def vanishing(L, lam):
+        calls.append(L.t)
+        if len(calls) == 10:
+            raise LevelSetError("slice 2 has an empty zero set; the curve vanished")
+        return evolve_step(L, lam)
+
+    monkeypatch.setattr(levelset, "evolve_step", vanishing)
     c0, c1 = circle_pair()
     with pytest.raises(LevelSetError, match=r"^step 10, t = \S+: slice 2 has") as info:
-        run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=20, reinit_every=10)
+        run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=20)
     assert isinstance(info.value.__cause__, LevelSetError)
 
 
@@ -893,8 +898,7 @@ def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, m
     monkeypatch.setattr(levelset, "extract_slices", counting)
     c0, c1 = circle_pair()
     result = run_geodesic(
-        c0, c1, nx=32, ny=32, nv=5, max_steps=max_steps, tol=1e-12,
-        reinit_every=10, snapshot_every=10,
+        c0, c1, nx=32, ny=32, nv=5, max_steps=max_steps, tol=1e-12, snapshot_every=10,
     )
     assert result.steps == max_steps and not result.converged
     assert len(calls) == extracts
@@ -1121,10 +1125,10 @@ def test_evolution_matches_reference_fields(make, last_step):
 
 
 def test_run_geodesic_marches_each_state_once(monkeypatch):
-    # 100 steps with a reinitialization every 10 make 111 states: the
-    # embedding, 100 step results and 10 reinitialized fields. lambda,
-    # the first extraction and the first step share the embedding's
-    # march; each extraction shares its state's march with the next step.
+    # 100 steps that never reinitialize make 101 states: the embedding
+    # and 100 step results. lambda, the first extraction and the first
+    # step share the embedding's march; each extraction shares its
+    # state's march with the next step.
     calls = []
     original = levelset._zero_segments
 
@@ -1134,6 +1138,90 @@ def test_run_geodesic_marches_each_state_once(monkeypatch):
 
     monkeypatch.setattr(levelset, "_zero_segments", counting)
     c0, c1 = circle_pair()
-    result = run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=100, tol=0.0, reinit_every=10)
+    result = run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=100, tol=0.0)
     assert result.steps == 100 and not result.converged
-    assert len(calls) == 111
+    assert len(calls) == 101
+
+
+@pytest.mark.parametrize("scale, drifted", [(1.0, False), (3.0, True), (0.4, True)])
+def test_reinitialization_check_reads_grad_psi_near_the_front(scale, drifted):
+    # An embedding is a signed distance. Scaling its interior slices
+    # puts |grad psi| near the front at 3 or 0.4, outside [0.5, 2].
+    L = embed(circle_pair(), nx=32, ny=32, nv=5)
+    psi = L.psi.copy()
+    psi[1:-1] *= scale
+    fields = _EvolutionFields(LevelSetGrid(psi=psi, xs=L.xs, ys=L.ys, vs=L.vs))
+    assert fields.needs_reinitialization() == drifted
+
+
+def test_reinitialization_check_fires_where_rhs_would_refuse():
+    L = embed(circle_pair(), nx=32, ny=32, nv=5)
+    psi = L.psi.copy()
+    psi[2] *= 0.25
+    fields = _EvolutionFields(LevelSetGrid(psi=psi, xs=L.xs, ys=L.ys, vs=L.vs))
+    assert fields.needs_reinitialization()
+    with pytest.raises(LevelSetError, match="degenerated inside the band"):
+        fields.rhs(levelset_lambda(L))
+
+
+def counting_calls(monkeypatch, name):
+    """Replace levelset.<name> by a wrapper that records each call's first argument."""
+    calls = []
+    original = getattr(levelset, name)
+
+    def counting(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
+
+    monkeypatch.setattr(levelset, name, counting)
+    return calls
+
+
+def test_run_geodesic_reinitializes_a_drifted_state_before_its_step(monkeypatch):
+    # The 5th step's result comes back with its interior slices scaled
+    # by 3, so the check before step 6 reinitializes that state, and only
+    # that one. The reinitialized state is marched once and its step
+    # shares that march: 1 + steps + reinitializations marches in all.
+    stepped, drifted = [], []
+
+    def drifting(L, lam):
+        out = evolve_step(L, lam)
+        if len(stepped) == 4:
+            psi = out.psi.copy()
+            psi[1:-1] *= 3.0
+            out = LevelSetGrid(psi=psi, xs=out.xs, ys=out.ys, vs=out.vs, t=out.t)
+            drifted.append(out)
+        stepped.append(out)
+        return out
+
+    monkeypatch.setattr(levelset, "evolve_step", drifting)
+    reinits = counting_calls(monkeypatch, "reinitialize")
+    marches = counting_calls(monkeypatch, "_zero_segments")
+    c0, c1 = circle_pair()
+    result = run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=400, tol=2e-2)
+    assert result.converged
+    assert len(drifted) == 1 and len(reinits) == 1 and reinits[0] is drifted[0]
+    assert len(marches) == 1 + result.steps + len(reinits)
+
+
+def test_run_geodesic_skips_the_medial_axis_of_a_coarse_band(monkeypatch):
+    # At 24x24 the band of the circle pair reaches the circles' centres,
+    # where the differences of even an exact distance give |grad psi|
+    # near 0.5. Held to [0.5, 2] there, the check fired before almost
+    # every step; read near the front, it fires only where rhs would
+    # refuse the state (2 times in 200 steps when measured).
+    c0, c1 = circle_pair()
+    L = embed((c0, c1), nx=24, ny=24, nv=5)
+    fields = _EvolutionFields(L)
+    assert np.sqrt(fields.g2[fields.interior_band].min()) < 0.55
+    reinits = counting_calls(monkeypatch, "reinitialize")
+    result = run_geodesic(c0, c1, nx=24, ny=24, nv=5, max_steps=400, tol=2e-2)
+    assert result.converged
+    assert len(reinits) <= 5
+
+
+def test_run_geodesic_rejects_a_non_finite_or_negative_tol():
+    c0, c1 = circle_pair()
+    for tol in (np.nan, np.inf, -1e-3):
+        with pytest.raises(InputDataError, match="tol must be a finite number >= 0"):
+            run_geodesic(c0, c1, nx=32, ny=32, nv=5, max_steps=1, tol=tol)
