@@ -43,7 +43,12 @@ from .curves import (
     scale,
     tangent_frame,
 )
-from .errors import InputDataError, NotImmersedError, StalledHomotopyError
+from .errors import (
+    InputDataError,
+    NotImmersedError,
+    NumericalFailureError,
+    StalledHomotopyError,
+)
 from .homotopy import HomotopyGrid, _per_row, homotopy_frame, length_profile
 
 KIND_ALIASES = {
@@ -207,12 +212,35 @@ def _per_slice_integrand(C: HomotopyGrid, spec: EnergySpec):
     return _per_row(C, lambda frame: _window_integrand(C, spec, frame))
 
 
+def _require_finite(kind, per_slice, *totals):
+    """Raise when a slice value or a v-integral of the kind overflowed.
+
+    Grid values are finite, so an inf or NaN here is an overflow of
+    double precision (an inf times 0 or inf - inf gives the NaN).
+    """
+    bad = np.flatnonzero(~np.isfinite(per_slice))
+    if len(bad):
+        j = int(bad[0])
+        raise NumericalFailureError(
+            f"the {kind} energy overflowed: slice {j} gives {per_slice[j]}"
+        )
+    if not np.all(np.isfinite(totals)):
+        raise NumericalFailureError(
+            f"the {kind} energy overflowed in the integral over v"
+        )
+
+
 def energy(C: HomotopyGrid, spec: EnergySpec) -> EnergyReport:
-    """Path energy of the homotopy under the chosen kind."""
+    """Path energy of the homotopy under the chosen kind.
+
+    An energy that overflows raises NumericalFailureError, naming the
+    first slice whose value is not finite.
+    """
     if spec.kind == "intermediate":
         raise InputDataError("the intermediate metric has inner products only")
     per_slice = _per_slice_integrand(C, spec)
     total = float(C.integrate_v(per_slice))
+    _require_finite(spec.kind, per_slice, total)
     theta_rule = "riemann-theta" if C.periodic else "trapezoid-u"
     return EnergyReport(
         total=total,
@@ -344,7 +372,8 @@ def path_len_energy(C: HomotopyGrid, spec: EnergySpec):
 
     The slice norm is the square root of the per-slice integrand
     integral, so E is the ordinary path energy and the inequality is
-    the discrete Cauchy-Schwarz of the trapezoid weights.
+    the discrete Cauchy-Schwarz of the trapezoid weights. An energy that
+    overflows raises NumericalFailureError, as in energy().
     """
     if spec.kind == "J":
         raise InputDataError("J is not a metric kind; it has no path length")
@@ -352,6 +381,7 @@ def path_len_energy(C: HomotopyGrid, spec: EnergySpec):
     speeds = np.sqrt(np.maximum(per_slice, 0.0))
     length = float(C.integrate_v(speeds))
     total = float(C.integrate_v(per_slice))
+    _require_finite(spec.kind, per_slice, length, total)
     return length, total
 
 
@@ -379,7 +409,8 @@ def stable_lambda(C: HomotopyGrid) -> float:
 
     m is the squared normal speed per sample and M(v) its slice
     integral in arclength measure. Slices where M vanishes (a stalled
-    homotopy) make the quotient meaningless and raise. Each slice is
+    homotopy) make the quotient meaningless and raise, and so do slices
+    where M overflows double precision. Each slice is
     reduced to M and its largest m: a correctly rounded division by
     M > 0 is monotone, so max(m) / M is the slice's largest m / M.
     """
@@ -391,6 +422,12 @@ def stable_lambda(C: HomotopyGrid) -> float:
             [_normal_slices(C, frame.m, frame.speed), np.max(frame.m, axis=-1)]
         ),
     )
+    overflowed = np.flatnonzero(~np.isfinite(big_m))
+    if len(overflowed):
+        j = int(overflowed[0])
+        raise NumericalFailureError(
+            f"slice {j}: M = int m ds overflowed (M = {big_m[j]}); lambda is undefined"
+        )
     eps_m = 1e-12 * C.scale_hint**2
     if np.any(big_m <= eps_m):
         j = int(np.argmin(big_m))

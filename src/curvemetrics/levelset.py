@@ -19,8 +19,9 @@ their rows never receive updates and reinitialization skips them.
 """
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import List
 
 import numpy as np
 
@@ -45,7 +46,7 @@ _FRONT_WIDTH = 3.0
 _MEASURE_EVERY = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class LevelSetGrid:
     """Scalar field psi[j, iy, ix] on a uniform box grid, one slice per v.
 
@@ -53,7 +54,7 @@ class LevelSetGrid:
     writes into psi, every step and reinitialization returns a new grid,
     and lambda is an argument of each step. The zero segments of a state
     are marched once and kept with it (_march), and so are its evolution
-    fields (_evolution_fields).
+    fields (_fields).
     """
 
     psi: np.ndarray
@@ -61,8 +62,6 @@ class LevelSetGrid:
     ys: np.ndarray
     vs: np.ndarray
     t: float = 0.0
-    _segments: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _fields: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.psi.ndim != 3:
@@ -87,6 +86,24 @@ class LevelSetGrid:
 
     def band_mask(self):
         return np.abs(self.psi) <= _BAND_WIDTH * max(self.dx, self.dy)
+
+    @cached_property
+    def _march(self):
+        """_zero_segments of psi, marched on first use and kept.
+
+        The fields, the reinitialization and the extraction of the state
+        all read this one march.
+        """
+        return _zero_segments(self.psi, self.xs, self.ys)
+
+    @cached_property
+    def _fields(self):
+        """_EvolutionFields of the state, built on first use and kept.
+
+        The reinitialization check, levelset_lambda, the step and the
+        front speed all read these fields.
+        """
+        return _EvolutionFields(self)
 
 
 @dataclass
@@ -261,7 +278,7 @@ def _grid_distance(xs, ys, a, b, group):
     has |p - c| <= rho, so a segment s with d(c, s) > min_s' d(c, s') +
     2 rho is farther from p than the segment nearest to c, and cannot be
     nearest to p. Only the other segments are measured, each pair by
-    _segment_sq_dist as in the all-pairs path, and a minimum over a
+    _segment_sq_dist as when every pair is measured, and a minimum over a
     superset of the argmin is the same float. _PRUNE_ROUNDING widens the
     bound by the rounding of the computed distances.
     """
@@ -515,17 +532,6 @@ def _zero_segments(psi, xs, ys):
     return sl, p, q, p_id, q_id, key, leaves_box
 
 
-def _march(L: LevelSetGrid):
-    """_zero_segments of L's psi, marched once per state and kept on L.
-
-    The fields of a state, its reinitialization and its extraction all
-    read the same march.
-    """
-    if L._segments is None or L._segments[0] is not L.psi:
-        L._segments = (L.psi, _zero_segments(L.psi, L.xs, L.ys))
-    return L._segments[1]
-
-
 def _bilinear(field, xs, ys, pts, sl):
     """Sample a field[j, iy, ix] at points by bilinear interpolation.
 
@@ -569,7 +575,7 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
     depend on these rules.
     """
     nv = L.psi.shape[0]
-    sl, p, q, p_id, q_id, key, leaves_box = _march(L)
+    sl, p, q, p_id, q_id, key, leaves_box = L._march
     n = len(sl)
     by_start = np.argsort(p_id)
     at = by_start[np.minimum(np.searchsorted(p_id, q_id, sorter=by_start), n - 1)]
@@ -655,8 +661,8 @@ class _EvolutionFields:
     bound and lambda read them there; the second derivatives and the
     update terms are taken on the interior slices only, the pinned
     endpoints never being updated. The fields keep L's psi and steps,
-    not L, so a state that keeps its fields (_evolution_fields) holds no
-    reference cycle.
+    not L, so a state that keeps its fields (LevelSetGrid._fields)
+    holds no reference cycle.
     """
 
     def __init__(self, L: LevelSetGrid):
@@ -684,7 +690,7 @@ class _EvolutionFields:
         # Lengths and the midpoint-rule S(v) are sums over the zero
         # segments, so no slice needs its polylines chained.
         nv = psi.shape[0]
-        sl, p, q, *_, leaves_box = _march(L)
+        sl, p, q, *_, leaves_box = L._march
         counts = np.bincount(sl, minlength=nv)
         for j in range(nv):
             if counts[j] == 0:
@@ -823,20 +829,9 @@ class _EvolutionFields:
         return not (_GRAD_LOW**2 <= g2.min() and g2.max() <= _GRAD_HIGH**2)
 
 
-def _evolution_fields(L: LevelSetGrid) -> _EvolutionFields:
-    """_EvolutionFields of L's psi, built once per state and kept on L.
-
-    run_geodesic's reinitialization check, levelset_lambda and the step
-    from a state all read the same fields.
-    """
-    if L._fields is None or L._fields[0] is not L.psi:
-        L._fields = (L.psi, _EvolutionFields(L))
-    return L._fields[1]
-
-
 def levelset_lambda(L: LevelSetGrid) -> float:
     """Stabilizing lambda: max over band points of (psi_v^2/|grad psi|^2) / S."""
-    return _evolution_fields(L).stabilizing_lambda()
+    return L._fields.stabilizing_lambda()
 
 
 def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
@@ -846,7 +841,7 @@ def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
     the endpoint slices stay pinned. run_geodesic passes every step the
     lambda it froze at t = 0, levelset_lambda of the embedding.
     """
-    fields = _evolution_fields(L)
+    fields = L._fields
     dt = fields.cfl_dt(lam)
     psi = fields.rhs(lam)
     psi *= dt
@@ -866,7 +861,7 @@ def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     lost its zero set entirely.
     """
     nv = L.psi.shape[0]
-    sl, p, q = _march(L)[:3]
+    sl, p, q = L._march[:3]
     counts = np.bincount(sl, minlength=nv)
     for j in range(1, nv - 1):
         if counts[j] == 0:
@@ -887,8 +882,9 @@ class GeodesicResult:
     energy_trace holds the plain geometric energy of the extracted
     homotopy at the snapshot times; conformal_trace holds the conformal
     energy with factor e^(lambda L), the quantity the flow descends.
-    residual is the last measured displacement rate of the extracted
-    zero contours (length per unit flow time).
+    residual is the last measured normal speed of the zero set, the
+    largest over its interior segments (length per unit flow time; see
+    run_geodesic).
     """
 
     grid: LevelSetGrid
@@ -948,19 +944,23 @@ def _largest_loops(extraction: SliceContours):
     return loops
 
 
-def _loop_displacement(loops, prev_loops):
-    """Largest distance from a point of a loop to the previous loop of its slice.
+def _front_speed(L: LevelSetGrid, stepped: LevelSetGrid) -> float:
+    """Largest normal speed of L's interior zero set over the step to stepped.
 
-    Each slice's (point, segment) pairs are measured by one
-    _segment_sq_dist call; sqrt is monotone, so one square root of the
-    largest of the per-point minima is the largest distance.
+    The speed |psi_t| / |grad psi| is read at the midpoints of L's
+    interior zero segments, psi_t being the step's difference quotient
+    (stepped.psi - L.psi) / dt and |grad psi| that of L's fields, so it
+    takes no march and no gradient pass of its own. Pinned endpoint
+    slices never move and are left out.
     """
-    worst = 0.0
-    for poly, prev in zip(loops, prev_loops):
-        nxt = np.roll(prev, -1, axis=0)
-        d2 = _segment_sq_dist(poly[:, :1], poly[:, 1:], prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1])
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return float(np.sqrt(worst))
+    nv = L.psi.shape[0]
+    sl, p, q = L._march[:3]
+    inner = (sl > 0) & (sl < nv - 1)
+    sl = sl[inner]
+    mids = 0.5 * (p[inner] + q[inner])
+    rate = _bilinear(stepped.psi - L.psi, L.xs, L.ys, mids, sl) / (stepped.t - L.t)
+    grad = np.sqrt(_bilinear(L._fields.g2, L.xs, L.ys, mids, sl))
+    return float(np.max(np.abs(rate) / grad))
 
 
 def run_geodesic(
@@ -983,21 +983,27 @@ def run_geodesic(
     distance (Sussman, Smereka & Osher, JCP 114, 1994): when |grad psi|
     within 3 cells of the front leaves [0.5, 2], or falls below the 0.3
     that the step refuses anywhere in the band. The check reads the
-    fields the step builds anyway; there is no fixed cadence. Slices are
-    extracted at _N_THETA samples. Convergence is judged on the zero set
-    itself: every 10 steps the extracted slice contours are compared
-    with those of the previous measurement, and the run stops when
-    their largest displacement per unit flow time drops below tol >= 0.
-    Pointwise psi rates are no good for this; the off-zero level sets
-    never settle because every slice is driven by the zero contour's own
-    integrals. Non-convergence within max_steps is reported in the
-    result, not raised. Unit-circle-sized problems typically need flow
-    time around one, about 1000 steps at the default grid.
+    fields the step builds anyway; there is no fixed cadence.
+
+    Convergence is judged on the zero set itself: every _MEASURE_EVERY
+    steps, and at max_steps, the run reads the largest normal front
+    speed |psi_t| / |grad psi| on the interior zero segments of the
+    state just stepped (_front_speed; Osher & Fedkiw, Level Set Methods,
+    2003), and stops when it drops below tol >= 0. The rate is read on
+    the zero set only, where it is the speed of the front; the off-zero
+    level sets never settle, because every slice is driven by its zero
+    contour's own integrals. It is the rate of the step alone, so the
+    jump of a reinitialization does not count as motion. Slices are
+    extracted, at _N_THETA samples, only at t = 0, at every
+    snapshot_every-th step and at the end. Non-convergence within
+    max_steps is reported in the result, not raised. Unit-circle-sized
+    problems typically need flow time around one, about 1000 steps at
+    the default grid.
     """
     if not 0.0 <= tol < np.inf:
         raise InputDataError(f"tol must be a finite number >= 0, got {tol!r}")
     L = embed((c0, c1), nx=nx, ny=ny, nv=nv, box=box)
-    fields = _evolution_fields(L)
+    fields = L._fields
     converged = False
     try:
         lam = fields.stabilizing_lambda()
@@ -1013,48 +1019,36 @@ def run_geodesic(
     energies = []
     conformals = []
 
-    def record(loops):
-        grid = _loops_homotopy(loops)
+    def record(state):
+        extraction = extract_slices(state)
+        grid = _loops_homotopy(_largest_loops(extraction))
         energies.append(energy(grid, EnergySpec(kind="geom_H0")).total)
         conformals.append(energy(grid, EnergySpec(kind="conformal", factor=factor)).total)
-        return grid
+        return extraction, grid
 
-    # Every run ends on a measurement step, so extraction and loops hold
-    # the final state when the loop exits; homotopy does too when that
-    # step also took a snapshot.
-    extraction = extract_slices(L)
-    loops = _largest_loops(extraction)
-    homotopy = record(loops)
+    # recorded says whether the traces end on the current state; a run
+    # that ends between snapshots extracts its final state once more.
+    extraction, homotopy = record(L)
+    recorded = True
     residual = 0.0 if converged else np.inf
-    snapshot_is_final = True
     step = 0
-    if not converged:
-        prev_loops = loops
-        prev_t = L.t
-        try:
-            for step in range(1, max_steps + 1):
-                if _evolution_fields(L).needs_reinitialization():
-                    L = reinitialize(L)
-                L = evolve_step(L, lam)
-                snapshot = bool(snapshot_every) and step % snapshot_every == 0
-                measure = step % _MEASURE_EVERY == 0 or step == max_steps
-                snapshot_is_final = snapshot
-                if snapshot or measure:
-                    extraction = extract_slices(L)
-                    loops = _largest_loops(extraction)
-                if snapshot:
-                    homotopy = record(loops)
-                if measure:
-                    residual = _loop_displacement(loops, prev_loops) / (L.t - prev_t)
-                    prev_loops = loops
-                    prev_t = L.t
-                    if residual < tol:
-                        converged = True
-                        break
-        except LevelSetError as e:
-            raise LevelSetError(f"step {step}, t = {L.t:.6g}: {e}") from e
-    if not snapshot_is_final:
-        homotopy = record(loops)
+    try:
+        while not converged and step < max_steps:
+            step += 1
+            if L._fields.needs_reinitialization():
+                L = reinitialize(L)
+            stepped = evolve_step(L, lam)
+            if step % _MEASURE_EVERY == 0 or step == max_steps:
+                residual = _front_speed(L, stepped)
+                converged = residual < tol
+            L = stepped
+            recorded = bool(snapshot_every) and step % snapshot_every == 0
+            if recorded:
+                extraction, homotopy = record(L)
+        if not recorded:
+            extraction, homotopy = record(L)
+    except LevelSetError as e:
+        raise LevelSetError(f"step {step}, t = {L.t:.6g}: {e}") from e
     return GeodesicResult(
         grid=L,
         contours=extraction,

@@ -6,6 +6,9 @@ import inspect
 import pathlib
 import pkgutil
 
+import numpy as np
+import pytest
+
 import curvemetrics
 
 
@@ -84,13 +87,17 @@ def test_derivative_frame_is_called_only_by_the_two_frame_builders():
 def test_the_level_set_state_and_step_hold_no_settable_knob():
     # Lambda is an argument of the step, the band width and the box
     # margin are module constants, and a step always takes the CFL dt.
-    from dataclasses import fields
+    # A state is frozen: its march and fields are cached properties of
+    # it, not fields, and no assignment can leave them stale.
+    from dataclasses import FrozenInstanceError, fields
 
     from curvemetrics import levelset
 
-    assert [f.name for f in fields(levelset.LevelSetGrid)] == [
-        "psi", "xs", "ys", "vs", "t", "_segments", "_fields",
-    ]
+    assert [f.name for f in fields(levelset.LevelSetGrid)] == ["psi", "xs", "ys", "vs", "t"]
+    axis = np.linspace(0.0, 1.0, 8)
+    L = levelset.LevelSetGrid(psi=np.ones((3, 8, 8)), xs=axis, ys=axis, vs=axis[:3])
+    with pytest.raises(FrozenInstanceError):
+        L.psi = np.zeros((3, 8, 8))
     assert list(inspect.signature(levelset.evolve_step).parameters) == ["L", "lam"]
     offenders = [
         f"{name}({param})"

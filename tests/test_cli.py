@@ -16,7 +16,7 @@ from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_gri
 from curvemetrics.energies import ConformalFactor, EnergyReport, EnergySpec, inner_product
 from curvemetrics.errors import InputDataError, LevelSetError
 from curvemetrics.flows import run_homotopy_flow, stable_lambda
-from curvemetrics.homotopy import row_windows, sample_homotopy
+from curvemetrics.homotopy import HomotopyGrid, row_windows, sample_homotopy
 
 from helpers import reference_per_slice_integrand, translating_circle, unit_circle, wobbled
 
@@ -52,6 +52,20 @@ def test_energy_homotopy_flag_alias(tmp_path, capsys):
     assert main(["energy", "--homotopy", grid, "--kind", "param_H0"]) == 0
     record = parse_kv(capsys.readouterr().out)
     np.testing.assert_allclose(float(record["total"]), 2.0 * np.pi, rtol=1e-2)
+
+
+@pytest.mark.parametrize("kind, value", [("geom_H0", "inf"), ("J", "nan")])
+def test_energy_that_overflows_exits_4(tmp_path, capsys, kind, value):
+    # A translating circle scaled by 1e160 has finite values and energies
+    # past double precision; they used to print as inf and nan, exit 0.
+    path = tmp_path / "huge.csv"
+    C = translating_circle(n_theta=64, n_v=9, offset=0.5)
+    curveio.save_grid_csv(path, HomotopyGrid(values=1e160 * C.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["energy", "--grid", str(path), "--kind", kind]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"NumericalFailureError: the {kind} energy overflowed: slice 0 gives {value}\n"
 
 
 def test_energy_missing_file_exits_3(tmp_path, capsys):
@@ -318,6 +332,15 @@ def test_counterexample_rejects_an_aliased_winding_number(capsys, token, k):
     # The default base has 64 slices: k and k +- 63 give the same grid.
     assert main(["counterexample", "--name", "winding", "--values", token]) == 3
     assert capsys.readouterr().err.startswith(f"InputDataError: winding number k = {k} needs ")
+
+
+def test_counterexample_energy_that_overflows_exits_4(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["counterexample", "--name", "stretch", "--lam-values", "1e155", "--eps", "0.1"])
+    assert code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("NumericalFailureError: the conformal energy overflowed: slice 0 ")
 
 
 def test_counterexample_accepts_whole_float_values(capsys):

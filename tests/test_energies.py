@@ -28,7 +28,12 @@ from curvemetrics.energies import (
     scaling_check,
     stable_lambda,
 )
-from curvemetrics.errors import InputDataError, NotImmersedError, StalledHomotopyError
+from curvemetrics.errors import (
+    InputDataError,
+    NotImmersedError,
+    NumericalFailureError,
+    StalledHomotopyError,
+)
 from curvemetrics.flows import vstar_calculus
 from curvemetrics.homotopy import (
     HomotopyGrid,
@@ -649,3 +654,52 @@ def test_energy_spec_and_factor_reject_non_finite_parameters():
     for lam in (np.nan, np.inf, -1.0):
         with pytest.raises(InputDataError, match="exp_lambda_L needs lambda >= 0"):
             ConformalFactor.exp_length(lam)
+
+
+def overflowing_grid():
+    """A 9x64 translating circle whose slices 4 to 8 are scaled by 1e160.
+
+    The central v-difference at slice 3 reaches slice 4, so slice 3 is
+    the first whose squared speeds overflow double precision.
+    """
+    C = translating_circle(n_theta=64, n_v=9, offset=0.5)
+    scale = np.where(np.arange(9) >= 4, 1e160, 1.0)
+    return HomotopyGrid(values=scale[:, None, None] * C.values)
+
+
+@pytest.mark.parametrize(
+    "spec, value",
+    [
+        (EnergySpec(kind="geom_H0"), "inf"),
+        # J multiplies an overflowed curvature weight by a zero.
+        (EnergySpec(kind="J"), "nan"),
+        (EnergySpec(kind="param_H0"), "inf"),
+        (EnergySpec(kind="MM", A=1.0), "inf"),
+        (EnergySpec(kind="alpha_beta"), "inf"),
+        (EnergySpec(kind="conformal", factor=ConformalFactor.length()), "inf"),
+    ],
+    ids=lambda x: x.kind if isinstance(x, EnergySpec) else x,
+)
+def test_an_energy_that_overflows_raises_naming_its_kind_and_slice(spec, value):
+    C = overflowing_grid()
+    want = f"the {spec.kind} energy overflowed: slice 3 gives {value}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match=want):
+            energy(C, spec)
+        if spec.kind != "J":
+            with pytest.raises(NumericalFailureError, match=want):
+                path_len_energy(C, spec)
+
+
+def test_stable_lambda_says_that_m_overflowed():
+    # An overflowed M is not a stalled homotopy, whose M vanishes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match=r"slice 3: M = int m ds overflowed \(M = inf\)"):
+            stable_lambda(overflowing_grid())
+
+
+def test_the_stretch_energy_that_overflows_raises():
+    C = conformal_stretch(0.1, 1e155)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match="the conformal energy overflowed: slice 0 gives nan"):
+            energy(C, EnergySpec(kind="conformal", factor=ConformalFactor.length()))

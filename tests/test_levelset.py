@@ -29,11 +29,12 @@ from curvemetrics.levelset import (
     _EvolutionFields,
     _bilinear,
     _check_embedded,
+    _front_speed,
     _gradient,
     _grid_distance,
     _grid_inside,
-    _loop_displacement,
     _second_difference,
+    _segment_sq_dist,
 )
 
 from helpers import (
@@ -618,6 +619,22 @@ def test_point_in_polygon_matches_edge_loop():
     assert np.array_equal(_grid_inside(xs, poly[:, 1], poly), inside)
 
 
+def loop_displacement(loops, prev_loops):
+    """Largest distance from a point of a loop to the previous loop of its slice.
+
+    Each slice's (point, segment) pairs are measured by one broadcast
+    _segment_sq_dist call, which the two tests below hold to their
+    references bit for bit; sqrt is monotone, so one square root of the
+    largest of the per-point minima is the largest distance.
+    """
+    worst = 0.0
+    for poly, prev in zip(loops, prev_loops):
+        nxt = np.roll(prev, -1, axis=0)
+        d2 = _segment_sq_dist(poly[:, :1], poly[:, 1:], prev[:, 0], prev[:, 1], nxt[:, 0], nxt[:, 1])
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return float(np.sqrt(worst))
+
+
 def test_loop_displacement_matches_norm_reference():
     poly = three_lobes()
     xs = np.linspace(-1.8, 1.8, 40)
@@ -629,7 +646,7 @@ def test_loop_displacement_matches_norm_reference():
     tpar = np.clip(np.sum(rel * d[None, :, :], axis=2) / len_sq[None, :], 0.0, 1.0)
     proj = poly[None, :, :] + tpar[..., None] * d[None, :, :]
     expected = np.min(np.linalg.norm(pts[:, None, :] - proj, axis=2), axis=1)
-    assert _loop_displacement([pts], [poly]) == np.max(expected)
+    assert loop_displacement([pts], [poly]) == np.max(expected)
 
 
 def polygon(n, radius, centre, wobble):
@@ -666,7 +683,7 @@ def test_loop_displacement_matches_all_pairs_reference(make):
         np.max(reference_distance_to_segments(pts[:, 0], pts[:, 1], old, np.roll(old, -1, axis=0)))
         for pts, old in zip(loops, prev)
     )
-    assert_same_bits(_loop_displacement(loops, prev), want)
+    assert_same_bits(loop_displacement(loops, prev), want)
 
 
 def poking_grid():
@@ -878,16 +895,22 @@ def test_run_geodesic_identical_endpoints():
 
 
 @pytest.mark.parametrize(
-    "max_steps, extracts, snapshots",
+    "max_steps, snapshot_every, extracts, snapshots",
     [
-        # Steps 10 and 20 snapshot and measure on one extraction each;
-        # the last snapshot is the final state, so it is not repeated.
-        (20, 3, 3),
-        # Step 25 only measures; its extraction gives the final entry.
-        (25, 4, 4),
+        # t = 0 and the snapshots at steps 10 and 20; the last snapshot
+        # is the final state, so it is not repeated.
+        pytest.param(20, 10, 3, 3, id="20-3-3"),
+        # t = 0, steps 10 and 20, and the final state of step 25.
+        pytest.param(25, 10, 4, 4, id="25-4-4"),
+        # t = 0, steps 25 and 50, and the final state of step 60: the
+        # convergence measurements at steps 10, 20, ..., 60 extract
+        # nothing.
+        pytest.param(60, 25, 4, 4, id="60-4-4"),
     ],
 )
-def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, monkeypatch):
+def test_run_geodesic_extracts_each_state_once(
+    max_steps, snapshot_every, extracts, snapshots, monkeypatch
+):
     calls = []
     original = levelset.extract_slices
 
@@ -898,11 +921,13 @@ def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, m
     monkeypatch.setattr(levelset, "extract_slices", counting)
     c0, c1 = circle_pair()
     result = run_geodesic(
-        c0, c1, nx=32, ny=32, nv=5, max_steps=max_steps, tol=1e-12, snapshot_every=10,
+        c0, c1, nx=32, ny=32, nv=5, max_steps=max_steps, tol=1e-12,
+        snapshot_every=snapshot_every,
     )
     assert result.steps == max_steps and not result.converged
     assert len(calls) == extracts
     assert len(set(calls)) == extracts
+    assert calls[0] == 0.0 and calls[-1] == result.grid.t
     assert result.energy_trace.size == snapshots
     assert result.conformal_trace.size == snapshots
     monkeypatch.undo()
@@ -911,6 +936,84 @@ def test_run_geodesic_extracts_each_state_once(max_steps, extracts, snapshots, m
     conf = EnergySpec(kind="conformal", factor=ConformalFactor.exp_length(result.lam))
     assert result.conformal_trace[-1] == energy(final, conf).total
     assert result.energy_trace[-1] == energy(final, EnergySpec(kind="geom_H0")).total
+
+
+def test_front_speed_tracks_the_displacement_rate_of_the_loops():
+    # run_geodesic stops on the front speed of the state just stepped.
+    # It falls with the all-pairs displacement rate of the largest loops
+    # over the last 10 steps, the measure it replaced, at a near-constant
+    # ratio a little below 1: the rate averages a speed that is falling.
+    # Measured: 0.931-0.975 here, 0.897-0.994 over three grids.
+    c0, c1 = circle_pair()
+    L = embed((c0, c1), nx=32, ny=32, nv=5)
+    lam = levelset_lambda(L)
+    prev, prev_t = levelset._largest_loops(extract_slices(L)), L.t
+    ratios = []
+    for step in range(1, 301):
+        if L._fields.needs_reinitialization():
+            L = reinitialize(L)
+        stepped = evolve_step(L, lam)
+        if step % 10 == 0:
+            speed = _front_speed(L, stepped)
+            loops = levelset._largest_loops(extract_slices(stepped))
+            moved = max(
+                np.max(reference_distance_to_segments(pts[:, 0], pts[:, 1], old, np.roll(old, -1, axis=0)))
+                for pts, old in zip(loops, prev)
+            )
+            ratios.append(speed / (moved / (stepped.t - prev_t)))
+            prev, prev_t = loops, stepped.t
+        L = stepped
+    assert len(ratios) == 30
+    assert 0.85 <= min(ratios) and max(ratios) <= 1.0
+
+
+def symmetry_pair():
+    """The unit circle and a 3-lobed circle at (0.35, 0), and a box symmetric
+    about x = 0.175, so that x -> 0.35 - x maps the box onto itself."""
+    theta = theta_grid(256)
+    radius = 1.0 + 0.05 * np.cos(3.0 * theta)
+    c1 = SampledCurve(points=np.stack([0.35 + radius * np.cos(theta), radius * np.sin(theta)], axis=1))
+    return unit_circle(), c1, (-1.6, 1.95, -1.775, 1.775)
+
+
+def symmetry_solve(c0, c1, box):
+    result = run_geodesic(c0, c1, nx=32, ny=32, nv=9, tol=5e-3, box=box)
+    assert result.converged and result.steps == 150
+    return result
+
+
+def test_run_geodesic_is_symmetric_under_an_endpoint_swap():
+    # Swapping the endpoints reverses the flow in v: the solver reproduces
+    # psi with its slices reversed, to rounding of the linear homotopy.
+    c0, c1, box = symmetry_pair()
+    ahead = symmetry_solve(c0, c1, box)
+    back = symmetry_solve(c1, c0, box)
+    assert np.max(np.abs(back.grid.psi[::-1] - ahead.grid.psi)) <= 4 * np.spacing(1.95)
+    assert back.lam == ahead.lam
+    assert np.array_equal(back.energy_trace, ahead.energy_trace)
+    assert np.array_equal(back.conformal_trace, ahead.conformal_trace)
+
+
+def test_run_geodesic_is_symmetric_under_a_mirror():
+    # x -> 0.35 - x maps each endpoint onto the mirror of itself and the
+    # box onto itself, and the solver reproduces psi with its columns
+    # reversed (5.6e-16 measured). The extracted energies move by up to
+    # 3.7e-4 relative (measured): the extraction resamples each loop
+    # from the march's first crossing and aligns base points by a whole
+    # sample, a gauge the mirror does not respect. The 1e-3 bound states
+    # that defect of the extraction (ROADMAP item 12); it is not slack
+    # of the solver.
+    c0, c1, box = symmetry_pair()
+
+    def mirror(c):
+        return SampledCurve(points=np.stack([0.35 - c.points[:, 0], c.points[:, 1]], axis=1))
+
+    plain = symmetry_solve(c0, c1, box)
+    mirrored = symmetry_solve(mirror(c0), mirror(c1), box)
+    assert np.max(np.abs(mirrored.grid.psi[:, :, ::-1] - plain.grid.psi)) <= 4 * np.spacing(1.95)
+    np.testing.assert_allclose(mirrored.lam, plain.lam, rtol=1e-14)
+    np.testing.assert_allclose(mirrored.energy_trace, plain.energy_trace, rtol=1e-3)
+    np.testing.assert_allclose(mirrored.conformal_trace, plain.conformal_trace, rtol=1e-3)
 
 
 def test_run_geodesic_translated_circles():
