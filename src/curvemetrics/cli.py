@@ -5,11 +5,12 @@ gradient flows, the level-set geodesic solver, the counterexample
 constructions, direction-function shape distances, Hausdorff
 distances, and a quick self check.
 
-Exit codes: 0 on success, 2 for usage errors (argparse), 3 for
-malformed inputs (InputDataError, NotImmersedError, and any file that
-cannot be read or written, reported as InputDataError), 4 for numerical
-failures (CFL violations, coarse grids, stalled or blown-up flows, flat
-sets, level-set degeneration). The failing error class is named on stderr.
+Exit codes: 0 on success, 2 for usage errors (argparse), then the
+exit_code of the error class: 3 for malformed inputs (InputDataError,
+NotImmersedError, and any file that cannot be read or written, reported
+as InputDataError), 4 for numerical failures (CFL violations, coarse
+grids, stalled or blown-up flows, flat sets, level-set degeneration,
+overflows). A failure writes one stderr line, which names its class.
 
 A --config file holds key=value lines (# comments allowed) that seed
 the defaults of every matching option; explicit flags override them.
@@ -25,26 +26,7 @@ from . import counterexamples, curveio, flows, homotopy, levelset, shapedist
 from .curveio import _fmt, _format_block, _read_text
 from .curves import SampledCurve, arclength, theta_grid
 from .energies import ConformalFactor, EnergySpec, energy, inner_product
-from .errors import (
-    CFLError,
-    FlatSetError,
-    GridTooCoarseError,
-    InputDataError,
-    LevelSetError,
-    NotImmersedError,
-    NumericalFailureError,
-    StalledHomotopyError,
-)
-
-_INPUT_ERRORS = (InputDataError, NotImmersedError)
-_NUMERICAL_ERRORS = (
-    CFLError,
-    GridTooCoarseError,
-    StalledHomotopyError,
-    FlatSetError,
-    LevelSetError,
-    NumericalFailureError,
-)
+from .errors import CurveMetricsError, InputDataError, NumericalFailureError
 
 MIN_CLI_SAMPLES = 16
 
@@ -70,6 +52,8 @@ class _ArgHelper:
     A parser of None stands for a subcommand that is not built: its
     options are still known to the config check, and their config values
     still converted, so a config file means the same for every command.
+    A value outside an option's choices fails only if its command runs
+    (main raises the parser's bad_config): reparam and dirshape share mode.
     """
 
     def __init__(self, config):
@@ -92,6 +76,10 @@ class _ArgHelper:
                         f"config value {dest}={raw!r} is not a valid "
                         f"{getattr(conv, '__name__', 'value')}"
                     )
+                choices = kw.get("choices")
+                if parser is not None and choices and kw["default"] not in choices:
+                    msg = f"config value {dest}={raw!r} is not one of {', '.join(choices)}"
+                    parser.set_defaults(bad_config=msg)
         if parser is not None:
             parser.add_argument(*names, **kw)
 
@@ -696,16 +684,17 @@ def main(argv=None) -> int:
                 f"config keys {sorted(unknown)} do not match any option"
             )
         args = parser.parse_args(argv)
-        return args.handler(args)
-    except _INPUT_ERRORS as e:
+        if getattr(args, "bad_config", None):
+            raise InputDataError(args.bad_config)
+        # Overflows surface as typed errors, not as numpy warnings.
+        with np.errstate(all="ignore"):
+            return args.handler(args)
+    except CurveMetricsError as e:
         print(f"{e.__class__.__name__}: {e}", file=sys.stderr)
-        return 3
+        return e.exit_code
     except OSError as e:
         print(f"InputDataError: {e.filename}: {e.strerror}", file=sys.stderr)
         return 3
-    except _NUMERICAL_ERRORS as e:
-        print(f"{e.__class__.__name__}: {e}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

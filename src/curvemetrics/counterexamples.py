@@ -26,6 +26,15 @@ from .homotopy import HomotopyGrid, shift_unwind
 # points); a parameter that implies more is rejected before allocating.
 _SAMPLE_BUDGET = 1 << 22
 
+# The fixed resolutions of the constructions: (u, v) grids, the cone's
+# slices and (theta, v) quadrature, the pulley's samples and fillet.
+WIGGLE_N_U, WIGGLE_N_V = 2049, 65
+STRETCH_N_U, STRETCH_N_V = 1001, 65
+ZIGZAG_N_V = 65
+ZIGZAG_QUAD_N_THETA, ZIGZAG_QUAD_N_V = 2048, 256
+PULLEY_N_THETA = 2048
+PULLEY_FILLET = 0.02
+
 
 def _check_budget(name, value, samples):
     """Raise InputDataError naming the parameter when samples > _SAMPLE_BUDGET."""
@@ -110,7 +119,7 @@ def tessellate(Ctilde: HomotopyGrid, h: int) -> HomotopyGrid:
     return HomotopyGrid(values=values, periodic=False)
 
 
-def graph_wiggle(j: int, n_u: int = 2049, n_v: int = 65) -> HomotopyGrid:
+def graph_wiggle(j: int) -> HomotopyGrid:
     """Graph homotopy (u, v + gamma(v) sin(2 pi j u)) with tent gamma = min(v, 1-v).
 
     Unit-speed endpoints, wiggly interior; the alpha-beta (2,1) energy
@@ -119,11 +128,11 @@ def graph_wiggle(j: int, n_u: int = 2049, n_v: int = 65) -> HomotopyGrid:
     """
     if j < 0 or int(j) != j:
         raise InputDataError("wiggle frequency j must be a nonnegative integer")
-    u = np.linspace(0.0, 1.0, n_u)
-    v = np.linspace(0.0, 1.0, n_v)
+    u = np.linspace(0.0, 1.0, WIGGLE_N_U)
+    v = np.linspace(0.0, 1.0, WIGGLE_N_V)
     gamma = np.minimum(v, 1.0 - v)
     y = v[:, None] + gamma[:, None] * np.sin(2.0 * np.pi * j * u)[None, :]
-    values = np.empty((n_v, n_u, 2))
+    values = np.empty((WIGGLE_N_V, WIGGLE_N_U, 2))
     values[..., 0] = u[None, :]
     values[..., 1] = y
     return HomotopyGrid(values=values, periodic=False)
@@ -183,22 +192,20 @@ class ZigzagCone:
             total += float(np.sum(out))
         return total * (2.0 * np.pi / m_theta) * ((v_hi - v_lo) / n_v)
 
-    def first_phase_energy(self, n_theta=2048, n_v=256) -> float:
+    def first_phase_energy(self) -> float:
         """Normal energy of the spike-growing phase v in [0, 1/2]."""
-        return self._quad(1, 0.0, 0.5, n_theta, n_v)
+        return self._quad(1, 0.0, 0.5, ZIGZAG_QUAD_N_THETA, ZIGZAG_QUAD_N_V)
 
-    def second_phase_energy(self, n_theta=2048, n_v=256) -> float:
+    def second_phase_energy(self) -> float:
         """Normal energy of the valley-filling phase v in [1/2, 1]."""
-        return self._quad(2, 0.5, 1.0, n_theta, n_v)
+        return self._quad(2, 0.5, 1.0, ZIGZAG_QUAD_N_THETA, ZIGZAG_QUAD_N_V)
 
-    def total_normal_energy(self, n_theta=2048, n_v=256) -> float:
+    def total_normal_energy(self) -> float:
         """Normal energy of the whole cone homotopy."""
-        return self.first_phase_energy(n_theta, n_v) + self.second_phase_energy(
-            n_theta, n_v
-        )
+        return self.first_phase_energy() + self.second_phase_energy()
 
 
-def zigzag_cone(k: int, c1: SampledCurve, n_v: int = 65) -> ZigzagCone:
+def zigzag_cone(k: int, c1: SampledCurve) -> ZigzagCone:
     """Cone from the origin to c1 through sawtooth spikes of width pi/k.
 
     c1 must lie on the unit sphere at unit speed; then |dC/dtheta|^2 =
@@ -220,8 +227,8 @@ def zigzag_cone(k: int, c1: SampledCurve, n_v: int = 65) -> ZigzagCone:
 
     eps = np.pi / k
     thetas = c1.thetas()
-    vs = np.linspace(0.0, 1.0, n_v)
-    values = np.empty((n_v, c1.n_samples, c1.dim))
+    vs = np.linspace(0.0, 1.0, ZIGZAG_N_V)
+    values = np.empty((ZIGZAG_N_V, c1.n_samples, c1.dim))
     for j, v in enumerate(vs):
         if v <= 0.5:
             rho = (2.0 * v / eps) * _sawtooth(thetas, eps)
@@ -398,7 +405,7 @@ class PulleyResult:
     slide_rate_max: float
 
 
-def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> PulleyResult:
+def pulley(h: int) -> PulleyResult:
     """Block-and-tackle homotopy with 2h strands per tackle.
 
     The rope is inextensible and clamped at K, so the material point at
@@ -410,14 +417,13 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     if h < 1 or int(h) != h:
         raise InputDataError("pulley needs a positive integer h")
     h = int(h)
-    if n_v <= 0:
-        n_v = 8 * h + 1
-    # The grid, and about 4h features per slice.
-    _check_budget("pulley h", h, max(n_v * n_theta, 4 * h))
+    n_v = 8 * h + 1
+    # The grid, which always outnumbers the about 4h features of a slice.
+    _check_budget("pulley h", h, n_v * PULLEY_N_THETA)
     vs = np.linspace(0.0, 1.0, n_v)
-    thetas = theta_grid(n_theta)
+    thetas = theta_grid(PULLEY_N_THETA)
 
-    rails = _pulley_rails(h, fillet)
+    rails = _pulley_rails(h, PULLEY_FILLET)
     feats0 = _pulley_features(h, 0.0, rails)
     length = float(sum(f[-1] for f in feats0))
     scale = 2.0 * np.pi / length
@@ -435,7 +441,7 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
 
     # The sample arclengths, then the probe's.
     s_samples = np.append((thetas / (2.0 * np.pi)) * length, s_probe)
-    values = np.empty((n_v, n_theta, 2))
+    values = np.empty((n_v, PULLEY_N_THETA, 2))
     probe_dist = np.empty(n_v)
     clamp = np.array([2.0, 0.0])
     for j, v in enumerate(vs):
@@ -453,7 +459,7 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     dv = 1.0 / (n_v - 1)
     diffs = (values[1:] - values[:-1]) / dv
     param_energy = float(
-        np.sum(diffs * diffs) * (2.0 * np.pi / n_theta) * dv
+        np.sum(diffs * diffs) * (2.0 * np.pi / PULLEY_N_THETA) * dv
     )
     slide_rate_max = float(np.max(np.abs(np.diff(probe_dist)))) / dv
     max_normal_speed = scale * 0.5
@@ -467,7 +473,7 @@ def pulley(h: int, n_theta: int = 2048, n_v: int = 0, fillet: float = 0.02) -> P
     )
 
 
-def conformal_stretch(eps: float, lam: float, n_u: int = 1001, n_v: int = 65) -> HomotopyGrid:
+def conformal_stretch(eps: float, lam: float) -> HomotopyGrid:
     """Vertical translation of a strip whose floor has a tent of slope lam.
 
     The base curve runs flat except for a tent of half-width eps and
@@ -479,12 +485,12 @@ def conformal_stretch(eps: float, lam: float, n_u: int = 1001, n_v: int = 65) ->
         raise InputDataError("stretch needs 0 < eps < 1/2")
     if lam < 0.0:
         raise InputDataError("stretch needs lam >= 0")
-    u = np.linspace(0.0, 1.0, n_u)
+    u = np.linspace(0.0, 1.0, STRETCH_N_U)
     floor_y = np.where(
         u <= eps, lam * u, np.where(u <= 2.0 * eps, lam * (2.0 * eps - u), 0.0)
     )
-    v = np.linspace(0.0, 1.0, n_v)
-    values = np.empty((n_v, n_u, 2))
+    v = np.linspace(0.0, 1.0, STRETCH_N_V)
+    values = np.empty((STRETCH_N_V, STRETCH_N_U, 2))
     values[..., 0] = u[None, :]
     values[..., 1] = floor_y[None, :] + v[:, None]
     return HomotopyGrid(values=values, periodic=False)

@@ -13,6 +13,8 @@ from .curves import DirectionFunctionSample, SampledCurve
 from .errors import InputDataError
 from .homotopy import HomotopyGrid
 
+SVG_WIDTH = 640.0  # pixels; save_svg sets the height from the aspect ratio
+
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
@@ -209,8 +211,8 @@ def load_grid(path) -> HomotopyGrid:
     return load_grid_csv(path)
 
 
-def save_svg(path, polylines, width: float = 640.0):
-    """Plot closed polylines as an SVG drawing.
+def save_svg(path, polylines):
+    """Plot closed polylines as an SVG drawing, SVG_WIDTH pixels wide.
 
     The mathematical y axis points up, so coordinates are reflected
     into SVG's downward y inside a viewBox padded by 5 percent.
@@ -227,8 +229,8 @@ def save_svg(path, polylines, width: float = 640.0):
     w, h = (hi - lo) + 2 * pad
     stroke = 0.004 * max(w, h)
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{width * h / w:.0f}" viewBox="{_fmt(x0)} {_fmt(y0)} '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH:.0f}" '
+        f'height="{SVG_WIDTH * h / w:.0f}" viewBox="{_fmt(x0)} {_fmt(y0)} '
         f'{_fmt(w)} {_fmt(h)}">',
         "<!-- mathematical y axis points up; points are emitted as "
         "(x, ymin+ymax-y) to flip into SVG screen coordinates -->",

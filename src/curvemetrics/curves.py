@@ -188,8 +188,8 @@ class TangentFrame:
 
     speed = |d_theta C|; T = d_theta C / speed, zero where speed <=
     floor = EPS_IMMERSED * scale_hint, and there the normal projector
-    is the identity and the tangential one zero. Curves and homotopy
-    grids (HomotopyFrame) share this frame.
+    is the identity. Curves and homotopy grids (HomotopyFrame) share
+    this frame.
     """
 
     speed: np.ndarray
@@ -208,10 +208,6 @@ class TangentFrame:
     def project_normal(self, vectors):
         v = _match_deformation(vectors, self.T)
         return v - scale(self.T, dot(v, self.T))
-
-    def project_tangent(self, vectors):
-        v = _match_deformation(vectors, self.T)
-        return scale(self.T, dot(v, self.T))
 
 
 @dataclass

@@ -280,7 +280,7 @@ def energy_gradient(C: HomotopyGrid, factor: ConformalFactor) -> np.ndarray:
 
 
 def inner_product(c: SampledCurve, h, k, metric) -> float:
-    """Inner product of two deformations of a single curve."""
+    """Inner product of two deformations of a single curve, checked for overflow."""
     spec = metric if isinstance(metric, EnergySpec) else EnergySpec(kind=metric)
     kind = spec.kind
     if kind not in INNER_KINDS:
@@ -293,25 +293,23 @@ def inner_product(c: SampledCurve, h, k, metric) -> float:
         )
     dots = dot(h, k)
     if kind == "param_H0":
-        return float(np.sum(dots) * c.dtheta)
-    if not immersed(c):
-        raise NotImmersedError("geometric inner products need an immersed curve")
-    frame = tangent_frame(c).require_immersed("the geometric inner product")
-    if kind == "intermediate":
-        return float(np.sum(dots * frame.speed) * c.dtheta)
-    hn = frame.project_normal(h)
-    kn = frame.project_normal(k)
-    ndots = dot(hn, kn)
-    if kind == "geom_H0":
-        return float(np.sum(ndots * frame.speed) * c.dtheta)
-    if kind == "MM":
-        H = curvature_kernel(frame, c.dtheta)
-        kappa2 = dot(H, H)
-        return float(np.sum((1.0 + spec.A * kappa2) * ndots * frame.speed) * c.dtheta)
-    # conformal
-    base = float(np.sum(ndots * frame.speed) * c.dtheta)
-    length = float(np.sum(frame.speed) * c.dtheta)
-    return float(spec.factor.value(length)) * base
+        value = float(np.sum(dots) * c.dtheta)
+    else:
+        if not immersed(c):
+            raise NotImmersedError("geometric inner products need an immersed curve")
+        frame = tangent_frame(c).require_immersed("the geometric inner product")
+        if kind != "intermediate":
+            dots = dot(frame.project_normal(h), frame.project_normal(k))
+        if kind == "MM":
+            H = curvature_kernel(frame, c.dtheta)
+            dots = (1.0 + spec.A * dot(H, H)) * dots
+        value = float(np.sum(dots * frame.speed) * c.dtheta)
+        if kind == "conformal":
+            length = float(np.sum(frame.speed) * c.dtheta)
+            value = float(spec.factor.value(length)) * value
+    if not np.isfinite(value):
+        raise NumericalFailureError(f"the {kind} inner product overflowed: it gives {value}")
+    return value
 
 
 def scaling_check(C: HomotopyGrid, eps: float):

@@ -1,6 +1,6 @@
 """Error types shared across the library.
 
-The CLI maps these onto exit codes: malformed inputs exit with 3,
+Each class carries the CLI's exit code: malformed inputs exit with 3,
 numerical failures (stability violations, stalls, singular systems,
 vanished level sets) exit with 4.
 """
@@ -9,13 +9,19 @@ vanished level sets) exit with 4.
 class CurveMetricsError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 4
+
 
 class InputDataError(CurveMetricsError):
     """Malformed or inconsistent input data: bad shapes, sizes, or values."""
 
+    exit_code = 3
+
 
 class NotImmersedError(CurveMetricsError):
     """An operation that needs an immersed curve met a degenerate edge."""
+
+    exit_code = 3
 
 
 class GridTooCoarseError(CurveMetricsError):

@@ -392,6 +392,13 @@ def run_homotopy_flow(
     return state
 
 
+# The central-difference step of energy_derivative_check, the trials of
+# commutator_check, and the seed of the random fields of both checks.
+_FD_STEP = 1e-6
+_COMMUTATOR_TRIALS = 5
+_CHECK_SEED = 0
+
+
 def _smooth_perturbation(C: HomotopyGrid, rng) -> np.ndarray:
     """Random low-frequency field, nonzero on the end slices too."""
     thetas = C.theta_values()
@@ -406,39 +413,33 @@ def _smooth_perturbation(C: HomotopyGrid, rng) -> np.ndarray:
     return P * C.scale_hint
 
 
-def energy_derivative_check(
-    C: HomotopyGrid,
-    flow: str = "h0",
-    trials: int = 10,
-    step: float = 1e-6,
-    seed: int = 0,
-    lam: Optional[float] = None,
-) -> float:
+def energy_derivative_check(C: HomotopyGrid, flow: str = "h0", trials: int = 10) -> float:
     """Max relative error between the exact dE/dt and central differences.
 
     E is energy() of the flow's kind: geom_H0 for h0, conformal with
-    phi = e^(lambda L) for conformal. For each random perturbation P,
-    which moves the end slices too, sum(P . energy_gradient) is
-    compared with (E(C + hP) - E(C - hP)) / 2h, so the result is the
-    finite-difference error alone, about 1e-9 on smooth grids.
+    phi = e^(lambda L), lambda = stable_lambda(C), for conformal. For
+    each random perturbation P, which moves the end slices too,
+    sum(P . energy_gradient) is compared with (E(C + hP) - E(C - hP)) /
+    2h, h = _FD_STEP, so the result is the finite-difference error
+    alone, about 1e-9 on smooth grids.
     """
     if flow == "h0":
         spec = EnergySpec(kind="geom_H0")
     elif flow == "conformal":
-        factor = ConformalFactor.exp_length(stable_lambda(C) if lam is None else lam)
+        factor = ConformalFactor.exp_length(stable_lambda(C))
         spec = EnergySpec(kind="conformal", factor=factor)
     else:
         raise InputDataError(f"unknown flow {flow!r} for the derivative check")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHECK_SEED)
     G = energy_gradient(C, spec.factor)
     worst = 0.0
     for _ in range(trials):
         P = _smooth_perturbation(C, rng)
         exact = float(np.sum(P * G))
-        plus = HomotopyGrid(values=C.values + step * P)
-        minus = HomotopyGrid(values=C.values - step * P)
-        fd = (energy(plus, spec).total - energy(minus, spec).total) / (2.0 * step)
+        plus = HomotopyGrid(values=C.values + _FD_STEP * P)
+        minus = HomotopyGrid(values=C.values - _FD_STEP * P)
+        fd = (energy(plus, spec).total - energy(minus, spec).total) / (2.0 * _FD_STEP)
         worst = max(worst, abs(exact - fd) / max(abs(fd), 1e-12))
     return worst
 
@@ -458,7 +459,7 @@ def _random_smooth_scalar(C: HomotopyGrid, rng):
     return f
 
 
-def commutator_check(C: HomotopyGrid, trials: int = 5, seed: int = 0) -> float:
+def commutator_check(C: HomotopyGrid) -> float:
     """Max residual of the discrete commutation rules on random fields.
 
     Checks d_v* d_s f = d_s d_v* f + (C_v* . C_ss) d_s f, the plain-v
@@ -468,14 +469,14 @@ def commutator_check(C: HomotopyGrid, trials: int = 5, seed: int = 0) -> float:
     stencils would dominate; all three converge at second order.
     """
     fields = vstar_calculus(C)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CHECK_SEED)
     sl = slice(2, C.n_v - 2) if C.n_v > 6 else slice(None)
     vstar_dot_ss = dot(fields.c_vstar, fields.c_ss)
     c_vs = d_s(C, fields.V, fields)
     ts_term = dot(fields.T, c_vs)
 
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(_COMMUTATOR_TRIALS):
         f = _random_smooth_scalar(C, rng)
         fs = d_s(C, f, fields)
         f_vstar = d_vstar(C, f, fields)

@@ -25,7 +25,7 @@ from typing import List
 
 import numpy as np
 
-from .curves import SampledCurve, _bbox_diagonal, resample_arclength
+from .curves import SampledCurve, _bbox_diagonal, _edge_vectors, dot, resample_arclength
 from .energies import ConformalFactor, EnergySpec, energy
 from .errors import InputDataError, LevelSetError
 from .homotopy import HomotopyGrid, linear_homotopy
@@ -608,10 +608,6 @@ def extract_slices(L: LevelSetGrid) -> SliceContours:
     return SliceContours(contours=contours, flagged=flagged)
 
 
-def _loop_length(poly):
-    return float(np.sum(np.linalg.norm(np.roll(poly, -1, axis=0) - poly, axis=1)))
-
-
 def _gradient(f, h, axis):
     """np.gradient(f, h, axis=axis) with numpy's formulas, on the flat array.
 
@@ -940,7 +936,8 @@ def _largest_loops(extraction: SliceContours):
     for j, slc in enumerate(extraction.contours):
         if not slc:
             raise LevelSetError(f"slice {j} has no closed contour to extract")
-        loops.append(slc[int(np.argmax([_loop_length(p) for p in slc]))])
+        lengths = [np.sum(np.sqrt(dot(e, e))) for e in map(_edge_vectors, slc)]
+        loops.append(slc[int(np.argmax(lengths))])
     return loops
 
 

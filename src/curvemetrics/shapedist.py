@@ -18,6 +18,9 @@ from .homotopy import HomotopyGrid, _per_row
 
 GRAM_CONDITION_CAP = 1e8
 CONSTRAINT_TOL = 1e-6
+# dirfn_project stops below this residual norm, or fails after this many sweeps.
+PROJECT_TOL = 1e-10
+PROJECT_MAX_ITER = 50
 
 
 @dataclass
@@ -64,9 +67,7 @@ def dirfn_constraints(d: DirectionFunctionSample) -> np.ndarray:
     )
 
 
-def dirfn_project(
-    d: DirectionFunctionSample, tol: float = 1e-10, max_iter: int = 50
-) -> DirectionFunctionSample:
+def dirfn_project(d: DirectionFunctionSample) -> DirectionFunctionSample:
     """Nearest direction function satisfying the preshape constraints.
 
     Gauss-Newton on the constraint map: each sweep removes the component
@@ -78,10 +79,10 @@ def dirfn_project(
     """
     theta = d.theta_of_s.copy()
     w = _trapezoid_weights(d.m_intervals)
-    for _ in range(max_iter):
+    for _ in range(PROJECT_MAX_ITER):
         probe = DirectionFunctionSample(theta_of_s=theta, winding=d.winding)
         r = dirfn_constraints(probe)
-        if np.linalg.norm(r) < tol:
+        if np.linalg.norm(r) < PROJECT_TOL:
             return probe
         g = np.vstack([np.ones_like(theta), -np.sin(theta), np.cos(theta)])
         gram = (g * w) @ g.T
@@ -94,7 +95,7 @@ def dirfn_project(
         alpha = np.linalg.solve(gram, r)
         theta = theta - g.T @ alpha
     raise NumericalFailureError(
-        f"constraint projection did not converge in {max_iter} sweeps"
+        f"constraint projection did not converge in {PROJECT_MAX_ITER} sweeps"
     )
 
 

@@ -109,6 +109,34 @@ def test_the_level_set_state_and_step_hold_no_settable_knob():
     assert offenders == []
 
 
+def test_the_fixed_constructions_and_checks_take_no_size_or_seed():
+    # Every caller builds the counterexamples, draws the SVG and runs the
+    # projection and the calculus checks at one setting, now a module
+    # constant; a size, tolerance or seed coming back as a parameter
+    # fails here.
+    from curvemetrics import counterexamples, curveio, curves, flows, shapedist
+
+    zigzag = counterexamples.ZigzagCone
+    expected = {
+        counterexamples.graph_wiggle: ["j"],
+        counterexamples.conformal_stretch: ["eps", "lam"],
+        counterexamples.pulley: ["h"],
+        counterexamples.zigzag_cone: ["k", "c1"],
+        zigzag.first_phase_energy: ["self"],
+        zigzag.second_phase_energy: ["self"],
+        zigzag.total_normal_energy: ["self"],
+        curveio.save_svg: ["path", "polylines"],
+        shapedist.dirfn_project: ["d"],
+        flows.energy_derivative_check: ["C", "flow", "trials"],
+        flows.commutator_check: ["C"],
+    }
+    for fn, params in expected.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+    assert [name for name in vars(curves.TangentFrame) if name.startswith("project")] == [
+        "project_normal"
+    ]
+
+
 def test_the_flows_run_as_public_generators_the_cli_drains():
     # Each flow family has one public run generator; a one-step run is
     # the single step, so flows offers no step-level function, and the

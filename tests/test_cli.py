@@ -2,6 +2,7 @@
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvemetrics import cli, counterexamples, curveio, levelset
+from curvemetrics import cli, counterexamples, curveio, errors, levelset
 from curvemetrics.cli import main
 from curvemetrics.curves import DirectionFunctionSample, SampledCurve, theta_grid
 from curvemetrics.energies import ConformalFactor, EnergyReport, EnergySpec, inner_product
@@ -249,6 +250,72 @@ def test_usage_error_exits_2(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+
+def _huge_inner_args(tmp_path, metric):
+    """inner argv of a 64-sample unit circle and h = k = 1e160 times it."""
+    c = unit_circle(n=64)
+    curveio.save_curve_json(tmp_path / "c.json", c)
+    curveio.save_pointset_csv(tmp_path / "h.csv", 1e160 * c.points)
+    h = str(tmp_path / "h.csv")
+    return ["inner", "--curve", str(tmp_path / "c.json"), "--h", h, "--k", h, "--metric", metric]
+
+
+@pytest.mark.parametrize("metric", ["geom_H0", "param_H0"])
+def test_inner_product_that_overflows_exits_4(tmp_path, capsys, metric):
+    assert main(_huge_inner_args(tmp_path, metric)) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"NumericalFailureError: the {metric} inner product overflowed: it gives inf\n"
+
+
+@pytest.mark.parametrize("command", ["energy", "inner"])
+def test_a_failure_writes_one_stderr_line(tmp_path, command):
+    # A real process: in process, pytest would collect numpy's warnings
+    # before they reach stderr.
+    if command == "energy":
+        path = tmp_path / "huge.csv"
+        C = translating_circle(n_theta=64, n_v=9, offset=0.5)
+        curveio.save_grid_csv(path, HomotopyGrid(values=1e160 * C.values))
+        argv = ["energy", "--grid", str(path)]
+    else:
+        argv = _huge_inner_args(tmp_path, "geom_H0")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "curvemetrics.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 4
+    assert done.stderr.startswith("NumericalFailureError: ")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
+
+
+def _readme_exit_codes():
+    """{error class name: exit code} from the README's exit-code paragraph."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Exit codes: ") :].split("\n\n", 1)[0]
+    codes = {}
+    for code, names in re.findall(r"(\d) [a-z ]+\s*\(([^)]*)\)", paragraph):
+        codes.update((name, int(code)) for name in re.findall(r"`(\w+)`", names))
+    return codes
+
+
+def test_every_error_class_exits_with_the_code_the_readme_gives(capsys, monkeypatch):
+    codes = _readme_exit_codes()
+    assert codes["InputDataError"] == 3 and codes["NumericalFailureError"] == 4
+    classes, todo = [], [errors.CurveMetricsError]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes += subclasses
+        todo += subclasses
+    assert {cls.__name__ for cls in classes} == set(codes)
+    for cls in classes:
+        def fail(args, cls=cls):
+            raise cls("planted")
+
+        monkeypatch.setitem(cli._COMMANDS, "selfcheck", ("fails", fail))
+        assert main(["selfcheck"]) == codes[cls.__name__] == cls.exit_code
+        assert capsys.readouterr().err == f"{cls.__name__}: planted\n"
 
 
 def test_inner_subcommand(tmp_path, capsys):
@@ -598,9 +665,32 @@ def test_config_keys_of_other_commands_are_accepted(tmp_path, capsys):
     h = str(tmp_path / "h.csv")
     curveio.save_pointset_csv(h, unit_circle(n=16).points)
     cfg = tmp_path / "geo.cfg"
-    cfg.write_text("nx=32\ntol=0.01\n")
+    # mode=project is outside reparam's choices, which hausdorff never reads.
+    cfg.write_text("nx=32\ntol=0.01\nmode=project\n")
     assert main(["--config", str(cfg), "hausdorff", "--a", h, "--b", h]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command, value, choices",
+    [
+        (["reparam", "--grid", "g.csv", "--out", "o.csv"], "project",
+         "arclength, horizontal, unwind"),
+        (["dirshape", "--d1", "d.csv"], "unwind", "constraints, project, distance"),
+    ],
+    ids=["reparam", "dirshape"],
+)
+def test_config_value_outside_the_choices_of_the_run_command_exits_3(
+    tmp_path, capsys, command, value, choices
+):
+    # The config sets the default, and argparse checks choices only on
+    # the command line, never on defaults.
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text(f"mode={value}\n")
+    assert main(["--config", str(cfg), *command]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"InputDataError: config value mode={value!r} is not one of {choices}\n"
 
 
 def _parse_outcome(parser, argv, capsys):

@@ -9,6 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from curvemetrics.counterexamples import (
+    PULLEY_FILLET,
+    PULLEY_N_THETA,
+    STRETCH_N_U,
+    STRETCH_N_V,
+    ZIGZAG_N_V,
     _feature_positions,
     _pulley_features,
     _pulley_rails,
@@ -78,7 +83,7 @@ def test_winding_blows_up_parametric_energy():
 
 
 def test_tessellate_validation():
-    strip = conformal_stretch(0.25, 1.0, n_u=101, n_v=9)
+    strip = conformal_stretch(0.25, 1.0)
     with pytest.raises(InputDataError):
         tessellate(strip, 0)
     with pytest.raises(InputDataError):
@@ -93,9 +98,9 @@ def test_tessellate_validation():
 
 
 def test_tessellate_shapes_and_shrinking():
-    strip = conformal_stretch(0.25, 1.0, n_u=201, n_v=17)
+    strip = conformal_stretch(0.25, 1.0)
     C2 = tessellate(strip, 2)
-    assert C2.values.shape == (2 * 16 + 1, 2 * 200 + 1, 2)
+    assert C2.values.shape == (2 * STRETCH_N_V - 1, 2 * STRETCH_N_U - 1, 2)
     # Each tile is the original at scale 1/h, so the deviation from the
     # identity embedding shrinks exactly like 1/h.
     def identity_deviation(C):
@@ -124,7 +129,7 @@ def test_tessellate_preserves_stretch_energy():
 def test_graph_wiggle_identity_and_validation():
     with pytest.raises(InputDataError):
         graph_wiggle(-1)
-    ident = graph_wiggle(0, n_u=101, n_v=9)
+    ident = graph_wiggle(0)
     assert energy(ident, AB21).total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +173,8 @@ def test_zigzag_validation():
 
 
 def test_zigzag_endpoints_and_grid():
-    cone = zigzag_cone(4, unit_circle(n=512), n_v=33)
+    cone = zigzag_cone(4, unit_circle(n=512))
+    assert cone.grid.n_v == ZIGZAG_N_V
     assert np.max(np.abs(cone.grid.values[0])) == 0.0
     np.testing.assert_allclose(cone.grid.values[-1], unit_circle(n=512).points, atol=1e-12)
     assert cone.epsilon == pytest.approx(np.pi / 4.0)
@@ -201,12 +207,12 @@ def test_pulley_validation():
         pulley(0)
     # A few slices of a huge h still need about 4h features per slice.
     with pytest.raises(InputDataError, match="pulley h = 100000000000000000000"):
-        pulley(10**20, n_v=5)
+        pulley(10**20)
 
 
 def test_pulley_inextensible_and_sliding():
-    res = pulley(2, n_theta=1024)
-    assert res.grid.values.shape == (17, 1024, 2)
+    res = pulley(2)
+    assert res.grid.values.shape == (17, PULLEY_N_THETA, 2)
     # The channel is inextensible and rescaled to length 2 pi.
     np.testing.assert_allclose(length_profile(res.grid), 2.0 * np.pi, rtol=2e-2)
     assert res.scale == pytest.approx(2.0 * np.pi / res.length)
@@ -217,8 +223,8 @@ def test_pulley_inextensible_and_sliding():
 
 
 def test_pulley_param_energy_grows():
-    res2 = pulley(2, n_theta=1024)
-    res4 = pulley(4, n_theta=1024)
+    res2 = pulley(2)
+    res4 = pulley(4)
     assert res4.param_energy > res2.param_energy
     assert res4.slide_rate_max > res2.slide_rate_max
     # Normal motion stays bounded while the sliding energy grows.
@@ -247,32 +253,29 @@ def test_feature_positions_match_the_masked_loop_bit_for_bit(h, v, fillet, n, se
     assert np.array_equal(bits(got), bits(reference_feature_positions(feats, s)))
 
 
-@settings(max_examples=10, deadline=None)
-@given(
-    h=st.integers(1, 8),
-    fillet=st.sampled_from([0.005, 0.02, 0.1]),
-    n_theta=st.integers(16, 600),
-)
-def test_pulley_grid_and_probe_match_the_masked_loop_bit_for_bit(h, fillet, n_theta):
-    res = pulley(h, n_theta=n_theta, n_v=5, fillet=fillet)
-    rails = _pulley_rails(h, fillet)
-    s = (theta_grid(n_theta) / (2.0 * np.pi)) * res.length
-    s_probe = None
-    cum = 0.0
-    for f in _pulley_features(h, 0.0, rails):
-        if f[0] == "seg" and abs(f[1][1] + 2.5) < 1e-12 and f[-1] > 5.0:
-            s_probe = cum + (2.0 - f[1][0])
-            break
-        cum += f[-1]
-    probe_dist = np.empty(5)
-    for j, v in enumerate(np.linspace(0.0, 1.0, 5)):
-        feats = _pulley_features(h, float(v), rails)
-        expected = res.scale * reference_feature_positions(feats, s)
-        assert np.array_equal(bits(res.grid.values[j]), bits(expected))
-        probe = reference_feature_positions(feats, np.array([s_probe]))[0]
-        probe_dist[j] = res.scale * float(np.linalg.norm(probe - np.array([2.0, 0.0])))
-    slide = float(np.max(np.abs(np.diff(probe_dist)))) / 0.25
-    assert bits(res.slide_rate_max) == bits(slide)
+def test_pulley_grid_and_probe_match_the_masked_loop_bit_for_bit():
+    # Other fillets and sample arclengths are swept on the features above.
+    for h in (1, 2, 5):
+        res = pulley(h)
+        n_v = 8 * h + 1
+        rails = _pulley_rails(h, PULLEY_FILLET)
+        s = (theta_grid(PULLEY_N_THETA) / (2.0 * np.pi)) * res.length
+        s_probe = None
+        cum = 0.0
+        for f in _pulley_features(h, 0.0, rails):
+            if f[0] == "seg" and abs(f[1][1] + 2.5) < 1e-12 and f[-1] > 5.0:
+                s_probe = cum + (2.0 - f[1][0])
+                break
+            cum += f[-1]
+        probe_dist = np.empty(n_v)
+        for j, v in enumerate(np.linspace(0.0, 1.0, n_v)):
+            feats = _pulley_features(h, float(v), rails)
+            expected = res.scale * reference_feature_positions(feats, s)
+            assert np.array_equal(bits(res.grid.values[j]), bits(expected))
+            probe = reference_feature_positions(feats, np.array([s_probe]))[0]
+            probe_dist[j] = res.scale * float(np.linalg.norm(probe - np.array([2.0, 0.0])))
+        slide = float(np.max(np.abs(np.diff(probe_dist)))) / (1.0 / (n_v - 1))
+        assert bits(res.slide_rate_max) == bits(slide)
 
 
 @settings(max_examples=25, deadline=None)
@@ -285,7 +288,7 @@ def test_pulley_grid_and_probe_match_the_masked_loop_bit_for_bit(h, fillet, n_th
 @example(k=4, phase=1, n_theta=2048, n_v=256)
 @example(k=32, phase=2, n_theta=2048, n_v=256)
 def test_zigzag_quadrature_matches_the_row_loop_bit_for_bit(k, phase, n_theta, n_v):
-    cone = zigzag_cone(k, unit_circle(n=256), n_v=3)
+    cone = zigzag_cone(k, unit_circle(n=256))
     v_lo, v_hi = (0.0, 0.5) if phase == 1 else (0.5, 1.0)
     got = cone._quad(phase, v_lo, v_hi, n_theta, n_v)
     expected = reference_zigzag_quad(cone, phase, v_lo, v_hi, n_theta, n_v)

@@ -253,9 +253,10 @@ def test_projection_splits_deformations(seed):
     rng = np.random.default_rng(seed)
     h = rng.normal(size=(32, 2))
     hn = frame.project_normal(h)
-    ht = frame.project_tangent(h)
-    assert np.max(np.abs(hn + ht - h)) < 1e-12
+    ht = h - hn
     assert np.max(np.abs(np.sum(hn * frame.T, axis=1))) < 1e-12
+    # The remainder is tangential: parallel to T.
+    assert np.max(np.abs(ht[:, 0] * frame.T[:, 1] - ht[:, 1] * frame.T[:, 0])) < 1e-12
 
 
 def test_arclength_circle():
