@@ -200,9 +200,13 @@ def _unit_circle(n=256) -> SampledCurve:
     return SampledCurve(points=np.stack([np.cos(th), np.sin(th)], axis=1))
 
 
-def _translating_circle(n_theta=256, n_v=64, offset=1.0):
+# How far along x the unit circle of _translating_circle moves from v = 0 to 1.
+_CIRCLE_OFFSET = 1.0
+
+
+def _translating_circle(n_theta=256, n_v=64):
     def fn(th, v):
-        return np.stack([np.cos(th) + offset * v, np.sin(th)], axis=1)
+        return np.stack([np.cos(th) + _CIRCLE_OFFSET * v, np.sin(th)], axis=1)
 
     return homotopy.sample_homotopy(fn, n_theta, n_v)
 

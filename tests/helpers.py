@@ -388,9 +388,11 @@ class ReferenceEvolutionFields:
 
     The implementation before the slice-based step, kept verbatim but
     for its interface (rhs and cfl_dt take lambda, and rhs returns psi_t
-    alone): every difference covers every slice, and the update terms
-    are masked to the interior band afterwards. The library's step must match it bit
-    for bit over the whole grid.
+    alone) and for its second differences, which add the two
+    neighbours first: every difference covers every slice, and the
+    update terms are masked to the interior band afterwards. cfl_dt
+    writes the step rule out slice by slice. The library's step must
+    match it bit for bit over the whole grid.
     """
 
     def __init__(self, L):
@@ -403,8 +405,8 @@ class ReferenceEvolutionFields:
         self.psi_x = np.gradient(psi, dx, axis=2)
         self.psi_y = np.gradient(psi, dy, axis=1)
         self.psi_v = np.gradient(psi, dv, axis=0)
-        psi_xx = (np.roll(psi, -1, axis=2) - 2 * psi + np.roll(psi, 1, axis=2)) / dx**2
-        psi_yy = (np.roll(psi, -1, axis=1) - 2 * psi + np.roll(psi, 1, axis=1)) / dy**2
+        psi_xx = (np.roll(psi, -1, axis=2) + np.roll(psi, 1, axis=2) - 2 * psi) / dx**2
+        psi_yy = (np.roll(psi, -1, axis=1) + np.roll(psi, 1, axis=1) - 2 * psi) / dy**2
         psi_xx[:, :, 0] = psi_xx[:, :, 1]
         psi_xx[:, :, -1] = psi_xx[:, :, -2]
         psi_yy[:, 0, :] = psi_yy[:, 1, :]
@@ -413,7 +415,7 @@ class ReferenceEvolutionFields:
         self.psi_yy = psi_yy
         self.psi_xy = np.gradient(self.psi_x, dy, axis=1)
         psi_vv = np.zeros_like(psi)
-        psi_vv[1:-1] = (psi[2:] - 2 * psi[1:-1] + psi[:-2]) / dv**2
+        psi_vv[1:-1] = (psi[2:] + psi[:-2] - 2 * psi[1:-1]) / dv**2
         self.psi_vv = psi_vv
 
         self.g2_raw = self.psi_x**2 + self.psi_y**2
@@ -491,20 +493,30 @@ class ReferenceEvolutionFields:
         return np.where(self.interior_band, psi_t, 0.0)
 
     def cfl_dt(self, lam):
+        """0.75 of the forward-Euler limit of rhs, slice by slice.
+
+        dt = 1.5 / (max Q + 2 max_j |lam L_v(j)| / dv), Q taken over the
+        interior-band nodes of each slice j:
+
+          Q = 4/dv^2 + (2 sqrt(1/dx^2 + 1/dy^2) / dv) sqrt(m)
+              + (5 / min(dx, dy)^2) (m + |m - lam S_j| / 2)
+
+        and Q = 4/dv^2 where the band is empty.
+        """
         L = self.L
-        if not np.any(self.interior_band):
-            return 0.2 * L.dv * L.dv
-        m = self.m[self.interior_band]
-        s_max = float(np.max(self.S))
-        plane_coef = float(
-            np.max(m + 0.5 * np.abs(m - lam * s_max) + 2.0 * np.sqrt(m))
-        )
-        plane_coef = max(plane_coef, 1e-6)
-        dt = 0.2 * min(L.dv * L.dv, min(L.dx, L.dy) ** 2 / plane_coef)
-        a_max = float(np.max(np.abs(lam * self.L_v)))
-        if a_max > 0.0:
-            dt = min(dt, 0.5 * L.dv / a_max)
-        return dt
+        q_max = 4.0 / L.dv**2
+        for j in range(1, L.psi.shape[0] - 1):
+            m = self.m[j][self.interior_band[j]]
+            if not m.size:
+                continue
+            q = (
+                4.0 / L.dv**2
+                + (2.0 * np.sqrt(1.0 / L.dx**2 + 1.0 / L.dy**2) / L.dv) * np.sqrt(m)
+                + (5.0 / min(L.dx, L.dy) ** 2) * (m + 0.5 * np.abs(m - lam * self.S[j]))
+            )
+            q_max = max(q_max, float(np.max(q)))
+        a_max = max(abs(lam * a) for a in self.L_v)
+        return 1.5 / (q_max + 2.0 * a_max / L.dv)
 
     def lam_ratio(self):
         """levelset_lambda's value: the band maximum of m / S."""
