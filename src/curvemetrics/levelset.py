@@ -44,20 +44,26 @@ _GRAD_HIGH = 2.0
 _FRONT_WIDTH = 3.0
 # Steps between two convergence measurements of run_geodesic.
 _MEASURE_EVERY = 10
-# The explicit step is this fraction of the forward-Euler limit of the
-# frozen-coefficient Fourier symbol of rhs (von Neumann analysis;
-# Strikwerda, Finite Difference Schemes and PDEs, 2004, ch. 2 and 6).
-# At a node with m = psi_v^2 / |grad psi|^2, h = min(dx, dy) and
-# wavenumbers xi, each term's symbol is bounded on the stencil it uses:
-# psi_vv by 4 / dv^2 (4 sin^2(xi/2) <= 4); the psi_vx, psi_vy cross term
-# by 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv (Cauchy-Schwarz); the two plane
+# The step is this fraction of the stability limit of the semi-implicit
+# step of evolve_step, from the frozen-coefficient Fourier symbol of its
+# stencils (von Neumann analysis; Strikwerda, Finite Difference Schemes
+# and PDEs, 2004, ch. 2 and 6). At a node with m = psi_v^2 / |grad psi|^2,
+# h = min(dx, dy) and wavenumbers xi, each explicit term's symbol is
+# bounded on the stencil it uses: the psi_vx, psi_vy cross term by
+# 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv (Cauchy-Schwarz), the two plane
 # terms by 5 (m + |m - lam S| / 2) / h^2 (4 sin^2(xi/2) <= 4 and
-# |sin xi_x sin xi_y| <= 1). With D the sum of these and a = lam L_v
-# the upwind v coefficient, |G| <= 1 holds whenever dt (D + 2 |a| / dv)
-# <= 2. The fraction keeps the step clear of where the scheme fails in
-# practice: both seed-1 pairs of the geodesic_solve benchmark (40x40x9)
-# still converge at 1.85 times this step and not within 3000 steps at
-# 1.9 times.
+# |sin xi_x sin xi_y| <= 1). With Q the sum of these and a = lam L_v the
+# upwind v coefficient, the amplification factor is
+# G = (1 + dt e) / (1 + dt alpha), e the symbol of rhs and
+# alpha = 4 sin^2(xi_v/2) / dv^2 that of -psi_vv. Where m <= lam S the
+# curvature term's symbol is <= 0, and the cross term's is at most alpha
+# less the ray term's (|sin xi_v| <= 2 |sin(xi_v/2)| and
+# 4 sin^2(xi/2) >= sin^2 xi), so Re e <= alpha; |G| <= 1 then follows
+# from dt (Q + 2 |a| / dv) <= 2 as for the explicit upwind step. The
+# fraction keeps the step clear of where the scheme fails in practice:
+# both seed-1 pairs of the geodesic_solve benchmark (40x40x9) still
+# converge at 3.2 times this step, and the 0.4625 pair not within 3000
+# steps at 3.3 times.
 _STEP_FRACTION = 0.75
 
 
@@ -726,12 +732,13 @@ class _EvolutionFields:
         self.L_v = L_v
 
     def rhs(self, lam: float):
-        """psi_t at lambda = lam, zero outside the interior band.
+        """The explicit part of psi_t at lambda = lam, zero outside the interior band.
 
-        Each term is formed in one of two reused buffers with the
-        operations of the formula in their order, and the terms are
-        summed in the order of the formula, so reusing buffers changes
-        no rounding.
+        It holds every term of the flow but psi_vv, which evolve_step
+        takes implicitly (_v_solve). Each term is formed in one of two
+        reused buffers with the operations of the formula in their
+        order, and the terms are summed in the order of the formula, so
+        reusing buffers changes no rounding.
         """
         if np.any(self.floored & self.interior_band):
             raise LevelSetError(
@@ -741,9 +748,9 @@ class _EvolutionFields:
         psi = self.psi[mid]
         psi_x, psi_y, psi_v = self.psi_x[mid], self.psi_y[mid], self.psi_v[mid]
         psi_x2, psi_y2, g2 = self.psi_x2[mid], self.psi_y2[mid], self.g2[mid]
-        # psi_t accumulates in psi_vv, its end planes zeroed with the
-        # rest of the outside of the interior band at the end.
-        psi_t = _second_difference(self.psi, self.dv, 0)
+        # psi_t accumulates from the cross term on, its end planes zeroed
+        # with the rest of the outside of the interior band at the end.
+        psi_t = np.empty_like(self.psi)
         rate = psi_t[mid]
         psi_xx = _second_difference(psi, self.dx, 2)
         psi_yy = _second_difference(psi, self.dy, 1)
@@ -762,8 +769,7 @@ class _EvolutionFields:
         np.multiply(2.0, psi_v, out=buf)
         buf /= g2
         np.negative(buf, out=buf)
-        term *= buf
-        rate += term
+        np.multiply(term, buf, out=rate)
 
         # (psi_v^2 / g2^2) (Hess psi grad psi) . grad psi
         np.multiply(psi_xx, psi_x2, out=term)
@@ -798,16 +804,18 @@ class _EvolutionFields:
         return psi_t
 
     def cfl_dt(self, lam: float):
-        """_STEP_FRACTION of the forward-Euler limit of rhs at lambda = lam.
+        """_STEP_FRACTION of the stability limit of evolve_step at lambda = lam.
 
         dt = 2 _STEP_FRACTION / (max Q + 2 max_j |lam L_v(j)| / dv), where
 
-          Q = 4/dv^2 + 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv
+          Q = 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv
               + 5 (m + |m - lam S_j| / 2) / min(dx, dy)^2
 
         at each interior-band node of slice j bounds the frozen-coefficient
         symbol of the terms of rhs but the upwind one (see _STEP_FRACTION).
-        Over an empty band max Q is 4/dv^2.
+        psi_vv, taken implicitly, sets no limit. Where Q and lam L_v vanish
+        (a field constant in v, whose update vanishes identically), the
+        bound 4/dv^2 of psi_vv's symbol stands in, so t stays finite.
         """
         band = self.interior_band
         m = self.m[band]
@@ -819,14 +827,23 @@ class _EvolutionFields:
         plane *= 0.5
         plane += m
         plane *= 5.0 / min(self.dx, self.dy) ** 2
-        vv = 4.0 / self.dv**2
         q = np.sqrt(m, out=m)
         q *= 2.0 * math.sqrt(1.0 / self.dx**2 + 1.0 / self.dy**2) / self.dv
-        q += vv
         q += plane
-        q_max = float(np.max(q, initial=vv))
+        q_max = float(np.max(q, initial=0.0))
         a_max = float(np.max(np.abs(lam * self.L_v)))
-        return 2.0 * _STEP_FRACTION / (q_max + 2.0 * a_max / self.dv)
+        bound = q_max + 2.0 * a_max / self.dv
+        if bound == 0.0:
+            bound = 4.0 / self.dv**2
+        return 2.0 * _STEP_FRACTION / bound
+
+    def field_energy(self, lam: float) -> float:
+        """E-hat = trapezoid in v of e^(lam L(v)) S(v), the field's own energy.
+
+        The conformal energy with factor e^(lam L), read from the lengths
+        and midpoint-rule S of the zero segments; no slice is extracted.
+        """
+        return float(np.trapezoid(np.exp(lam * self.lengths) * self.S, dx=self.dv))
 
     def stabilizing_lambda(self) -> float:
         """Max over band points of (psi_v^2/|grad psi|^2) / S (see levelset_lambda)."""
@@ -861,19 +878,87 @@ def levelset_lambda(L: LevelSetGrid) -> float:
     return L._fields.stabilizing_lambda()
 
 
-def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
-    """One explicit Euler step of the level-set flow at lambda = lam.
+def _v_solve(b, band, r):
+    """Solve (I - r B D_vv) x = b for x in place of b, column by column along v.
 
-    The step is always cfl_dt at lam, a fixed fraction of the
-    forward-Euler stability limit, and the endpoint slices stay pinned.
-    run_geodesic passes every step the lambda it froze at t = 0,
-    levelset_lambda of the embedding.
+    D_vv is the ((f[j+1] + f[j-1]) - 2 f[j]) stencil of _second_difference
+    without its 1/dv^2, and B masks the rows: weight r on the nodes of
+    band, 0 elsewhere. The end planes are pinned, so their rows and every
+    row outside band come back as b. The tridiagonal system of every
+    column is eliminated from both ends toward the middle. An odd nv
+    then solves its middle row, both neighbours' contributions added
+    first; an even nv solves each of its two middle rows with the other
+    eliminated into it (Cramer's rule, both determinants divided by the
+    other row's pivot, so a row of weight 0 comes back exact). The
+    solution is substituted back outward. The two halves use the same
+    formulas mirrored, so reversing v changes no bit. Every pivot
+    exceeds 1 + the row's weight: the system is diagonally dominant.
+    """
+    nv = len(b)
+    w = band[1:-1] * r
+    diag = 2.0 * w
+    diag += 1.0
+    # Weights, diagonals and pivots row by row, the pinned end planes
+    # being eliminated rows with pivot 1 and weight 0; the right-hand
+    # sides of the eliminated rows replace b's.
+    w = [0.0, *w, 0.0]
+    diag = [1.0, *diag, 1.0]
+    piv = [1.0] * nv
+    x = b
+    lo, hi = 1, nv - 2
+    while lo < hi:
+        for j, k in ((lo, lo - 1), (hi, hi + 1)):
+            f = w[j] / piv[k]
+            piv[j] = diag[j] - f * w[k]
+            f *= x[k]
+            x[j] += f
+        lo += 1
+        hi -= 1
+    if lo == hi:
+        f = w[lo] / piv[lo - 1]
+        g = w[lo] / piv[lo + 1]
+        pivot = diag[lo] - (f * w[lo - 1] + g * w[lo + 1])
+        x[lo] += f * x[lo - 1] + g * x[lo + 1]
+        x[lo] /= pivot
+        top, bottom = lo - 1, lo + 1
+    else:
+        # Rows hi and lo = hi + 1 remain, each coupled to the other only;
+        # each is solved with the other eliminated into it.
+        f = w[hi] / piv[lo]
+        g = w[lo] / piv[hi]
+        upper = (x[hi] + f * x[lo]) / (piv[hi] - f * w[lo])
+        x[lo] += g * x[hi]
+        x[lo] /= piv[lo] - g * w[hi]
+        x[hi] = upper
+        top, bottom = hi - 1, lo + 1
+    for j in range(top, 0, -1):
+        x[j] += w[j] * x[j + 1]
+        x[j] /= piv[j]
+    for j in range(bottom, nv - 1):
+        x[j] += w[j] * x[j - 1]
+        x[j] /= piv[j]
+    return x
+
+
+def evolve_step(L: LevelSetGrid, lam: float) -> LevelSetGrid:
+    """One semi-implicit step of the level-set flow at lambda = lam.
+
+    The terms of rhs are taken explicitly and psi_vv implicitly: the
+    step solves (I - dt D_vv) psi' = psi + dt rhs along v (_v_solve),
+    with D_vv the second difference in v and its rows masked to the
+    interior band (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32,
+    1995). No endpoint and no node off the band moves, and a state is
+    a fixed point of the step exactly when rhs plus psi_vv vanishes on
+    the band. The step is always cfl_dt at lam, a fixed fraction of the
+    stability limit of the explicit terms. run_geodesic passes every
+    step the lambda it froze at t = 0, levelset_lambda of the embedding.
     """
     fields = L._fields
     dt = fields.cfl_dt(lam)
     psi = fields.rhs(lam)
     psi *= dt
     psi += L.psi
+    psi = _v_solve(psi, fields.interior_band, dt / L.dv**2)
     return replace(L, psi=psi, t=L.t + dt)
 
 
@@ -910,9 +995,12 @@ class GeodesicResult:
     energy_trace holds the plain geometric energy of the extracted
     homotopy at the snapshot times; conformal_trace holds the conformal
     energy with factor e^(lambda L), the quantity the flow descends.
-    residual is the last measured normal speed of the zero set, the
-    largest over its interior segments (length per unit flow time; see
-    run_geodesic).
+    field_trace holds, for every step, the field's own energy E-hat
+    (_EvolutionFields.field_energy) of the state the step advances: the
+    same conformal energy, read from the zero segments with no
+    extraction. residual is the last measured normal speed of the zero
+    set, the largest over its interior segments (length per unit flow
+    time; see run_geodesic).
     """
 
     grid: LevelSetGrid
@@ -920,6 +1008,7 @@ class GeodesicResult:
     homotopy: HomotopyGrid
     energy_trace: np.ndarray
     conformal_trace: np.ndarray
+    field_trace: np.ndarray
     steps: int
     converged: bool
     residual: float
@@ -934,8 +1023,12 @@ def extracted_homotopy(L: LevelSetGrid) -> HomotopyGrid:
     """Largest contour of every slice, arclength-resampled to _N_THETA and aligned.
 
     Slices are oriented anticlockwise and base points are chained to
-    the nearest neighbor of the previous slice, so v-derivatives of the
-    result measure real motion rather than parameterization drift.
+    the nearest neighbor of the neighbouring slice, outward both ways
+    from the middle slice nv // 2, whose base point is its resampling's
+    first, so v-derivatives of the result measure real motion rather
+    than parameterization drift. For odd nv the middle slice is its own
+    mirror in v, so loops given in reverse order give the same homotopy
+    reversed, bit for bit.
     """
     return _loops_homotopy(_largest_loops(extract_slices(L)))
 
@@ -943,7 +1036,6 @@ def extracted_homotopy(L: LevelSetGrid) -> HomotopyGrid:
 def _loops_homotopy(loops) -> HomotopyGrid:
     """The homotopy through one closed polyline per slice (see extracted_homotopy)."""
     rows = []
-    prev_base = None
     for poly in loops:
         area = 0.5 * float(
             np.sum(
@@ -953,13 +1045,17 @@ def _loops_homotopy(loops) -> HomotopyGrid:
         )
         if area < 0.0:
             poly = poly[::-1]
-        curve = resample_arclength(SampledCurve(points=poly), _N_THETA)
-        pts = curve.points
-        if prev_base is not None:
-            shift = int(np.argmin(np.linalg.norm(pts - prev_base, axis=1)))
-            pts = np.roll(pts, -shift, axis=0)
-        prev_base = pts[0]
-        rows.append(pts)
+        rows.append(resample_arclength(SampledCurve(points=poly), _N_THETA).points)
+
+    def align(j, prev):
+        shift = int(np.argmin(np.linalg.norm(rows[j] - rows[prev][0], axis=1)))
+        rows[j] = np.roll(rows[j], -shift, axis=0)
+
+    mid = len(rows) // 2
+    for j in range(mid + 1, len(rows)):
+        align(j, j - 1)
+    for j in range(mid - 1, -1, -1):
+        align(j, j + 1)
     return HomotopyGrid(values=np.stack(rows, axis=0), periodic=True)
 
 
@@ -1007,12 +1103,13 @@ def run_geodesic(
 
     Embeds the linear homotopy, freezes lambda at t = 0 (band maximum
     of the speed ratio, the level-set analog of the stable choice),
-    then takes evolution steps at the CFL dt. A state is reinitialized
-    before its step only when its field has drifted from a signed
-    distance (Sussman, Smereka & Osher, JCP 114, 1994): when |grad psi|
-    within 3 cells of the front leaves [0.5, 2], or falls below the 0.3
-    that the step refuses anywhere in the band. The check reads the
-    fields the step builds anyway; there is no fixed cadence.
+    then takes semi-implicit evolution steps (evolve_step) at the dt of
+    cfl_dt. A state is reinitialized before its step only when its
+    field has drifted from a signed distance (Sussman, Smereka & Osher,
+    JCP 114, 1994): when |grad psi| within 3 cells of the front leaves
+    [0.5, 2], or falls below the 0.3 that the step refuses anywhere in
+    the band. The check reads the fields the step builds anyway; there
+    is no fixed cadence.
 
     Convergence is judged on the zero set itself: every _MEASURE_EVERY
     steps, and at max_steps, the run reads the largest normal front
@@ -1026,8 +1123,8 @@ def run_geodesic(
     extracted, at _N_THETA samples, only at t = 0, at every
     snapshot_every-th step and at the end. Non-convergence within
     max_steps is reported in the result, not raised. Unit-circle-sized
-    problems typically need flow time around one half, about 600 steps
-    at the default grid (criterion 15: t = 0.55 in 580 steps).
+    problems typically need flow time around one half, about 200 steps
+    at the default grid (criterion 15: t = 0.58 in 210 steps).
     """
     if not 0.0 <= tol < np.inf:
         raise InputDataError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -1047,6 +1144,7 @@ def run_geodesic(
     factor = ConformalFactor.exp_length(lam)
     energies = []
     conformals = []
+    field_energies = []
 
     def record(state):
         extraction = extract_slices(state)
@@ -1066,6 +1164,7 @@ def run_geodesic(
             step += 1
             if L._fields.needs_reinitialization():
                 L = reinitialize(L)
+            field_energies.append(L._fields.field_energy(lam))
             stepped = evolve_step(L, lam)
             if step % _MEASURE_EVERY == 0 or step == max_steps:
                 residual = _front_speed(L, stepped)
@@ -1084,6 +1183,7 @@ def run_geodesic(
         homotopy=homotopy,
         energy_trace=np.array(energies),
         conformal_trace=np.array(conformals),
+        field_trace=np.array(field_energies),
         steps=step,
         converged=converged,
         residual=residual,

@@ -388,11 +388,13 @@ class ReferenceEvolutionFields:
 
     The implementation before the slice-based step, kept verbatim but
     for its interface (rhs and cfl_dt take lambda, and rhs returns psi_t
-    alone) and for its second differences, which add the two
-    neighbours first: every difference covers every slice, and the
-    update terms are masked to the interior band afterwards. cfl_dt
-    writes the step rule out slice by slice. The library's step must
-    match it bit for bit over the whole grid.
+    alone), for its second differences, which add the two neighbours
+    first, and for psi_vv, which the step takes implicitly and rhs
+    leaves out: every difference covers every slice, and the update
+    terms are masked to the interior band afterwards. cfl_dt writes the
+    step rule out slice by slice, and step solves for the next psi with
+    reference_v_solve. The library's step must match it bit for bit
+    over the whole grid.
     """
 
     def __init__(self, L):
@@ -414,9 +416,6 @@ class ReferenceEvolutionFields:
         self.psi_xx = psi_xx
         self.psi_yy = psi_yy
         self.psi_xy = np.gradient(self.psi_x, dy, axis=1)
-        psi_vv = np.zeros_like(psi)
-        psi_vv[1:-1] = (psi[2:] + psi[:-2] - 2 * psi[1:-1]) / dv**2
-        self.psi_vv = psi_vv
 
         self.g2_raw = self.psi_x**2 + self.psi_y**2
         self.g2 = np.maximum(self.g2_raw, 0.09)
@@ -489,34 +488,43 @@ class ReferenceEvolutionFields:
         bwd[1:] = (psi[1:] - psi[:-1]) / L.dv
         transport = a[:, None, None] * np.where(a[:, None, None] > 0.0, fwd, bwd)
 
-        psi_t = self.psi_vv + cross_term + ray_term + curvature_term + transport
+        psi_t = cross_term + ray_term + curvature_term + transport
         return np.where(self.interior_band, psi_t, 0.0)
 
     def cfl_dt(self, lam):
-        """0.75 of the forward-Euler limit of rhs, slice by slice.
+        """0.75 of the stability limit of the semi-implicit step, slice by slice.
 
         dt = 1.5 / (max Q + 2 max_j |lam L_v(j)| / dv), Q taken over the
         interior-band nodes of each slice j:
 
-          Q = 4/dv^2 + (2 sqrt(1/dx^2 + 1/dy^2) / dv) sqrt(m)
+          Q = (2 sqrt(1/dx^2 + 1/dy^2) / dv) sqrt(m)
               + (5 / min(dx, dy)^2) (m + |m - lam S_j| / 2)
 
-        and Q = 4/dv^2 where the band is empty.
+        and Q = 0 where the band is empty. When the whole denominator is
+        0, dt = 1.5 dv^2 / 4.
         """
         L = self.L
-        q_max = 4.0 / L.dv**2
+        q_max = 0.0
         for j in range(1, L.psi.shape[0] - 1):
             m = self.m[j][self.interior_band[j]]
             if not m.size:
                 continue
             q = (
-                4.0 / L.dv**2
-                + (2.0 * np.sqrt(1.0 / L.dx**2 + 1.0 / L.dy**2) / L.dv) * np.sqrt(m)
+                (2.0 * np.sqrt(1.0 / L.dx**2 + 1.0 / L.dy**2) / L.dv) * np.sqrt(m)
                 + (5.0 / min(L.dx, L.dy) ** 2) * (m + 0.5 * np.abs(m - lam * self.S[j]))
             )
             q_max = max(q_max, float(np.max(q)))
         a_max = max(abs(lam * a) for a in self.L_v)
-        return 1.5 / (q_max + 2.0 * a_max / L.dv)
+        denominator = q_max + 2.0 * a_max / L.dv
+        if denominator == 0.0:
+            return 1.5 * L.dv**2 / 4.0
+        return 1.5 / denominator
+
+    def step(self, lam):
+        """The next psi: reference_v_solve of psi + dt rhs at dt = cfl_dt."""
+        dt = self.cfl_dt(lam)
+        b = self.L.psi + dt * self.rhs(lam)
+        return reference_v_solve(b, self.interior_band, dt / self.L.dv**2)
 
     def lam_ratio(self):
         """levelset_lambda's value: the band maximum of m / S."""
@@ -526,6 +534,51 @@ class ReferenceEvolutionFields:
             raise LevelSetError("a slice has no normal motion; lambda is undefined")
         ratio = self.m / self.S[:, None, None]
         return float(np.max(ratio[self.band]))
+
+
+def reference_v_solve(b, band, r):
+    """Solve (I - r B D_vv) x = b slice by slice, as levelset._v_solve does.
+
+    Row j of a column reads -w_j x_{j-1} + (1 + 2 w_j) x_j - w_j x_{j+1}
+    = b_j, with w_j = r on band nodes of interior slices and 0 elsewhere.
+    The rows are eliminated in the library's order: slice 1 against
+    slice 0, slice nv - 2 against slice nv - 1, then inward in pairs.
+    Each eliminated row is held as (pivot, right-hand side), with
+    x_j = (rhs_j + w_j x_next) / pivot_j, x_next its neighbour toward
+    the middle.
+    """
+    nv = len(b)
+    w = [np.where(band[j], r, 0.0) if 0 < j < nv - 1 else np.zeros(b.shape[1:]) for j in range(nv)]
+    pivot = {0: np.ones(b.shape[1:]), nv - 1: np.ones(b.shape[1:])}
+    rhs = {0: b[0], nv - 1: b[-1]}
+    top, bottom = 0, nv - 1
+    while bottom - top > 2:
+        for j, k in ((top + 1, top), (bottom - 1, bottom)):
+            factor = w[j] / pivot[k]
+            pivot[j] = (1.0 + 2.0 * w[j]) - factor * w[k]
+            rhs[j] = b[j] + factor * rhs[k]
+        top += 1
+        bottom -= 1
+    x = {0: b[0], nv - 1: b[-1]}
+    if bottom - top == 2:
+        # One middle row, both neighbours eliminated into it.
+        j = top + 1
+        f, g = w[j] / pivot[top], w[j] / pivot[bottom]
+        x[j] = (b[j] + (f * rhs[top] + g * rhs[bottom])) / (
+            (1.0 + 2.0 * w[j]) - (f * w[top] + g * w[bottom])
+        )
+    else:
+        # Two middle rows, each with the other eliminated into it.
+        f, g = w[top] / pivot[bottom], w[bottom] / pivot[top]
+        x[top] = (rhs[top] + f * rhs[bottom]) / (pivot[top] - f * w[bottom])
+        x[bottom] = (rhs[bottom] + g * rhs[top]) / (pivot[bottom] - g * w[top])
+        top -= 1
+        bottom += 1
+    for j in range(top, 0, -1):
+        x[j] = (rhs[j] + w[j] * x[j + 1]) / pivot[j]
+    for j in range(bottom, nv - 1):
+        x[j] = (rhs[j] + w[j] * x[j - 1]) / pivot[j]
+    return np.stack([x[j] for j in range(nv)])
 
 
 def reference_feature_positions(feats, s):

@@ -35,6 +35,7 @@ from curvemetrics.levelset import (
     _grid_inside,
     _second_difference,
     _segment_sq_dist,
+    _v_solve,
 )
 
 from helpers import (
@@ -45,6 +46,7 @@ from helpers import (
     reference_cell_centers,
     reference_check_embedded,
     reference_distance_to_segments,
+    reference_v_solve,
     reference_zero_segments,
     unit_circle,
 )
@@ -445,6 +447,12 @@ def test_rhs_vanishes_for_v_independent_field():
     # The same field admits no stabilizing lambda: nothing moves.
     with pytest.raises(LevelSetError):
         levelset_lambda(L)
+    # Nothing sets the limit of the explicit terms, yet a step still
+    # advances t by a finite dt and leaves psi as it is, up to the
+    # rounding of the v-solve (2 ulps measured).
+    stepped = evolve_step(L, 0.7)
+    assert stepped.t == 1.5 * L.dv**2 / 4.0
+    np.testing.assert_array_max_ulp(stepped.psi, L.psi, maxulp=4)
 
 
 def test_evolve_step_pins_endpoints():
@@ -457,20 +465,43 @@ def test_evolve_step_pins_endpoints():
     assert stepped.t > L.t
 
 
+@pytest.mark.parametrize("nv", [3, 4, 8, 9])
+def test_v_solve_matches_a_dense_solve_per_column(nv):
+    rng = np.random.default_rng(nv)
+    b = rng.standard_normal((nv, 6, 7))
+    band = rng.random(b.shape) < 0.6
+    band[0] = band[-1] = False
+    r = 2.9
+    x = _v_solve(b.copy(), band, r)
+    # Row j of a band column: (1 + 2r) x_j - r (x_{j-1} + x_{j+1}) = b_j.
+    weight = np.where(band, r, 0.0)
+    for iy in range(6):
+        for ix in range(7):
+            w = weight[:, iy, ix]
+            A = np.diag(1.0 + 2.0 * w) - np.diag(w[1:], -1) - np.diag(w[:-1], 1)
+            want = np.linalg.solve(A, b[:, iy, ix])
+            np.testing.assert_allclose(x[:, iy, ix], want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    # The pinned endpoints and the rows off the band come back as b.
+    assert np.array_equal(x[~band], b[~band])
+    assert_same_bits(x, reference_v_solve(b, band, r))
+    # Reversing v changes no bit.
+    assert_same_bits(_v_solve(b[::-1].copy(), band[::-1].copy(), r)[::-1], x)
+
+
 def test_evolve_step_cfl():
     c0, c1 = circle_pair()
     L = embed((c0, c1))
     lam = levelset_lambda(L)
     fields = _EvolutionFields(L)
     dt = fields.cfl_dt(lam)
-    # dt (max Q + 2 max |lam L_v| / dv) = 1.5: 0.75 of the forward-Euler
-    # limit of the bound Q on the symbol of the second-order terms.
+    # dt (max Q' + 2 max |lam L_v| / dv) = 1.5: 0.75 of the stability
+    # limit of the bound Q' on the symbol of the explicit second-order
+    # terms. psi_vv is implicit and sets no limit.
     band = fields.interior_band
     m = fields.m[band]
     lam_s = (lam * fields.S)[np.nonzero(band)[0]]
     q = (
-        4.0 / L.dv**2
-        + 2.0 * np.hypot(1.0 / L.dx, 1.0 / L.dy) / L.dv * np.sqrt(m)
+        2.0 * np.hypot(1.0 / L.dx, 1.0 / L.dy) / L.dv * np.sqrt(m)
         + 5.0 / min(L.dx, L.dy) ** 2 * (m + 0.5 * np.abs(m - lam_s))
     )
     a = np.max(np.abs(lam * fields.L_v))
@@ -480,7 +511,7 @@ def test_evolve_step_cfl():
 
 
 def test_cfl_dt_bounds_the_frozen_coefficient_symbol_of_rhs():
-    # A mid-run state: 40 of the 220 steps the pair takes to converge.
+    # A mid-run state: 40 of the 140 steps the pair takes to converge.
     L = embed(circle_pair(), nx=40, ny=40, nv=9)
     lam = levelset_lambda(L)
     for _ in range(40):
@@ -489,28 +520,40 @@ def test_cfl_dt_bounds_the_frozen_coefficient_symbol_of_rhs():
     dt = fields.cfl_dt(lam)
     band = fields.interior_band
     # Coefficients frozen at each interior-band node, one row per node;
-    # wavenumbers on a 9^3 grid of [0, pi]^3, one column each.
+    # wavenumbers on a 9^3 grid of [-pi, pi]^3, one column each.
+    j = np.nonzero(band)[0][:, None]
     gx, gy, pv, g2 = (f[band][:, None] for f in (fields.psi_x, fields.psi_y, fields.psi_v, fields.g2))
-    curv = 0.5 * (fields.m[band] - lam * fields.S[np.nonzero(band)[0]])[:, None]
-    xi = np.linspace(0.0, np.pi, 9)
+    curv = 0.5 * (fields.m[band][:, None] - lam * fields.S[j])
+    xi = np.linspace(-np.pi, np.pi, 9)
     kx, ky, kv = (k.reshape(1, -1) for k in np.meshgrid(xi, xi, xi, indexing="ij"))
     sxx = -4.0 * np.sin(kx / 2.0) ** 2 / L.dx**2
     syy = -4.0 * np.sin(ky / 2.0) ** 2 / L.dy**2
     sxy = -np.sin(kx) * np.sin(ky) / (L.dx * L.dy)
-    # psi_vv; the psi_vx, psi_vy cross term; the two plane terms.
+    # The explicit terms: the psi_vx, psi_vy cross term; the two plane
+    # terms; the upwind v-difference, forward where a = lam L_v > 0.
+    a = lam * fields.L_v[j]
     terms = [
-        -4.0 * np.sin(kv / 2.0) ** 2 / L.dv**2,
         2.0 * pv / g2 * np.sin(kv) / L.dv * (gx * np.sin(kx) / L.dx + gy * np.sin(ky) / L.dy),
         pv**2 / g2**2 * (sxx * gx**2 + 2.0 * sxy * gx * gy + syy * gy**2),
         -curv * (sxx * gy**2 - 2.0 * sxy * gx * gy + syy * gx**2) / g2,
+        a / L.dv * np.where(a > 0.0, np.exp(1j * kv) - 1.0, 1.0 - np.exp(-1j * kv)),
     ]
-    symbol = sum(np.abs(t) for t in terms)
-    a = np.max(np.abs(lam * fields.L_v))
-    assert dt * (symbol.max() + 2.0 * a / L.dv) <= 1.5
+    # Q' bounds the summed |symbol| of the second-order explicit terms.
+    a_max = np.max(np.abs(lam * fields.L_v))
+    assert dt * (sum(np.abs(t) for t in terms[:3]).max() + 2.0 * a_max / L.dv) <= 1.5
+    # The amplification factor (1 + dt e) / (1 + dt alpha) of the step,
+    # alpha = 4 sin^2(xi_v/2) / dv^2 the symbol of -psi_vv taken
+    # implicitly, is at most 1 where the curvature term is forward
+    # parabolic, m <= lam S_j.
+    growth = np.abs(1.0 + dt * sum(terms)) / (1.0 + dt * 4.0 * np.sin(kv / 2.0) ** 2 / L.dv**2)
+    forward = curv[:, 0] <= 0.0
+    assert forward.mean() > 0.9
+    assert growth[forward].max() <= 1.0 + 1e-12
 
     # A +-1e-3 checkerboard on the interior band dies out at that step:
-    # its rms difference from the unperturbed run falls to 2.9e-5 in 20
-    # steps (measured; 2.5e-4 at 2.5 times the step).
+    # its rms difference from the unperturbed run falls to 2.6e-5 in 20
+    # steps (measured; 2.5e-5 at 4 times the step, where |G| reaches
+    # 1.21 at the forward-parabolic nodes, and 1.5e-3 at 5 times).
     checker = np.where(band, 1e-3 * (-1.0) ** np.indices(L.psi.shape).sum(axis=0), 0.0)
     plain = L
     perturbed = LevelSetGrid(psi=L.psi + checker, xs=L.xs, ys=L.ys, vs=L.vs, t=L.t)
@@ -995,10 +1038,11 @@ def test_front_speed_tracks_the_displacement_rate_of_the_loops():
     # It falls with the all-pairs displacement rate of the largest loops
     # over the last 3 steps, the measure it replaced, at a near-constant
     # ratio a little below 1: the rate averages a speed that is falling.
-    # Measured: 0.941-0.986. Three steps here span the flow time that 10
-    # steps of a step 3.74 times shorter did when the measure was
-    # replaced; over 10 steps the rate averages the falling speed over
-    # 3.7 times that, and the ratio reads 0.74-0.79.
+    # Measured: 0.924-0.951 (0.941-0.986 with the explicit step, 1.38
+    # times shorter on this grid). Three steps of that explicit step
+    # spanned the flow time that 10 steps of a step 3.74 times shorter
+    # did when the measure was replaced; over 10 steps the rate averaged
+    # the falling speed over 3.7 times that, and the ratio read 0.74-0.79.
     c0, c1 = circle_pair()
     L = embed((c0, c1), nx=32, ny=32, nv=5)
     lam = levelset_lambda(L)
@@ -1033,14 +1077,19 @@ def symmetry_pair():
 
 def symmetry_solve(c0, c1, box):
     result = run_geodesic(c0, c1, nx=32, ny=32, nv=9, tol=5e-3, box=box)
-    assert result.converged and result.steps == 110
+    assert result.converged and result.steps == 40
     return result
 
 
 def test_run_geodesic_is_symmetric_under_an_endpoint_swap():
     # Swapping the endpoints reverses the flow in v: the solver reproduces
     # psi with its slices reversed (bit for bit when measured: the
-    # embedding is exact and second differences add the neighbours first).
+    # embedding is exact, second differences add the neighbours first and
+    # the v-solve eliminates from both ends alike). The extraction then
+    # chains base points from the middle slice, so the extracted
+    # homotopies are exact reversals too. Their energies agree bit for
+    # bit when measured; energy() sums the slices in v order, so that
+    # last equality is not guaranteed by construction.
     c0, c1, box = symmetry_pair()
     ahead = symmetry_solve(c0, c1, box)
     back = symmetry_solve(c1, c0, box)
@@ -1050,10 +1099,26 @@ def test_run_geodesic_is_symmetric_under_an_endpoint_swap():
     assert np.array_equal(back.conformal_trace, ahead.conformal_trace)
 
 
+@pytest.mark.parametrize("nv", [5, 9])
+def test_loops_homotopy_reverses_with_its_loops(nv):
+    # The base-point chain starts at the middle slice, which for odd nv
+    # is its own mirror in v, so the loops given in reverse order
+    # extract the same homotopy reversed, bit for bit. Each loop starts
+    # at its own seeded vertex.
+    rng = np.random.default_rng(nv)
+    loops = [
+        np.roll(poly, rng.integers(len(poly)), axis=0)
+        for poly in levelset._largest_loops(extract_slices(embed(lobes_pair(), nx=48, ny=44, nv=nv)))
+    ]
+    ahead = levelset._loops_homotopy(loops)
+    back = levelset._loops_homotopy(loops[::-1])
+    assert_same_bits(back.values[::-1], ahead.values)
+
+
 def test_run_geodesic_is_symmetric_under_a_mirror():
     # x -> 0.35 - x maps each endpoint onto the mirror of itself and the
     # box onto itself, and the solver reproduces psi with its columns
-    # reversed (5.6e-16 measured). The extracted energies move by up to
+    # reversed (6.7e-16 measured). The extracted energies move by up to
     # 3.7e-4 relative (measured): the extraction resamples each loop
     # from the march's first crossing and aligns base points by a whole
     # sample, a gauge the mirror does not respect. The 1e-3 bound states
@@ -1275,12 +1340,33 @@ def test_evolution_matches_reference_fields(make, last_step):
         want_lam = outcome(ReferenceEvolutionFields(L).lam_ratio)
         assert outcome(levelset_lambda, L) == want_lam
         stepped = evolve_step(L, lam)
-        assert_same_bits(stepped.psi, L.psi + dt * want_t)
+        assert_same_bits(stepped.psi, ref.step(lam))
         assert_same_bits(stepped.t, L.t + dt)
         L = stepped
         if step % 10 == 0:
             L = reinitialize(L)
     assert last_step == 30
+
+
+@pytest.mark.parametrize(
+    "pair, grid",
+    [
+        pytest.param(circle_pair, (40, 40, 9), id="circles"),
+        pytest.param(lobes_pair, (48, 44, 9), id="lobes"),
+    ],
+)
+def test_field_energy_never_rises(pair, grid):
+    # E-hat, the trapezoid in v of e^(lam L) S read from the fields of
+    # each step, is the energy the flow descends, with no extraction in
+    # between: it must fall at every step. Measured over 300 steps: the
+    # largest step change is -7.2e-11 relative (circles) and -4.3e-8
+    # (lobes).
+    nx, ny, nv = grid
+    result = run_geodesic(*pair(), nx=nx, ny=ny, nv=nv, max_steps=300, tol=0.0, snapshot_every=0)
+    trace = result.field_trace
+    assert len(trace) == result.steps == 300
+    assert trace[0] == embed(pair(), nx=nx, ny=ny, nv=nv)._fields.field_energy(result.lam)
+    assert np.all(np.diff(trace) < 0.0)
 
 
 def test_run_geodesic_marches_each_state_once(monkeypatch):
