@@ -48,22 +48,24 @@ _MEASURE_EVERY = 10
 # step of evolve_step, from the frozen-coefficient Fourier symbol of its
 # stencils (von Neumann analysis; Strikwerda, Finite Difference Schemes
 # and PDEs, 2004, ch. 2 and 6). At a node with m = psi_v^2 / |grad psi|^2,
-# h = min(dx, dy) and wavenumbers xi, each explicit term's symbol is
-# bounded on the stencil it uses: the psi_vx, psi_vy cross term by
-# 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv (Cauchy-Schwarz), the two plane
-# terms by 5 (m + |m - lam S| / 2) / h^2 (4 sin^2(xi/2) <= 4 and
-# |sin xi_x sin xi_y| <= 1). With Q the sum of these and a = lam L_v the
-# upwind v coefficient, the amplification factor is
-# G = (1 + dt e) / (1 + dt alpha), e the symbol of rhs and
-# alpha = 4 sin^2(xi_v/2) / dv^2 that of -psi_vv. Where m <= lam S the
-# curvature term's symbol is <= 0, and the cross term's is at most alpha
-# less the ray term's (|sin xi_v| <= 2 |sin(xi_v/2)| and
-# 4 sin^2(xi/2) >= sin^2 xi), so Re e <= alpha; |G| <= 1 then follows
-# from dt (Q + 2 |a| / dv) <= 2 as for the explicit upwind step. The
-# fraction keeps the step clear of where the scheme fails in practice:
-# both seed-1 pairs of the geodesic_solve benchmark (40x40x9) still
-# converge at 3.2 times this step, and the 0.4625 pair not within 3000
-# steps at 3.3 times.
+# h = min(dx, dy), K^2 = 1/dx^2 + 1/dy^2 and wavenumbers xi, the
+# amplification factor is G = (1 + dt e) / (1 + dt alpha), e the symbol
+# of rhs and alpha = 4 sin^2(xi_v/2) / dv^2 that of -psi_vv. The psi_vx,
+# psi_vy cross term's symbol is at most 4 sqrt(m) K sqrt(u (1 - u)) / dv
+# (Cauchy-Schwarz), u = sin^2(xi_v/2); less alpha = 4 u / dv^2 it is at
+# most its maximum over u, 2 m K^2 / (1 + sqrt(1 + m K^2 dv^2)). The two
+# plane terms' symbols are at most 5 (m + |m - lam S| / 2) / h^2
+# (4 sin^2(xi/2) <= 4 and |sin xi_x sin xi_y| <= 1). With Q the sum of
+# these two bounds and a = lam L_v the upwind v coefficient: where
+# m <= lam S the curvature term's symbol is <= 0, and the cross term's
+# is at most alpha less the ray term's (|sin xi_v| <= 2 |sin(xi_v/2)|
+# and 4 sin^2(xi/2) >= sin^2 xi), so Re e <= alpha; below, -Re e - alpha
+# is at most the cross term's modulus less alpha plus the plane terms',
+# so at most Q. |G| <= 1 then follows from dt (Q + 2 |a| / dv) <= 2 as
+# for the explicit upwind step. The fraction keeps the step clear of
+# where the scheme fails in practice: both seed-1 pairs of the
+# geodesic_solve benchmark (40x40x9) still converge at 2.3 times this
+# step, and the 0.4625 pair not within 3000 steps at 2.35 times.
 _STEP_FRACTION = 0.75
 
 
@@ -808,14 +810,18 @@ class _EvolutionFields:
 
         dt = 2 _STEP_FRACTION / (max Q + 2 max_j |lam L_v(j)| / dv), where
 
-          Q = 2 sqrt(1/dx^2 + 1/dy^2) sqrt(m) / dv
-              + 5 (m + |m - lam S_j| / 2) / min(dx, dy)^2
+          Q = 2 m K^2 / (1 + sqrt(1 + m K^2 dv^2))
+              + 5 (m + |m - lam S_j| / 2) / min(dx, dy)^2,
 
-        at each interior-band node of slice j bounds the frozen-coefficient
-        symbol of the terms of rhs but the upwind one (see _STEP_FRACTION).
-        psi_vv, taken implicitly, sets no limit. Where Q and lam L_v vanish
-        (a field constant in v, whose update vanishes identically), the
-        bound 4/dv^2 of psi_vv's symbol stands in, so t stays finite.
+        K^2 = 1/dx^2 + 1/dy^2, at each interior-band node of slice j
+        bounds the frozen-coefficient symbol of the terms of rhs but the
+        upwind one, less the symbol alpha = 4 sin^2(xi_v/2) / dv^2 of the
+        implicit psi_vv. Its first term is the largest symbol of the
+        psi_vx, psi_vy cross term less alpha, over xi_v,
+        (2/dv^2)(sqrt(1 + m K^2 dv^2) - 1) written without cancellation
+        (see _STEP_FRACTION). Where Q and lam L_v vanish (a field
+        constant in v, whose update vanishes identically), the bound
+        4/dv^2 of psi_vv's symbol stands in, so t stays finite.
         """
         band = self.interior_band
         m = self.m[band]
@@ -827,8 +833,14 @@ class _EvolutionFields:
         plane *= 0.5
         plane += m
         plane *= 5.0 / min(self.dx, self.dy) ** 2
-        q = np.sqrt(m, out=m)
-        q *= 2.0 * math.sqrt(1.0 / self.dx**2 + 1.0 / self.dy**2) / self.dv
+        q = m
+        q *= 1.0 / self.dx**2 + 1.0 / self.dy**2
+        root = q * self.dv**2
+        root += 1.0
+        np.sqrt(root, out=root)
+        root += 1.0
+        q *= 2.0
+        q /= root
         q += plane
         q_max = float(np.max(q, initial=0.0))
         a_max = float(np.max(np.abs(lam * self.L_v)))
@@ -1109,7 +1121,10 @@ def run_geodesic(
     JCP 114, 1994): when |grad psi| within 3 cells of the front leaves
     [0.5, 2], or falls below the 0.3 that the step refuses anywhere in
     the band. The check reads the fields the step builds anyway; there
-    is no fixed cadence.
+    is no fixed cadence. A reinitialized state that still has
+    |grad psi| < 0.3 in the band raises LevelSetError naming the grid:
+    the band reaches a medial axis of a slice's zero set, where even an
+    exact distance has central differences that small.
 
     Convergence is judged on the zero set itself: every _MEASURE_EVERY
     steps, and at max_steps, the run reads the largest normal front
@@ -1123,8 +1138,8 @@ def run_geodesic(
     extracted, at _N_THETA samples, only at t = 0, at every
     snapshot_every-th step and at the end. Non-convergence within
     max_steps is reported in the result, not raised. Unit-circle-sized
-    problems typically need flow time around one half, about 200 steps
-    at the default grid (criterion 15: t = 0.58 in 210 steps).
+    problems typically need flow time around one half, about 130 steps
+    at the default grid (criterion 15: t = 0.59 in 130 steps).
     """
     if not 0.0 <= tol < np.inf:
         raise InputDataError(f"tol must be a finite number >= 0, got {tol!r}")
@@ -1164,6 +1179,13 @@ def run_geodesic(
             step += 1
             if L._fields.needs_reinitialization():
                 L = reinitialize(L)
+                floored = np.any(L._fields.floored & L._fields.interior_band, axis=(1, 2))
+                if floored.any():
+                    raise LevelSetError(
+                        f"slice {int(np.argmax(floored))}: |grad psi| < 0.3 in the band "
+                        "of a reinitialized field; the band reaches a medial axis of the "
+                        f"zero set, so the {nx}x{ny}x{nv} grid is too coarse"
+                    )
             field_energies.append(L._fields.field_energy(lam))
             stepped = evolve_step(L, lam)
             if step % _MEASURE_EVERY == 0 or step == max_steps:

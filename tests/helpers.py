@@ -495,22 +495,23 @@ class ReferenceEvolutionFields:
         """0.75 of the stability limit of the semi-implicit step, slice by slice.
 
         dt = 1.5 / (max Q + 2 max_j |lam L_v(j)| / dv), Q taken over the
-        interior-band nodes of each slice j:
+        interior-band nodes of each slice j, with K2 = 1/dx^2 + 1/dy^2:
 
-          Q = (2 sqrt(1/dx^2 + 1/dy^2) / dv) sqrt(m)
+          Q = 2 m K2 / (1 + sqrt(1 + m K2 dv^2))
               + (5 / min(dx, dy)^2) (m + |m - lam S_j| / 2)
 
         and Q = 0 where the band is empty. When the whole denominator is
         0, dt = 1.5 dv^2 / 4.
         """
         L = self.L
+        k2 = 1.0 / L.dx**2 + 1.0 / L.dy**2
         q_max = 0.0
         for j in range(1, L.psi.shape[0] - 1):
             m = self.m[j][self.interior_band[j]]
             if not m.size:
                 continue
             q = (
-                (2.0 * np.sqrt(1.0 / L.dx**2 + 1.0 / L.dy**2) / L.dv) * np.sqrt(m)
+                2.0 * m * k2 / (1.0 + np.sqrt(1.0 + m * k2 * L.dv**2))
                 + (5.0 / min(L.dx, L.dy) ** 2) * (m + 0.5 * np.abs(m - lam * self.S[j]))
             )
             q_max = max(q_max, float(np.max(q)))

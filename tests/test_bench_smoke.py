@@ -103,4 +103,4 @@ def test_perfbench_toy_cli_batch_runs_clean():
     # digits, as when the geodesic command's numbers moved with
     # on-demand reinitialization, with the step rule of cfl_dt and with
     # the semi-implicit step.
-    assert metrics["curveio.bytes_written"]["value"] == 622372
+    assert metrics["curveio.bytes_written"]["value"] == 622371
