@@ -286,14 +286,13 @@ _PRUNE_ROUNDING = 1e-12
 _CHUNK = 1024
 
 
-def _grid_distance(xs, ys, a, b, group):
-    """Distance from every grid node to the nearest segment of each group.
+def _grid_distance(xs, ys, a, b):
+    """Distance from every grid node to the nearest of the segments a -> b.
 
-    a and b are (S, 2) segment ends and group numbers each segment's
-    group 0..G-1, every group nonempty. Returns (G, len(ys), len(xs)),
-    equal bit for bit to measuring every (node, segment) pair of each
-    group with _segment_sq_dist and taking one square root of each
-    node's minimum: sqrt is monotone, so sqrt(min) equals min(sqrt).
+    a and b are (S, 2) segment ends, S >= 1. Returns (len(ys), len(xs)),
+    equal bit for bit to measuring every (node, segment) pair with
+    _segment_sq_dist and taking one square root of each node's minimum:
+    sqrt is monotone, so sqrt(min) equals min(sqrt).
 
     The grid is cut into _BLOCK x _BLOCK blocks of nodes (clipped at
     the far edges, where nodes repeat), each with centre c and radius
@@ -306,7 +305,6 @@ def _grid_distance(xs, ys, a, b, group):
     bound by the rounding of the computed distances.
     """
     ny, nx = len(ys), len(xs)
-    n_groups = int(group.max()) + 1
     iy = np.minimum(np.arange(0, ny, _BLOCK)[:, None] + np.arange(_BLOCK), ny - 1)
     ix = np.minimum(np.arange(0, nx, _BLOCK)[:, None] + np.arange(_BLOCK), nx - 1)
     nby, nbx = len(iy), len(ix)
@@ -323,26 +321,15 @@ def _grid_distance(xs, ys, a, b, group):
         np.abs(xs).max(), np.abs(ys).max(), np.abs(a).max(), np.abs(b).max()
     )
 
-    # Each group's segments as one row, padded by repeating its first
-    # segment: a repeat changes no minimum and is never kept twice.
-    count = np.bincount(group, minlength=n_groups)
-    order = np.argsort(group, kind="stable")
-    width = np.arange(count.max())
-    valid = width < count[:, None]
-    rows = order[(np.cumsum(count) - count)[:, None] + np.where(valid, width, 0)]
     ends = (a[:, 0], a[:, 1], b[:, 0], b[:, 1])
     d_c = np.sqrt(
         _segment_sq_dist(
-            (0.5 * (lo_x + hi_x))[:, None], (0.5 * (lo_y + hi_y))[:, None],
-            *[e[rows][:, None] for e in ends],
+            (0.5 * (lo_x + hi_x))[:, None], (0.5 * (lo_y + hi_y))[:, None], *ends
         )
     )
-    bound = d_c.min(axis=2) + (2.0 * rho + slack)
-    kept = np.flatnonzero((d_c <= bound[..., None]) & valid[:, None, :])
-    gb, k = np.divmod(kept, d_c.shape[2])  # gb = g * n_blocks + blk
-    g, blk = np.divmod(gb, n_blocks)
-    seg = rows[g, k]
-    runs = np.bincount(gb, minlength=n_groups * n_blocks)
+    bound = d_c.min(axis=1) + (2.0 * rho + slack)
+    blk, seg = np.nonzero(d_c <= bound[:, None])
+    runs = np.bincount(blk, minlength=n_blocks)
 
     # Kept (node, segment) pairs as C-contiguous (_BLOCK**2, K) arrays,
     # each block's segments one run of columns, measured in chunks of
@@ -350,8 +337,8 @@ def _grid_distance(xs, ys, a, b, group):
     # cache and are reused rather than mapped afresh.
     start = np.concatenate([[0], np.cumsum(runs)])
     cuts = np.unique(np.searchsorted(start, np.arange(0, len(seg), _CHUNK), "right") - 1)
-    cuts = np.append(cuts, len(runs))
-    dist = np.empty((_BLOCK**2, len(runs)))
+    cuts = np.append(cuts, n_blocks)
+    dist = np.empty((_BLOCK**2, n_blocks))
     for b0, b1 in zip(cuts[:-1], cuts[1:]):
         cols = slice(start[b0], start[b1])
         d2 = _segment_sq_dist(
@@ -360,9 +347,9 @@ def _grid_distance(xs, ys, a, b, group):
         )
         dist[:, b0:b1] = np.minimum.reduceat(d2, start[b0:b1] - start[b0], axis=1)
     np.sqrt(dist, out=dist)
-    out = np.empty((n_groups, ny * nx))
-    out[:, node] = dist.reshape(_BLOCK**2, n_groups, n_blocks).transpose(1, 0, 2)
-    return out.reshape(n_groups, ny, nx)
+    out = np.empty(ny * nx)
+    out[node] = dist
+    return out.reshape(ny, nx)
 
 
 def embed(
@@ -400,11 +387,10 @@ def embed(
 
     # Built before psi is filled, so a grid too small is rejected first.
     L = LevelSetGrid(psi=np.empty((C.n_v, ny, nx)), xs=xs, ys=ys, vs=vs)
-    one_group = np.zeros(C.n_theta, dtype=np.int64)
     for j in range(C.n_v):
         poly = C.values[j]
         _check_embedded(poly, f"slice {j}")
-        dist = _grid_distance(xs, ys, poly, np.roll(poly, -1, axis=0), one_group)[0]
+        dist = _grid_distance(xs, ys, poly, np.roll(poly, -1, axis=0))
         L.psi[j] = np.where(_grid_inside(xs, ys, poly), -dist, dist)
     return L
 
@@ -980,23 +966,19 @@ def reinitialize(L: LevelSetGrid) -> LevelSetGrid:
     Distances are measured straight to the zero segments of each slice
     (_zero_segments), so the interface moves by less than half a cell.
     The nearest segment does not depend on how segments chain into
-    polylines, so none are chained; all interior slices go through one
-    _grid_distance pass.
-    Pinned endpoint slices are left untouched. Raises when a slice has
-    lost its zero set entirely.
+    polylines, so none are chained; each interior slice is one
+    _grid_distance pass over its own segments, as in embed.
+    Pinned endpoint slices are left untouched. Raises at the first
+    slice that has lost its zero set entirely.
     """
-    nv = L.psi.shape[0]
     sl, p, q = L._march[:3]
-    counts = np.bincount(sl, minlength=nv)
-    for j in range(1, nv - 1):
-        if counts[j] == 0:
-            raise LevelSetError(
-                f"slice {j} has an empty zero set; the curve vanished"
-            )
-    mine = (sl > 0) & (sl < nv - 1)
-    dist = _grid_distance(L.xs, L.ys, p[mine], q[mine], sl[mine] - 1)
     psi = L.psi.copy()
-    psi[1:-1] = np.where(L.psi[1:-1] < 0.0, -dist, dist)
+    for j in range(1, len(psi) - 1):
+        mine = sl == j
+        if not mine.any():
+            raise LevelSetError(f"slice {j} has an empty zero set; the curve vanished")
+        dist = _grid_distance(L.xs, L.ys, p[mine], q[mine])
+        psi[j] = np.where(L.psi[j] < 0.0, -dist, dist)
     return replace(L, psi=psi)
 
 

@@ -40,6 +40,7 @@ from curvemetrics.levelset import (
 
 from helpers import (
     ReferenceEvolutionFields,
+    ellipse,
     figure_eight,
     raised,
     reference_cell_cases,
@@ -706,13 +707,37 @@ def test_stencils_match_numpy_gradient_and_roll_form(f, axis):
     assert_same_bits(_second_difference(f, h, axis), want)
 
 
-@pytest.mark.parametrize("steps", [0, 30])
-def test_reinitialize_is_signed_distance_to_extracted_loops(steps):
+def stepped_circle_pair(steps):
     c0, c1 = circle_pair()
     L = embed((c0, c1))
     lam = levelset_lambda(L)
     for _ in range(steps):
         L = evolve_step(L, lam)
+    return L
+
+
+def nested_circles_state():
+    # The middle slice holds two nested circles (see
+    # test_extract_nested_circles_opposite_orientation) and its
+    # neighbours one circle each, so the interior slices differ in their
+    # numbers of loops and of zero segments.
+    xs = ys = np.linspace(-3.0, 3.0, 96)
+    gx, gy = np.meshgrid(xs, ys)
+    r = np.hypot(gx, gy)
+    psi = np.stack([r - 1.0, r - 1.5, (r - 1.0) * (r - 2.0), r - 2.0, r - 1.0])
+    return LevelSetGrid(psi=psi, xs=xs, ys=ys, vs=np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        pytest.param(lambda: stepped_circle_pair(0), id="0"),
+        pytest.param(lambda: stepped_circle_pair(30), id="30"),
+        pytest.param(nested_circles_state, id="nested-circles"),
+    ],
+)
+def test_reinitialize_is_signed_distance_to_extracted_loops(state):
+    L = state()
     out = reinitialize(L)
     extraction = extract_slices(L)
     assert extraction.flagged == []
@@ -1227,7 +1252,7 @@ def off_block_size():
 
 @st.composite
 def segment_soups(draw):
-    """A grid (sizes off the block size, nx != ny, dx != dy) and a grouped soup.
+    """A grid (sizes off the block size, nx != ny, dx != dy) and a segment soup.
 
     Besides free segments the soup holds zero-length ones, some sitting
     on a grid node, and segments along a grid row or column, whose
@@ -1259,21 +1284,15 @@ def segment_soups(draw):
             a, b = (xs[i], ys[draw(node_j)]), (xs[i], ys[draw(node_j)])
         ends.append((a, b))
     ends = np.array(ends, dtype=float)
-    n_groups = draw(st.integers(1, min(3, len(ends))))
-    group = np.arange(len(ends)) % n_groups
-    return xs, ys, ends[:, 0], ends[:, 1], group
+    return xs, ys, ends[:, 0], ends[:, 1]
 
 
 @settings(max_examples=150, deadline=None)
 @given(segment_soups())
 def test_grid_distance_matches_all_pairs_reference(case):
-    xs, ys, a, b, group = case
-    dist = _grid_distance(xs, ys, a, b, group)
+    xs, ys, a, b = case
     gx, gy = np.meshgrid(xs, ys)
-    assert dist.shape == (group.max() + 1, len(ys), len(xs))
-    for g in range(group.max() + 1):
-        mine = group == g
-        assert_same_bits(dist[g], reference_distance_to_segments(gx, gy, a[mine], b[mine]))
+    assert_same_bits(_grid_distance(xs, ys, a, b), reference_distance_to_segments(gx, gy, a, b))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1308,7 +1327,7 @@ def test_grid_distance_keeps_the_ties_of_a_polygon_around_a_node(ci, cj, dx, dy,
     nxt = np.roll(poly, -1, axis=0)
     if pair:
         poly, nxt = poly[[0, 128]], nxt[[0, 128]]
-    dist = _grid_distance(xs, ys, poly, nxt, np.zeros(len(poly), dtype=np.int64))[0]
+    dist = _grid_distance(xs, ys, poly, nxt)
     gx, gy = np.meshgrid(xs, ys)
     assert_same_bits(dist, reference_distance_to_segments(gx, gy, poly, nxt))
 
@@ -1323,7 +1342,7 @@ def test_grid_distance_measures_a_block_run_wider_than_a_chunk():
     theta = theta_grid(2 * _CHUNK + 1)
     poly = centre + 0.8 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     nxt = np.roll(poly, -1, axis=0)
-    dist = _grid_distance(xs, ys, poly, nxt, np.zeros(len(poly), dtype=np.int64))[0]
+    dist = _grid_distance(xs, ys, poly, nxt)
     gx, gy = np.meshgrid(xs, ys)
     assert_same_bits(dist, reference_distance_to_segments(gx, gy, poly, nxt))
 
@@ -1480,6 +1499,22 @@ def test_run_geodesic_reinitializes_a_drifted_state_before_its_step(monkeypatch)
     assert result.converged
     assert len(drifted) == 1 and len(reinits) == 1 and reinits[0] is drifted[0]
     assert len(marches) == 1 + result.steps + len(reinits)
+
+
+def test_run_geodesic_converges_through_its_own_reinitialization(monkeypatch):
+    # Unforced, the field of this ellipse pair drifts: the check before
+    # step 153 reinitializes it once, and the run then converges. With
+    # reinitialize made the identity, the same step refuses the state,
+    # so the run depends on the in-loop call.
+    c0 = ellipse(256, 1.0, 0.6)
+    c1 = SampledCurve(points=ellipse(256, 0.7, 1.0).points + (0.3, 0.2))
+    reinits = counting_calls(monkeypatch, "reinitialize")
+    result = run_geodesic(c0, c1, nx=48, ny=48, nv=5)
+    assert result.converged and result.steps == 410
+    assert len(reinits) == 1 and reinits[0].t == pytest.approx(0.348, abs=1e-3)
+    monkeypatch.setattr(levelset, "reinitialize", lambda L: L)
+    with pytest.raises(LevelSetError, match=r"^step 153, t = 0\.3477: slice 2: "):
+        run_geodesic(c0, c1, nx=48, ny=48, nv=5)
 
 
 def test_run_geodesic_skips_the_medial_axis_of_a_coarse_band(monkeypatch):
